@@ -191,63 +191,60 @@ class Matching(NamedTuple):
     weight: float
 
 
-def _matching_weight(cost: list[list[float]], perm: Sequence[int]) -> float:
-    return sum(cost[i][j] for i, j in enumerate(perm))
+def _assignment(cost: list[list[float]]) -> tuple[float, list[int]]:
+    """Optimal value and one optimal column per row of a square cost matrix.
+
+    1x1 and 2x2 problems are settled by one comparison, so runs with
+    k <= 2 never import scipy; larger ones use the Hungarian method.
+    """
+    n = len(cost)
+    if n == 0:
+        return 0.0, []
+    if n == 1:
+        return cost[0][0], [0]
+    if n == 2:
+        straight = cost[0][0] + cost[1][1]
+        crossed = cost[0][1] + cost[1][0]
+        return (straight, [0, 1]) if straight <= crossed else (crossed, [1, 0])
+    from scipy.optimize import linear_sum_assignment
+
+    cols = linear_sum_assignment(cost)[1].tolist()
+    return sum(cost[i][j] for i, j in enumerate(cols)), cols
 
 
 def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
     """Minimum-weight perfect matching between two equal-size configurations.
 
-    Among all optimal assignments the lexicographically smallest
-    permutation is returned, so repeated runs are reproducible.  Small
-    instances are resolved by ordered enumeration with early exit; the
-    optimal value itself comes from the Hungarian method (scipy) for
-    k > 2, which also serves larger k.
+    Among all optimal assignments (within a relative 1e-12) the
+    lexicographically smallest permutation is returned, so runs are
+    reproducible despite the ties that co-located servers create.  One
+    assignment solve gives the optimum and an optimal completion.  Rows
+    are then fixed in order: a free column that precedes the
+    completion's is taken when the rest of the rows still reach the
+    optimum on the remaining columns, which one smaller solve decides
+    and which then becomes the completion.
     """
     k = len(a)
     if len(b) != k:
         raise InputError(f"configuration sizes differ: {k} vs {len(b)}")
-    if k == 0:
-        return Matching((), 0.0)
     cost = [[distance(p, q) for q in b] for p in a]
-    if k <= 2:
-        best = min(_matching_weight(cost, perm)
-                   for perm in itertools.permutations(range(k)))
-    else:
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(cost)
-        best = sum(cost[i][j] for i, j in zip(rows, cols))
+    best, completion = _assignment(cost)
     tol = 1e-12 * (1.0 + best)
-    if k <= 6:
-        for perm in itertools.permutations(range(k)):
-            w = _matching_weight(cost, perm)
-            if w <= best + tol:
-                return Matching(perm, w)
-        raise AssertionError("unreachable: optimum not met by any permutation")
-    # Large k: fix one row at a time on the remaining submatrix.
-    from scipy.optimize import linear_sum_assignment
-
-    chosen: list[int] = []
     free = list(range(k))
-    fixed_cost = 0.0
+    fixed = 0.0
     for i in range(k):
-        for j in sorted(free):
-            rest_rows = list(range(i + 1, k))
-            rest_cols = [c for c in free if c != j]
-            rest = 0.0
-            if rest_rows:
-                sub = [[cost[r][c] for c in rest_cols] for r in rest_rows]
-                rr, cc = linear_sum_assignment(sub)
-                rest = sum(sub[x][y] for x, y in zip(rr, cc))
-            if fixed_cost + cost[i][j] + rest <= best + tol:
-                chosen.append(j)
-                free.remove(j)
-                fixed_cost += cost[i][j]
+        for j in free:
+            if j == completion[i]:
                 break
-        else:
-            raise AssertionError("unreachable: no extendable column")
-    return Matching(tuple(chosen), _matching_weight(cost, chosen))
+            rest_cols = [c for c in free if c != j]
+            rest, sub = _assignment([[cost[r][c] for c in rest_cols]
+                                     for r in range(i + 1, k)])
+            if fixed + cost[i][j] + rest <= best + tol:
+                completion[i:] = [j] + [rest_cols[x] for x in sub]
+                break
+        free.remove(completion[i])
+        fixed += cost[i][completion[i]]
+    return Matching(tuple(completion), fixed)
 
 
 @dataclass

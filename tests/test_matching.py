@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kmobile
 from kmobile.core import InputError, Matching, distance, min_weight_matching
 
 
@@ -60,22 +65,45 @@ def test_lexicographic_tie_break():
 
 
 def test_large_k_path_agrees_with_enumeration():
+    # Co-located points on an integer grid make many matchings optimal;
+    # for every k the lexicographically smallest of them is returned.
     rng = random.Random(3)
-    for _ in range(5):
-        k = 7  # forces the row-fixing refinement path
-        a = [(rng.uniform(-5, 5),) for _ in range(k)]
-        b = [(rng.uniform(-5, 5),) for _ in range(k)]
-        m = min_weight_matching(a, b)
-        best = min(sum(distance(a[i], b[j]) for i, j in enumerate(p))
-                   for p in itertools.permutations(range(k)))
-        assert abs(m.weight - best) < 1e-9
-        # lexicographically smallest optimum
-        for perm in itertools.permutations(range(k)):
-            w = sum(distance(a[i], b[j]) for i, j in enumerate(perm))
-            if w <= m.weight + 1e-12 * (1 + m.weight):
-                assert perm == m.perm
-                break
+    for k in range(1, 8):
+        for _ in range(60 if k < 7 else 15):
+            dim = rng.choice((1, 2))
+            shared = [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(2)]
+
+            def point():
+                if rng.random() < 0.5:
+                    return rng.choice(shared)
+                return tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+
+            a = [point() for _ in range(k)]
+            b = [point() for _ in range(k)]
+            perm, w = brute_force(a, b)
+            m = min_weight_matching(a, b)
+            assert m.perm == perm
+            assert abs(m.weight - w) < 1e-9
 
 
 def test_empty_matching():
     assert min_weight_matching([], []) == Matching((), 0.0)
+
+
+def test_k2_simulate_leaves_scipy_unimported(tmp_path):
+    # Matchings of k <= 2 are settled without scipy, whose import would
+    # cost more than a whole short k=2 run.
+    trace = str(tmp_path / "t.jsonl")
+    script = (
+        "import sys\n"
+        "from kmobile.cli import main\n"
+        f"trace = {trace!r}\n"
+        "assert main(['generate', '--construction', 'walk', '--k', '2', '--dim', '2',\n"
+        "             '--n', '12', '--mc', '0.8', '--D', '2', '--out', trace]) == 0\n"
+        "for algo in ('ums', 'wms', 'simple'):\n"
+        "    assert main(['simulate', '--algo', algo, '--trace', trace]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kmobile.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
