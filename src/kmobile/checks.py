@@ -82,15 +82,19 @@ class SlowPotentialReport:
     phi_threshold: float
 
 
-def _phi(d: float, threshold: float, params: ProblemParams, weighted: bool) -> float:
-    if d <= threshold:
-        return 4.0 * d
+def _phi_quadratic(d: float, threshold: float, params: ProblemParams, weighted: bool) -> float:
     quad = 4.0 / (params.delta * params.ms) * d * d
     if weighted:
         offset = 4.0 * (threshold - threshold * threshold / (params.delta * params.ms))
         return quad + offset
     offset = 4.0 * (threshold * threshold / (params.delta * params.ms) - threshold)
     return quad - offset
+
+
+def _phi(d: float, threshold: float, params: ProblemParams, weighted: bool) -> float:
+    if d <= threshold:
+        return 4.0 * d
+    return _phi_quadratic(d, threshold, params, weighted)
 
 
 def check_slow_potential(result: RunResult, helper: HelperTrajectory,
@@ -117,11 +121,7 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     if weighted:
         threshold *= params.D
     low = _phi(threshold, threshold, params, weighted)
-    high_quad = 4.0 / (params.delta * params.ms) * threshold * threshold
-    if weighted:
-        high = high_quad + 4.0 * (threshold - threshold * threshold / (params.delta * params.ms))
-    else:
-        high = high_quad - 4.0 * (threshold * threshold / (params.delta * params.ms) - threshold)
+    high = _phi_quadratic(threshold, threshold, params, weighted)
     boundary_gap = abs(high - low) / max(1.0, abs(low))
 
     psi_f = y * params.mc / (params.delta * params.ms) * (params.D if weighted else 1.0)

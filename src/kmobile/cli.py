@@ -7,6 +7,7 @@ budget exceeded.  All randomness flows from explicit seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -56,16 +57,12 @@ def _dump_json(obj, path=None):
 
 
 def _override_params(params: ProblemParams, args) -> ProblemParams:
-    fields = {"k": params.k, "ms": params.ms, "mc": params.mc,
-              "delta": params.delta, "D": params.D, "dim": params.dim}
-    for name in ("ms", "mc", "delta", "D"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
     if getattr(args, "k", None) is not None and args.k != params.k:
         raise InputError(f"--k {args.k} conflicts with the trace header (k={params.k}); "
                          "regenerate the trace instead")
-    return ProblemParams(**fields)
+    changes = {name: getattr(args, name) for name in ("ms", "mc", "delta", "D")
+               if getattr(args, name, None) is not None}
+    return dataclasses.replace(params, **changes)
 
 
 def _steps_csv(result: RunResult) -> str:
@@ -144,8 +141,7 @@ def cmd_generate(args) -> int:
         "online_cost_lower_bound": inst.online_cost_lower_bound,
         "choices": inst.choices,
         "n": len(inst.trace),
-        "params": {"k": inst.params.k, "ms": inst.params.ms, "mc": inst.params.mc,
-                   "delta": inst.params.delta, "D": inst.params.D, "dim": inst.params.dim},
+        "params": inst.params.to_dict(),
     }
     if inst.trace.certificate is not None:
         meta["certificate_cost"] = certificate_cost(inst.trace, inst.params)
@@ -172,7 +168,11 @@ def cmd_optimum(args) -> int:
 
 def _load_run(path: str) -> RunResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return RunResult.from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    return RunResult.from_dict(obj)
 
 
 def cmd_verify(args) -> int:

@@ -6,9 +6,11 @@ all of it is safe to share between concurrent runs.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -92,6 +94,8 @@ class ProblemParams:
     def __post_init__(self):
         if self.k < 1:
             raise InputError("k must be a positive integer")
+        if not all(math.isfinite(v) for v in (self.ms, self.mc, self.delta, self.D)):
+            raise InputError("ms, mc, delta and D must be finite")
         if self.ms <= 0 or self.mc <= 0:
             raise InputError("ms and mc must be positive")
         if not 0.0 <= self.delta < 1.0:
@@ -104,6 +108,38 @@ class ProblemParams:
     @property
     def online_speed(self) -> float:
         return (1.0 + self.delta) * self.ms
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ProblemParams":
+        """Inverse of to_dict; every field is required."""
+        if not isinstance(obj, dict):
+            raise InputError(f"parameters must be a JSON object, got {obj!r}")
+        values = {}
+        for f in dataclasses.fields(cls):
+            try:
+                values[f.name] = (int if f.type == "int" else float)(obj[f.name])
+            except KeyError as exc:
+                raise InputError(f"parameters miss field {f.name!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"parameter {f.name!r} is not a number: {exc}") from exc
+        return cls(**values)
+
+
+def read_budget() -> Optional[int]:
+    """The size budget set by KMOB_BUDGET, or None when it is unset or empty."""
+    env = os.environ.get("KMOB_BUDGET")
+    if not env:
+        return None
+    try:
+        budget = int(env)
+    except ValueError as exc:
+        raise InputError(f"KMOB_BUDGET must be an integer, got {env!r}") from exc
+    if budget < 0:
+        raise InputError(f"KMOB_BUDGET must be nonnegative, got {budget}")
+    return budget
 
 
 @dataclass
@@ -217,12 +253,11 @@ def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
 
     Among all optimal assignments (within a relative 1e-12) the
     lexicographically smallest permutation is returned, so runs are
-    reproducible despite the ties that co-located servers create.  One
-    assignment solve gives the optimum and an optimal completion.  Rows
-    are then fixed in order: a free column that precedes the
-    completion's is taken when the rest of the rows still reach the
-    optimum on the remaining columns, which one smaller solve decides
-    and which then becomes the completion.
+    reproducible despite the ties of co-located servers.  One assignment
+    solve gives the optimum and a completion.  Rows are then fixed in
+    order; a free column preceding the completion's is taken when a
+    solve of the remaining rows and columns still reaches the optimum,
+    and that solve becomes the completion.
     """
     k = len(a)
     if len(b) != k:
@@ -288,15 +323,7 @@ class CostLedger:
 
 def write_trace(path: str, trace: Trace, params: ProblemParams) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "dim": params.dim,
-            "k": params.k,
-            "ms": params.ms,
-            "mc": params.mc,
-            "delta": params.delta,
-            "D": params.D,
-            "start": [list(p) for p in trace.start_config],
-        }
+        header = dict(params.to_dict(), start=[list(p) for p in trace.start_config])
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for t, r in enumerate(trace.requests, start=1):
             fh.write(json.dumps({"t": t, "r": list(r)}) + "\n")
@@ -306,7 +333,7 @@ def write_trace(path: str, trace: Trace, params: ProblemParams) -> None:
 
 
 def read_trace(path: str) -> tuple[Trace, ProblemParams]:
-    header = None
+    params = start = None
     requests: dict[int, Point] = {}
     cert: dict[int, Config] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -318,23 +345,24 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "start" in obj:
-                header = obj
-            elif "r" in obj:
-                requests[int(obj["t"])] = as_point(obj["r"])
-            elif "o" in obj:
-                cert[int(obj["t"])] = tuple(as_point(p) for p in obj["o"])
-            else:
-                raise InputError(f"{path}:{lineno}: unrecognized record {sorted(obj)}")
-    if header is None:
+            if not isinstance(obj, dict):
+                raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
+            try:
+                if "start" in obj:
+                    params = ProblemParams.from_dict(obj)
+                    start = tuple(as_point(p) for p in obj["start"])
+                elif "r" in obj:
+                    requests[int(obj["t"])] = as_point(obj["r"])
+                elif "o" in obj:
+                    cert[int(obj["t"])] = tuple(as_point(p) for p in obj["o"])
+                else:
+                    raise InputError(f"unrecognized record {sorted(obj)}")
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: record misses field {exc}") from exc
+            except (InputError, TypeError, ValueError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    if params is None:
         raise InputError(f"{path}: missing header line")
-    try:
-        params = ProblemParams(k=int(header["k"]), ms=float(header["ms"]),
-                               mc=float(header["mc"]), delta=float(header["delta"]),
-                               D=float(header["D"]), dim=int(header["dim"]))
-        start = tuple(as_point(p) for p in header["start"])
-    except KeyError as exc:
-        raise InputError(f"{path}: header missing field {exc}") from exc
     if not requests:
         raise InputError(f"{path}: no request lines")
     n = max(requests)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 from typing import NamedTuple, Optional, Sequence
 
 from kmobile.core import (
@@ -21,6 +20,7 @@ from kmobile.core import (
     ResourceBudgetError,
     distance,
     min_weight_matching,
+    read_budget,
 )
 
 SIM_TAGS = ("greedy", "dc-line", "wfa", "pm-counter", "split-serve")
@@ -31,13 +31,8 @@ DEFAULT_WFA_CONFIGS = 25_000
 
 
 def wfa_config_budget() -> int:
-    env = os.environ.get("KMOB_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"KMOB_BUDGET must be an integer, got {env!r}") from exc
-    return DEFAULT_WFA_CONFIGS
+    budget = read_budget()
+    return DEFAULT_WFA_CONFIGS if budget is None else budget
 
 
 class SimStep(NamedTuple):

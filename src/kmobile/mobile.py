@@ -17,7 +17,6 @@ from kmobile.core import (
     ContractViolationError,
     CostLedger,
     InputError,
-    Matching,
     Point,
     ProblemParams,
     Trace,
@@ -88,7 +87,6 @@ class RunResult:
         return max((d for rep in self.reports for d in rep.displacements), default=0.0)
 
     def to_dict(self) -> dict:
-        p = self.params
         return {
             "algo": self.algo,
             "sim": self.sim_tag,
@@ -96,8 +94,7 @@ class RunResult:
             "epsilon": self.epsilon,
             "project": self.project,
             "weighted": self.weighted,
-            "params": {"k": p.k, "ms": p.ms, "mc": p.mc, "delta": p.delta,
-                       "D": p.D, "dim": p.dim},
+            "params": self.params.to_dict(),
             "psi0_matched_sum": self.psi0_matched_sum,
             "ledger": {
                 "serving_total": self.ledger.serving_total,
@@ -127,36 +124,40 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunResult":
-        pp = obj["params"]
-        params = ProblemParams(k=int(pp["k"]), ms=float(pp["ms"]), mc=float(pp["mc"]),
-                               delta=float(pp["delta"]), D=float(pp["D"]), dim=int(pp["dim"]))
-        ledger = CostLedger(D=params.D)
-        reports = []
-        for s in obj["steps"]:
-            ledger.add(float(s["serving"]), float(s["movement"]))
-            reports.append(StepReport(
-                t=int(s["t"]),
-                request=tuple(s["r"]),
-                perm=tuple(int(i) for i in s["perm"]),
-                branch=s["branch"],
-                mover=None if s["mover"] is None else int(s["mover"]),
-                caps=[float(x) for x in s["caps"]],
-                displacements=[float(x) for x in s["disp"]],
-                serving=float(s["serving"]),
-                movement=float(s["movement"]),
-                cost=float(s["cost"]),
-                sim_serving=float(s["sim_serving"]),
-                sim_movement=float(s["sim_movement"]),
-                sim_cost=float(s["sim_cost"]),
-                matched_sum=float(s["matched_sum"]),
-                positions=tuple(tuple(p) for p in s["a"]),
-                sim_positions=tuple(tuple(p) for p in s["c"]),
-            ))
-        return cls(algo=obj["algo"], sim_tag=obj["sim"], params=params, mode=obj["mode"],
-                   epsilon=obj["epsilon"], project=bool(obj["project"]),
-                   weighted=bool(obj["weighted"]), ledger=ledger, reports=reports,
-                   psi0_matched_sum=float(obj["psi0_matched_sum"]),
-                   projection_audit=obj.get("projection"))
+        """Inverse of to_dict; a missing or malformed field raises InputError."""
+        try:
+            params = ProblemParams.from_dict(obj["params"])
+            ledger = CostLedger(D=params.D)
+            reports = []
+            for s in obj["steps"]:
+                ledger.add(float(s["serving"]), float(s["movement"]))
+                reports.append(StepReport(
+                    t=int(s["t"]),
+                    request=tuple(s["r"]),
+                    perm=tuple(int(i) for i in s["perm"]),
+                    branch=s["branch"],
+                    mover=None if s["mover"] is None else int(s["mover"]),
+                    caps=[float(x) for x in s["caps"]],
+                    displacements=[float(x) for x in s["disp"]],
+                    serving=float(s["serving"]),
+                    movement=float(s["movement"]),
+                    cost=float(s["cost"]),
+                    sim_serving=float(s["sim_serving"]),
+                    sim_movement=float(s["sim_movement"]),
+                    sim_cost=float(s["sim_cost"]),
+                    matched_sum=float(s["matched_sum"]),
+                    positions=tuple(tuple(p) for p in s["a"]),
+                    sim_positions=tuple(tuple(p) for p in s["c"]),
+                ))
+            return cls(algo=obj["algo"], sim_tag=obj["sim"], params=params, mode=obj["mode"],
+                       epsilon=obj["epsilon"], project=bool(obj["project"]),
+                       weighted=bool(obj["weighted"]), ledger=ledger, reports=reports,
+                       psi0_matched_sum=float(obj["psi0_matched_sum"]),
+                       projection_audit=obj.get("projection"))
+        except KeyError as exc:
+            raise InputError(f"run record misses field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed run record: {exc}") from exc
 
 
 class MobileRun:
@@ -174,20 +175,35 @@ class MobileRun:
         self.epsilon = epsilon
         self.ledger = CostLedger(D=params.D)
         self.reports: list[StepReport] = []
+        self._policy = {"ums": self._ums_step, "wms": self._wms_step,
+                        "simple": self._simple_step}[algo]
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
         self.on_request_tol = 1e-9 * max(1.0, params.mc)
 
     def step(self, r: Point) -> StepReport:
+        """Guidance step, matching to it, then the algorithm's caps and targets."""
         self.t += 1
-        if self.algo == "ums":
-            rep = self._ums_step(r)
-        elif self.algo == "wms":
-            rep = self._wms_step(r)
-        else:
-            rep = self._simple_step(r)
+        sim_step = self.sim.step(r)
+        c = sim_step.positions
+        perm = min_weight_matching(self.positions, c).perm
+        matched = [c[j] for j in perm]
+        branch, mover, caps, targets = self._policy(r, c, perm, matched)
+        new_pos, disps = self._apply(targets, caps)
+        self.positions = new_pos
+        serving = min(distance(p, r) for p in new_pos)
+        movement = sum(disps)
+        D = self.params.D
+        rep = StepReport(
+            t=self.t, request=r, perm=perm, branch=branch, mover=mover,
+            caps=caps, displacements=disps, serving=serving, movement=movement,
+            cost=serving + D * movement,
+            sim_serving=sim_step.serving, sim_movement=sim_step.movement,
+            sim_cost=sim_step.serving + D * sim_step.movement,
+            matched_sum=sum(distance(p, q) for p, q in zip(new_pos, matched)),
+            positions=new_pos, sim_positions=c)
         self.reports.append(rep)
-        self.ledger.add(rep.serving, rep.movement)
+        self.ledger.add(serving, movement)
         return rep
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
@@ -196,55 +212,34 @@ class MobileRun:
         disps = [distance(p, q) for p, q in zip(self.positions, new_pos)]
         return new_pos, disps
 
-    def _finish(self, r: Point, sim_step, m: Matching, branch: str, mover: Optional[int],
-                caps: list[float], targets: Sequence[Point]) -> StepReport:
-        new_pos, disps = self._apply(targets, caps)
-        self.positions = new_pos
-        serving = min(distance(p, r) for p in new_pos)
-        movement = sum(disps)
-        matched_sum = sum(distance(new_pos[i], sim_step.positions[m.perm[i]])
-                          for i in range(self.params.k))
-        D = self.params.D
-        return StepReport(
-            t=self.t, request=r, perm=m.perm, branch=branch, mover=mover,
-            caps=caps, displacements=disps, serving=serving, movement=movement,
-            cost=serving + D * movement,
-            sim_serving=sim_step.serving, sim_movement=sim_step.movement,
-            sim_cost=sim_step.serving + D * sim_step.movement,
-            matched_sum=matched_sum, positions=new_pos,
-            sim_positions=sim_step.positions)
-
     def _nearest_index(self, r: Point) -> int:
         dists = [distance(p, r) for p in self.positions]
         return dists.index(min(dists))
 
-    def _ums_step(self, r: Point) -> StepReport:
+    # Each policy takes the request, the guidance positions c, the matching
+    # perm and the matched guidance positions (which it must not modify),
+    # and returns the branch, the greedy mover, the caps and the targets.
+
+    def _ums_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
-        sim_step = self.sim.step(r)
-        c = sim_step.positions
-        m = min_weight_matching(self.positions, c)
         on_r = [i for i, p in enumerate(c) if distance(p, r) <= self.on_request_tol]
         if not on_r:
             raise ContractViolationError(
                 f"guidance left no server on the request at step {self.t}")
-        ci = on_r[0]
-        j = m.perm.index(ci)
+        j = perm.index(on_r[0])
         cap_full = params.online_speed
         caps = [cap_full] * params.k
-        targets = [c[m.perm[i]] for i in range(params.k)]
         if distance(self.positions[j], r) <= cap_full:
-            return self._finish(r, sim_step, m, "matched", None, caps, targets)
+            return "matched", None, caps, matched
         mover = self._nearest_index(r)
+        targets = list(matched)
         targets[mover] = r
         caps[mover] = (1.0 + params.delta / 2.0) * params.ms
-        return self._finish(r, sim_step, m, "greedy", mover, caps, targets)
+        return "greedy", mover, caps, targets
 
-    def _wms_step(self, r: Point) -> StepReport:
+    def _wms_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
         D = params.D
-        sim_step = self.sim.step(r)
-        c = sim_step.positions
-        m = min_weight_matching(self.positions, c)
         mover = self._nearest_index(r)
         d_til = distance(self.positions[mover], r)
         if self.mode == "fast":
@@ -255,26 +250,18 @@ class MobileRun:
         cap_other = min(params.online_speed, d_til / D)
         caps = [cap_other] * params.k
         caps[mover] = cap_mover
-        targets = [c[m.perm[i]] for i in range(params.k)]
+        targets = list(matched)
         targets[mover] = r
         tentative, _ = self._apply(targets, caps)
         d_mover = distance(tentative[mover], r)
         overtaken = any(distance(tentative[i], r) < d_mover
                         for i in range(params.k) if i != mover)
         if overtaken:
-            caps = [params.ms] * params.k
-            targets = [c[m.perm[i]] for i in range(params.k)]
-            return self._finish(r, sim_step, m, "fallback", None, caps, targets)
-        return self._finish(r, sim_step, m, "tentative", mover, caps, targets)
+            return "fallback", None, [params.ms] * params.k, matched
+        return "tentative", mover, caps, targets
 
-    def _simple_step(self, r: Point) -> StepReport:
-        params = self.params
-        sim_step = self.sim.step(r)
-        c = sim_step.positions
-        m = min_weight_matching(self.positions, c)
-        caps = [params.online_speed] * params.k
-        targets = [c[m.perm[i]] for i in range(params.k)]
-        return self._finish(r, sim_step, m, "matching-only", None, caps, targets)
+    def _simple_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
+        return "matching-only", None, [self.params.online_speed] * self.params.k, matched
 
 
 def run(trace: Trace, params: ProblemParams, algo: str = "ums",

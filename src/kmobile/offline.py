@@ -9,7 +9,6 @@ trajectory plus the online run it is compared against.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,21 +23,12 @@ from kmobile.core import (
     Trace,
     distance,
     move_toward,
+    read_budget,
 )
 
 DP_MAX_POINTS = 41
 DP_MAX_STEPS = 30
 DP_MAX_K = 2
-
-
-def _dp_budget_cells() -> Optional[int]:
-    env = os.environ.get("KMOB_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"KMOB_BUDGET must be an integer, got {env!r}") from exc
-    return None
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,7 @@ def dp_optimum(trace: Trace, params: ProblemParams,
         raise ResourceBudgetError(
             f"DP oracle supports up to {DP_MAX_POINTS} grid points, got {grid.n}")
     cells = (grid.n ** params.k) ** 2
-    budget = _dp_budget_cells()
+    budget = read_budget()
     if budget is not None and cells > budget:
         raise ResourceBudgetError(f"DP transition table needs {cells} cells (budget {budget})")
 

@@ -148,9 +148,39 @@ class TestCli:
         assert main(["verify", "--property", "fast-potential",
                      "--run", str(run_path)]) == 1
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys, monkeypatch):
         # input error: missing trace file
         assert main(["simulate", "--trace", str(tmp_path / "nope.jsonl")]) == 2
+        # input error, reported on one stderr line: malformed traces and run records
+        header = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+                  "start": [[0.0]]}
+        request = json.dumps({"t": 1, "r": [0.0]})
+        bad_inputs = {
+            "no-t.jsonl": [json.dumps(header), json.dumps({"r": [0.0]})],
+            "not-object.jsonl": [json.dumps(header), "5"],
+            "start-zero.jsonl": [json.dumps(dict(header, start=0)), request],
+            "nan-ms.jsonl": [json.dumps(dict(header, ms=float("nan"))), request],
+            "params-only.run.json": ['{"algo": "ums"}'],
+            "truncated.run.json": ['{"algo": "ums", "params"'],
+        }
+        capsys.readouterr()
+        for name, lines in bad_inputs.items():
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n")
+            if name.endswith(".run.json"):
+                argv = ["verify", "--property", "fast-potential", "--run", str(path)]
+            else:
+                argv = ["simulate", "--trace", str(path)]
+            assert main(argv) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
+        # input error: a negative size budget
+        trace = str(tmp_path / "plane.jsonl")
+        assert main(["generate", "--construction", "walk", "--k", "2", "--n", "5",
+                     "--mc", "0.5", "--dim", "2", "--out", trace]) == 0
+        monkeypatch.setenv("KMOB_BUDGET", "-1")
+        assert main(["simulate", "--trace", trace]) == 2
+        monkeypatch.delenv("KMOB_BUDGET")
         # input error: malformed construction parameters
         assert main(["generate", "--construction", "simple-cx", "--x", "10",
                      "--y", "9", "--out", str(tmp_path / "x.jsonl")]) == 2

@@ -156,9 +156,10 @@ class TestWorkFunction:
         with pytest.raises(ResourceBudgetError):
             for i in range(10):
                 w.step((float(i) + 2.0,))
-        monkeypatch.setenv("KMOB_BUDGET", "not-a-number")
-        with pytest.raises(InputError):
-            WorkFunctionServer([(0.0,)])
+        for bad in ("not-a-number", "-1"):
+            monkeypatch.setenv("KMOB_BUDGET", bad)
+            with pytest.raises(InputError):
+                WorkFunctionServer([(0.0,)])
 
 
 class TestPageMigrationCounter:

@@ -30,6 +30,21 @@ def test_params_validation():
         ProblemParams(k=1, ms=1.0, mc=1.0, delta=1.0)
     with pytest.raises(InputError):
         ProblemParams(k=1, ms=1.0, mc=1.0, delta=0.0, D=0.5)
+    for bad in (dict(ms=float("nan")), dict(mc=float("inf")), dict(D=float("nan")),
+                dict(D=float("inf"))):
+        with pytest.raises(InputError):
+            params1(**bad)
+
+
+def test_params_dict_codec():
+    p = params1(k=3, ms=0.5, D=2.0, dim=2)
+    assert ProblemParams.from_dict(p.to_dict()) == p
+    missing = p.to_dict()
+    del missing["mc"]
+    with pytest.raises(InputError, match="mc"):
+        ProblemParams.from_dict(missing)
+    with pytest.raises(InputError, match="delta"):
+        ProblemParams.from_dict(dict(p.to_dict(), delta="fast"))
 
 
 def test_validate_trace_ok():
