@@ -156,7 +156,7 @@ class RunResult:
                        projection_audit=obj.get("projection"))
         except KeyError as exc:
             raise InputError(f"run record misses field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"malformed run record: {exc}") from exc
 
 
@@ -175,8 +175,6 @@ class MobileRun:
         self.epsilon = epsilon
         self.ledger = CostLedger(D=params.D)
         self.reports: list[StepReport] = []
-        self._policy = {"ums": self._ums_step, "wms": self._wms_step,
-                        "simple": self._simple_step}[algo]
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
         self.on_request_tol = 1e-9 * max(1.0, params.mc)
@@ -188,7 +186,7 @@ class MobileRun:
         c = sim_step.positions
         perm = min_weight_matching(self.positions, c).perm
         matched = [c[j] for j in perm]
-        branch, mover, caps, targets = self._policy(r, c, perm, matched)
+        branch, mover, caps, targets = self._POLICIES[self.algo](self, r, c, perm, matched)
         new_pos, disps = self._apply(targets, caps)
         self.positions = new_pos
         serving = min(distance(p, r) for p in new_pos)
@@ -216,9 +214,8 @@ class MobileRun:
         dists = [distance(p, r) for p in self.positions]
         return dists.index(min(dists))
 
-    # Each policy takes the request, the guidance positions c, the matching
-    # perm and the matched guidance positions (which it must not modify),
-    # and returns the branch, the greedy mover, the caps and the targets.
+    # A policy gets the request, the guidance c, the matching perm and the
+    # matched guidance (read-only); it returns branch, mover, caps, targets.
 
     def _ums_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
@@ -262,6 +259,10 @@ class MobileRun:
 
     def _simple_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         return "matching-only", None, [self.params.online_speed] * self.params.k, matched
+
+    # Plain functions: a bound method kept on the run would be a reference
+    # cycle holding every step report until the cyclic collector runs.
+    _POLICIES = {"ums": _ums_step, "wms": _wms_step, "simple": _simple_step}
 
 
 def run(trace: Trace, params: ProblemParams, algo: str = "ums",
