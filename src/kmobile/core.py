@@ -123,7 +123,7 @@ class ProblemParams:
                 values[f.name] = (int if f.type == "int" else float)(obj[f.name])
             except KeyError as exc:
                 raise InputError(f"parameters miss field {f.name!r}") from exc
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise InputError(f"parameter {f.name!r} is not a number: {exc}") from exc
         return cls(**values)
 

@@ -160,7 +160,7 @@ class TestCli:
             "not-object.jsonl": [json.dumps(header), "5"],
             "start-zero.jsonl": [json.dumps(dict(header, start=0)), request],
             "nan-ms.jsonl": [json.dumps(dict(header, ms=float("nan"))), request],
-            "params-only.run.json": ['{"algo": "ums"}'],
+            "no-params.run.json": ['{"algo": "ums"}'],
             "truncated.run.json": ['{"algo": "ums", "params"'],
         }
         capsys.readouterr()

@@ -45,6 +45,8 @@ def test_params_dict_codec():
         ProblemParams.from_dict(missing)
     with pytest.raises(InputError, match="delta"):
         ProblemParams.from_dict(dict(p.to_dict(), delta="fast"))
+    with pytest.raises(InputError, match="k"):
+        ProblemParams.from_dict(dict(p.to_dict(), k=float("inf")))
 
 
 def test_validate_trace_ok():
