@@ -74,9 +74,12 @@ def test_large_k_path_agrees_with_enumeration():
             shared = [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(2)]
 
             def point():
-                if rng.random() < 0.5:
+                u = rng.random()
+                if u < 0.45:
                     return rng.choice(shared)
-                return tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+                if u < 0.9:
+                    return tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+                return tuple(rng.uniform(-5, 5) for _ in range(dim))
 
             a = [point() for _ in range(k)]
             b = [point() for _ in range(k)]
