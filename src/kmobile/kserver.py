@@ -124,6 +124,12 @@ class WorkFunctionServer(GuidanceSimulator):
         self.max_configs = max_configs if max_configs is not None else wfa_config_budget()
         self.points: list[Point] = []
         self.index: dict[Point, int] = {}
+        # Grown by _intern: dmat[a][b] == distance(points[a], points[b]),
+        # and neighbours[base][p] == tuple(sorted(base + (p,))) for every
+        # sorted base of k - 1 point indices.
+        self.dmat: list[list[float]] = []
+        self.neighbours: dict[tuple[int, ...], list[tuple[int, ...]]] = {
+            base: [] for base in itertools.combinations_with_replacement((), self.k - 1)}
         for p in start:
             self._intern(p)
         self.positions = tuple(start)
@@ -134,8 +140,17 @@ class WorkFunctionServer(GuidanceSimulator):
 
     def _intern(self, p: Point) -> int:
         if p not in self.index:
+            for a, row in zip(self.points, self.dmat):
+                row.append(distance(a, p))
             self.index[p] = len(self.points)
             self.points.append(p)
+            self.dmat.append([distance(p, b) for b in self.points])
+            q = len(self.points) - 1
+            for base, keys in self.neighbours.items():
+                keys.append(tuple(sorted(base + (q,))))
+            for base in itertools.combinations_with_replacement(range(q + 1), self.k - 1):
+                if q in base:
+                    self.neighbours[base] = [tuple(sorted(base + (x,))) for x in range(q + 1)]
         return self.index[p]
 
     def _extend_table(self, q: int) -> None:
@@ -143,31 +158,35 @@ class WorkFunctionServer(GuidanceSimulator):
 
         Values come from single-server relocation relaxed to a fixed
         point, which realizes the optimal matching distance from the
-        previously known configurations.
+        previously known configurations.  Each pass relaxes every new
+        configuration from conf - x + p over its distinct slots x and
+        then every point p, in that order, with a strict 1e-15 margin
+        and updates applied in place.  The keys conf - x + p come from
+        ``neighbours`` and the distances d(x, p) from ``dmat``; _intern
+        grows both by one point, so no key is sorted and no distance
+        computed inside the relaxation.
         """
         n = len(self.points)
+        values = self.values
         pending = [conf for conf in itertools.combinations_with_replacement(range(n), self.k)
                    if q in conf]
         for conf in pending:
-            self.values[conf] = math.inf
-        dmat = [[distance(a, b) for b in self.points] for a in self.points]
+            values[conf] = math.inf
+        plan = [(conf, [(self.neighbours[conf[:slot] + conf[slot + 1:]], self.dmat[x])
+                        for slot, x in enumerate(conf) if slot == 0 or conf[slot - 1] != x])
+                for conf in pending]
         changed = True
         while changed:
             changed = False
-            for conf in pending:
-                best = self.values[conf]
-                for slot, x in enumerate(conf):
-                    if slot > 0 and conf[slot - 1] == x:
-                        continue
-                    base = conf[:slot] + conf[slot + 1:]
-                    row = dmat[x]
-                    for p in range(n):
-                        other = tuple(sorted(base + (p,)))
-                        cand = self.values.get(other, math.inf) + row[p]
+            for conf, slots in plan:
+                best = values[conf]
+                for keys, row in slots:
+                    for other, d in zip(keys, row):
+                        cand = values[other] + d
                         if cand < best - 1e-15:
                             best = cand
                             changed = True
-                self.values[conf] = best
+                values[conf] = best
 
     def step(self, r: Point) -> SimStep:
         if r not in self.index:
@@ -180,16 +199,17 @@ class WorkFunctionServer(GuidanceSimulator):
             q = self._intern(r)
             self._extend_table(q)
         ri = self.index[r]
-        dist_r = [distance(r, p) for p in self.points]
-        # Serve update: end in conf after one server visited r.
+        dist_r = self.dmat[ri]
+        # Serve update: end in conf after one server visited r, read
+        # once per distinct base conf - x.
+        via = {base: self.values[keys[ri]] for base, keys in self.neighbours.items()}
         new_values: dict[tuple[int, ...], float] = {}
         for conf in self.values:
             best = math.inf
             for slot, x in enumerate(conf):
                 if slot > 0 and conf[slot - 1] == x:
                     continue
-                via = tuple(sorted(conf[:slot] + conf[slot + 1:] + (ri,)))
-                cand = self.values[via] + dist_r[x]
+                cand = via[conf[:slot] + conf[slot + 1:]] + dist_r[x]
                 if cand < best:
                     best = cand
             new_values[conf] = best

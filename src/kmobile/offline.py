@@ -106,14 +106,17 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     step = np.abs(pos[:, None] - pos[None, :])
     step_cost = np.where(step <= cap, step, np.inf)
 
+    # move[s, s'] is the cost between states s and s'.  It is symmetric
+    # bit for bit (|x-y| and |y-x| are the same float), so row s also
+    # holds the cost of reaching s from every s'.
     if k == 1:
-        move = params.D * step_cost
+        move = step_cost
         state_pos = pos[:, None]
     else:
-        m2 = step_cost[:, None, :, None] + step_cost[None, :, None, :]
-        move = (params.D * m2).reshape(n * n, n * n)
+        move = (step_cost[:, None, :, None] + step_cost[None, :, None, :]).reshape(n * n, n * n)
         ii, jj = np.meshgrid(pos, pos, indexing="ij")
         state_pos = np.stack([ii.ravel(), jj.ravel()], axis=1)
+    move *= params.D
 
     requests = np.array([r[0] for r in trace.requests])
     serve = np.min(np.abs(state_pos[:, :, None] - requests[None, None, :]), axis=1)
@@ -124,11 +127,23 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     dp = init + serve[:, 0]
     if not np.isfinite(dp).any():
         raise InputError("start configuration cannot reach the grid within ms")
+    # Sweep the table in blocks of n rows (one block per grid position
+    # of the first server) so only one (n^k)^2 table is ever held.
+    # argmin keeps the first minimal predecessor, as a dense column
+    # argmin over dp[:, None] + move would.
+    rows = np.arange(n)
+    buf = np.empty((n, len(dp)))
     parents = []
     for t in range(1, len(trace.requests)):
-        tmp = dp[:, None] + move
-        parents.append(np.argmin(tmp, axis=0))
-        dp = np.min(tmp, axis=0) + serve[:, t]
+        parent = np.empty(len(dp), dtype=np.intp)
+        reached = np.empty(len(dp))
+        for lo in range(0, len(dp), n):
+            np.add(move[lo:lo + n], dp, out=buf)
+            choice = buf.argmin(axis=1)
+            parent[lo:lo + n] = choice
+            reached[lo:lo + n] = buf[rows, choice]
+        parents.append(parent)
+        dp = reached + serve[:, t]
     best = int(np.argmin(dp))
     cost = float(dp[best])
     states = [best]

@@ -1,11 +1,20 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from kmobile.adversary import gen_local_walk
 from kmobile.core import InputError, ProblemParams, Trace, validate_trace
 from kmobile.mobile import run
-from kmobile.offline import DP_MAX_POINTS, GridSpec, dp_optimum, snap_trace
+from kmobile.offline import (
+    DP_MAX_K,
+    DP_MAX_POINTS,
+    DP_MAX_STEPS,
+    GridSpec,
+    dp_optimum,
+    snap_trace,
+)
 from kmobile.core import ResourceBudgetError
 
 
@@ -123,3 +132,84 @@ def test_infeasible_start_raises():
     trace = Trace(requests=[(5.0,)], start_config=((0.0,),))
     with pytest.raises(InputError):
         dp_optimum(trace, p, GridSpec(4.0, 5.0, 3))
+
+
+def dense_dp_optimum(trace, params, grid):
+    """Reference DP: the whole (n^k)^2 candidate table per step, reduced by column."""
+    pos = grid.positions()
+    n = grid.n
+    cap = params.ms * (1.0 + 1e-9)
+    step = np.abs(pos[:, None] - pos[None, :])
+    step_cost = np.where(step <= cap, step, np.inf)
+    if params.k == 1:
+        move = params.D * step_cost
+        state_pos = pos[:, None]
+    else:
+        m2 = step_cost[:, None, :, None] + step_cost[None, :, None, :]
+        move = (params.D * m2).reshape(n * n, n * n)
+        ii, jj = np.meshgrid(pos, pos, indexing="ij")
+        state_pos = np.stack([ii.ravel(), jj.ravel()], axis=1)
+    requests = np.array([r[0] for r in trace.requests])
+    serve = np.min(np.abs(state_pos[:, :, None] - requests[None, None, :]), axis=1)
+    start = np.array([p[0] for p in trace.start_config])
+    init = np.abs(state_pos - start[None, :])
+    init = np.where(init <= cap, init, np.inf).sum(axis=1) * params.D
+    dp = init + serve[:, 0]
+    if not np.isfinite(dp).any():
+        raise InputError("start configuration cannot reach the grid within ms")
+    parents = []
+    for t in range(1, len(trace.requests)):
+        tmp = dp[:, None] + move
+        parents.append(np.argmin(tmp, axis=0))
+        dp = np.min(tmp, axis=0) + serve[:, t]
+    best = int(np.argmin(dp))
+    cost = float(dp[best])
+    states = [best]
+    for parent in reversed(parents):
+        states.append(int(parent[states[-1]]))
+    states.reverse()
+    return cost, [tuple((float(c),) for c in state_pos[s]) for s in states]
+
+
+def test_matches_dense_reference_bit_for_bit():
+    rng = random.Random(2024)
+    for trial in range(200):
+        k = 1 + trial % 2
+        # the dense reference costs O(n^(2k)) per step, so k=2 grids stay
+        # small except for a few at the cap
+        n = DP_MAX_POINTS if trial % 25 == 1 else rng.randint(2, DP_MAX_POINTS if k == 1 else 24)
+        steps = rng.randint(2, DP_MAX_STEPS)
+        p = params(k=k, ms=rng.choice([0.5, 1.0, 2.0]), D=rng.choice([1.0, 2.0, 3.7]))
+        grid = GridSpec(0.0, rng.choice([1.0, 4.0, float(n - 1)]), n)
+        if rng.random() < 0.5:  # on grid points: ties everywhere
+            coords = [float(x) for x in grid.positions()]
+            draw = lambda: rng.choice(coords)
+        else:
+            draw = lambda: rng.uniform(grid.lo - 0.5, grid.hi + 0.5)
+        first = (draw(),)
+        start = (first,) * k if rng.random() < 0.5 else tuple((draw(),) for _ in range(k))
+        trace = Trace(requests=[(draw(),) for _ in range(steps)], start_config=start)
+        try:
+            want = dense_dp_optimum(trace, p, grid)
+        except InputError:
+            with pytest.raises(InputError):
+                dp_optimum(trace, p, grid)
+            continue
+        assert dp_optimum(trace, p, grid) == want, trial
+
+
+def test_holds_one_transition_table_at_the_caps():
+    n, k = DP_MAX_POINTS, DP_MAX_K
+    rng = random.Random(5)
+    p = params(k=k, ms=2.0, D=1.0)
+    grid = GridSpec(0.0, 20.0, n)
+    trace = Trace(requests=[(rng.uniform(0.0, 20.0),) for _ in range(DP_MAX_STEPS)],
+                  start_config=((10.0,),) * k)
+    table_bytes = 8 * (n ** k) ** 2
+    tracemalloc.start()
+    try:
+        dp_optimum(trace, p, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table_bytes, (peak, table_bytes)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from kmobile.kserver import (
     GreedyServer,
     PageMigrationCounter,
     ScriptedSimulator,
+    SimStep,
     SplitServeLine,
     WorkFunctionServer,
     default_sim_tag,
@@ -92,6 +94,67 @@ def brute_wfa_tables(start, requests):
     return pts, tables
 
 
+class FixedPointWFA(WorkFunctionServer):
+    """Reference work function: neighbour keys sorted and distances
+    recomputed on every pass, the serve update read per (conf, slot)."""
+
+    def _extend_table(self, q):
+        n = len(self.points)
+        pending = [conf for conf in itertools.combinations_with_replacement(range(n), self.k)
+                   if q in conf]
+        for conf in pending:
+            self.values[conf] = math.inf
+        dmat = [[distance(a, b) for b in self.points] for a in self.points]
+        changed = True
+        while changed:
+            changed = False
+            for conf in pending:
+                best = self.values[conf]
+                for slot, x in enumerate(conf):
+                    if slot > 0 and conf[slot - 1] == x:
+                        continue
+                    base = conf[:slot] + conf[slot + 1:]
+                    row = dmat[x]
+                    for p in range(n):
+                        other = tuple(sorted(base + (p,)))
+                        cand = self.values.get(other, math.inf) + row[p]
+                        if cand < best - 1e-15:
+                            best = cand
+                            changed = True
+                self.values[conf] = best
+
+    def step(self, r):
+        if r not in self.index:
+            self._extend_table(self._intern(r))
+        ri = self.index[r]
+        dist_r = [distance(r, p) for p in self.points]
+        new_values = {}
+        for conf in self.values:
+            best = math.inf
+            for slot, x in enumerate(conf):
+                if slot > 0 and conf[slot - 1] == x:
+                    continue
+                via = tuple(sorted(conf[:slot] + conf[slot + 1:] + (ri,)))
+                cand = self.values[via] + dist_r[x]
+                if cand < best:
+                    best = cand
+            new_values[conf] = best
+        self.values = new_values
+        cur = list(self.positions)
+        candidates = []
+        for i, p in enumerate(cur):
+            conf = tuple(sorted(self.index[x] for j, x in enumerate(cur) if j != i))
+            conf = tuple(sorted(conf + (ri,)))
+            val = self.values[conf] + distance(p, r)
+            result = tuple(sorted(r if j == i else x for j, x in enumerate(cur)))
+            candidates.append((val, result, i))
+        val, _, i = min(candidates, key=lambda c: (c[0], c[1]))
+        moved = distance(cur[i], r)
+        cur[i] = r
+        self.positions = tuple(cur)
+        return SimStep(self.positions, 0.0, moved)
+
+
 class TestWorkFunction:
     def test_single_server_follows_requests(self):
         w = WorkFunctionServer([(0.0,)])
@@ -130,6 +193,24 @@ class TestWorkFunction:
                         continue
                     key = tuple(sorted(wfa.index[p] for p in conf_pts))
                     assert abs(wfa.values[key] - val) < 1e-9
+
+    def test_matches_fixed_point_reference_bit_for_bit(self):
+        rng = random.Random(17)
+        for trial in range(120):
+            k = 1 + trial % 3
+            dim = 1 + trial // 3 % 2
+            if trial % 2:  # integer grid: many equal distances and ties
+                draw = lambda: tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+            else:
+                draw = lambda: tuple(rng.uniform(-3, 3) for _ in range(dim))
+            start = [draw()] * k if rng.random() < 0.5 else [draw() for _ in range(k)]
+            pool = [draw() for _ in range(rng.randint(2, 10 - 2 * k))]
+            requests = [rng.choice(pool) for _ in range(rng.randint(4, 12))]
+            fast, ref = WorkFunctionServer(list(start)), FixedPointWFA(list(start))
+            assert fast.values == ref.values
+            for r in requests:
+                assert fast.step(r) == ref.step(r), trial
+                assert fast.values == ref.values, trial
 
     def test_values_monotone_in_time(self):
         rng = random.Random(9)
