@@ -42,6 +42,8 @@ class CheckFailure(KMobileError):
 
 
 def as_point(coords: Sequence[float]) -> Point:
+    if isinstance(coords, (str, bytes)):
+        raise InputError(f"a point is a list of coordinates, got {coords!r}")
     p = tuple(float(c) for c in coords)
     if not p:
         raise InputError("a point needs at least one coordinate")
@@ -332,6 +334,12 @@ def write_trace(path: str, trace: Trace, params: ProblemParams) -> None:
                 fh.write(json.dumps({"t": t, "o": [list(p) for p in conf]}) + "\n")
 
 
+def _put_step(steps: dict, t: int, value) -> None:
+    if t in steps:
+        raise InputError(f"step t={t} appears twice")
+    steps[t] = value
+
+
 def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     params = start = None
     requests: dict[int, Point] = {}
@@ -352,9 +360,9 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
                     params = ProblemParams.from_dict(obj)
                     start = tuple(as_point(p) for p in obj["start"])
                 elif "r" in obj:
-                    requests[int(obj["t"])] = as_point(obj["r"])
+                    _put_step(requests, int(obj["t"]), as_point(obj["r"]))
                 elif "o" in obj:
-                    cert[int(obj["t"])] = tuple(as_point(p) for p in obj["o"])
+                    _put_step(cert, int(obj["t"]), tuple(as_point(p) for p in obj["o"]))
                 else:
                     raise InputError(f"unrecognized record {sorted(obj)}")
             except KeyError as exc:

@@ -160,6 +160,11 @@ class TestCli:
             "not-object.jsonl": [json.dumps(header), "5"],
             "start-zero.jsonl": [json.dumps(dict(header, start=0)), request],
             "nan-ms.jsonl": [json.dumps(dict(header, ms=float("nan"))), request],
+            "twice-r.jsonl": [json.dumps(header), request, json.dumps({"t": 1, "r": [1.0]})],
+            "twice-o.jsonl": [json.dumps(header), request] + [json.dumps({"t": 1, "o": [[0.0]]})] * 2,
+            "string-r.jsonl": [json.dumps(dict(header, dim=2, start=[[0.0, 0.0]])),
+                               json.dumps({"t": 1, "r": "12"})],
+            "string-start.jsonl": [json.dumps(dict(header, start=["0"])), request],
             "no-params.run.json": ['{"algo": "ums"}'],
             "truncated.run.json": ['{"algo": "ums", "params"'],
         }
