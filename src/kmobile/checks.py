@@ -114,6 +114,8 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     if helper is None:
         raise InputError("the slow-mode potential checker needs a helper trajectory")
     params = result.params
+    if params.delta <= 0.0:
+        raise InputError("the slow-mode potential checker needs delta > 0")
     if y is None:
         y = default_y(params)
     weighted = result.weighted

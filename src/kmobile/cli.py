@@ -33,7 +33,6 @@ from kmobile.core import (
 from kmobile.experiment import (
     ExperimentSpec,
     emit_ratio_table,
-    fmt,
     parse_spec_file,
     run_experiment,
 )
@@ -47,8 +46,12 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _dump_json(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _dump_json(obj, path=None, extra=None):
+    """Sorted, 2-space-indented JSON; a RunResult is written with ``extra``'s top-level fields."""
+    if isinstance(obj, RunResult):
+        text = obj.to_json(extra or {}) + "\n"
+    else:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -75,11 +78,10 @@ def _steps_csv(result: RunResult) -> str:
         psi_f = default_y(p) * p.mc / (p.delta * p.ms) if p.delta > 0 else 0.0
         if result.weighted:
             psi_f *= p.D
-    lines = ["t,serving,movement,psi\n"]
-    for rep in result.reports:
-        lines.append(",".join([str(rep.t), fmt(rep.serving), fmt(rep.movement),
-                               fmt(psi_f * rep.matched_sum)]) + "\n")
-    return "".join(lines)
+    # "%.17g" spells every float as fmt does, nan and inf included.
+    return "t,serving,movement,psi\n" + "".join([
+        "%d,%.17g,%.17g,%.17g\n" % (rep.t, rep.serving, rep.movement, psi_f * rep.matched_sum)
+        for rep in result.reports])
 
 
 def cmd_simulate(args) -> int:
@@ -87,17 +89,17 @@ def cmd_simulate(args) -> int:
     params = _override_params(params, args)
     result = run_mobile(trace, params, algo=args.algo, sim=args.sim,
                         project=args.project)
-    record = result.to_dict()
-    record["trace_path"] = args.trace
-    record["seed"] = args.seed
     speed = checks.audit_speed_caps(result)
-    record["speed_audit"] = {
-        "ok": speed.ok,
-        "max_displacement": speed.max_displacement,
-        "cap": speed.cap,
-    }
     if args.out:
-        _dump_json(record, args.out)
+        _dump_json(result, args.out, extra={
+            "trace_path": args.trace,
+            "seed": args.seed,
+            "speed_audit": {
+                "ok": speed.ok,
+                "max_displacement": speed.max_displacement,
+                "cap": speed.cap,
+            },
+        })
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(_steps_csv(result))

@@ -44,12 +44,11 @@ class CheckFailure(KMobileError):
 def as_point(coords: Sequence[float]) -> Point:
     if isinstance(coords, (str, bytes)):
         raise InputError(f"a point is a list of coordinates, got {coords!r}")
-    p = tuple(float(c) for c in coords)
+    p = tuple(map(float, coords))
     if not p:
         raise InputError("a point needs at least one coordinate")
-    for c in p:
-        if not math.isfinite(c):
-            raise InputError(f"non-finite coordinate in point {p}")
+    if not all(map(math.isfinite, p)):
+        raise InputError(f"non-finite coordinate in point {p}")
     return p
 
 

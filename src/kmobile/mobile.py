@@ -8,8 +8,11 @@ baseline ("simple") drops the greedy move and is not competitive.
 """
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from kmobile.core import (
@@ -20,6 +23,7 @@ from kmobile.core import (
     Point,
     ProblemParams,
     Trace,
+    as_point,
     distance,
     min_weight_matching,
     move_toward,
@@ -29,6 +33,10 @@ from kmobile.kserver import GuidanceSimulator, default_sim_tag, make_simulator
 from kmobile.projection import ProjectionWrapper, outer_radius
 
 ALGO_TAGS = ("ums", "wms", "simple")
+BRANCH_TAGS = ("matched", "greedy", "tentative", "fallback", "matching-only")
+# The run-record writer spells NaN and the infinities by replacing "nan"
+# and "inf" in its text, so no tag may hold them.
+assert not any("nan" in tag or "inf" in tag for tag in BRANCH_TAGS)
 
 
 def derive_mode(params: ProblemParams, algo: str) -> tuple[str, Optional[float]]:
@@ -69,6 +77,33 @@ class StepReport:
     sim_positions: Config
 
 
+# A step's record key -> (StepReport field, JSON shape).  The shapes are
+# "number", "tag" (one of BRANCH_TAGS), "mover" (an int or null), "list"
+# (k numbers), "point" (dim coordinates) and "config" (k points).
+STEP_FIELDS = {
+    "t": ("t", "number"),
+    "r": ("request", "point"),
+    "perm": ("perm", "list"),
+    "branch": ("branch", "tag"),
+    "mover": ("mover", "mover"),
+    "caps": ("caps", "list"),
+    "disp": ("displacements", "list"),
+    "serving": ("serving", "number"),
+    "movement": ("movement", "number"),
+    "cost": ("cost", "number"),
+    "sim_serving": ("sim_serving", "number"),
+    "sim_movement": ("sim_movement", "number"),
+    "sim_cost": ("sim_cost", "number"),
+    "matched_sum": ("matched_sum", "number"),
+    "a": ("positions", "config"),
+    "c": ("sim_positions", "config"),
+}
+
+# The numbers in the projection audit of a run with the projection on.
+AUDIT_KEYS = ("max_hat_request_distance", "radius_bound", "raw_cost", "projected_cost",
+              "phase_ends")
+
+
 @dataclass
 class RunResult:
     algo: str
@@ -86,7 +121,8 @@ class RunResult:
     def max_displacement(self) -> float:
         return max((d for rep in self.reports for d in rep.displacements), default=0.0)
 
-    def to_dict(self) -> dict:
+    def _head(self) -> dict:
+        """The record's top-level fields other than the steps."""
         return {
             "algo": self.algo,
             "sim": self.sim_tag,
@@ -102,62 +138,140 @@ class RunResult:
                 "grand_total": self.ledger.grand_total,
             },
             "projection": self.projection_audit,
-            "steps": [{
-                "t": r.t,
-                "r": list(r.request),
-                "perm": list(r.perm),
-                "branch": r.branch,
-                "mover": r.mover,
-                "caps": r.caps,
-                "disp": r.displacements,
-                "serving": r.serving,
-                "movement": r.movement,
-                "cost": r.cost,
-                "sim_serving": r.sim_serving,
-                "sim_movement": r.sim_movement,
-                "sim_cost": r.sim_cost,
-                "matched_sum": r.matched_sum,
-                "a": [list(p) for p in r.positions],
-                "c": [list(p) for p in r.sim_positions],
-            } for r in self.reports],
         }
+
+    def to_dict(self) -> dict:
+        steps = [{key: _json_value(shape, getattr(r, field))
+                  for key, (field, shape) in STEP_FIELDS.items()} for r in self.reports]
+        return dict(self._head(), steps=steps)
+
+    def to_json(self, extra: dict) -> str:
+        """``json.dumps(dict(self.to_dict(), **extra), sort_keys=True, indent=2)``, byte for byte."""
+        head = json.dumps(dict(self._head(), **extra, steps=None), sort_keys=True, indent=2)
+        # A raw newline and two spaces only ever precede a top-level key:
+        # json escapes every newline inside a string.
+        before, _, after = head.partition('\n  "steps": null')
+        return f'{before}\n  "steps": {self._steps_json()}{after}'
+
+    def _steps_json(self) -> str:
+        """The steps as json.dumps indents them at depth 1.
+
+        The stdlib's indenting encoder is pure Python.  Here each step
+        fills one %-template built from the sorted step keys, and ``%s``
+        spells a float as ``float.__repr__`` does, which is json's spelling
+        of a finite float.  json spells the others NaN, Infinity and
+        -Infinity; one replace of "nan" and "inf" over the text does the
+        same, because no key, branch tag or "null" holds those letters.
+        """
+        if not self.reports:
+            return "[]"
+        keys = sorted(STEP_FIELDS)
+        k, dim = self.params.k, self.params.dim
+        members = [f'"{key}": {_value_template(STEP_FIELDS[key][1], k, dim)}' for key in keys]
+        template = "{" + _json_list(members, 2)[1:-1] + "}"
+        assert "nan" not in template and "inf" not in template
+        fields = attrgetter(*(STEP_FIELDS[key][0] for key in keys))
+        leaves = [_LEAVES[STEP_FIELDS[key][1]] for key in keys]
+        text = _json_list([template % tuple(chain.from_iterable(
+            leaf(value) for leaf, value in zip(leaves, fields(r)))) for r in self.reports], 1)
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunResult":
         """Inverse of to_dict; a missing or malformed field raises InputError."""
         try:
             params = ProblemParams.from_dict(obj["params"])
+            k, dim = params.k, params.dim
+
+            def point(coords) -> Point:
+                p = as_point(coords)
+                if len(p) != dim:
+                    raise InputError(f"run record point has {len(p)} coordinates "
+                                     f"where dim={dim} belong")
+                return p
+
+            def per_server(values, cast=float) -> list:
+                out = list(map(cast, values))
+                if len(out) != k:
+                    raise InputError(f"run record step lists {len(out)} entries "
+                                     f"where k={k} belong")
+                return out
+
             ledger = CostLedger(D=params.D)
             reports = []
             for s in obj["steps"]:
-                ledger.add(float(s["serving"]), float(s["movement"]))
-                reports.append(StepReport(
-                    t=int(s["t"]),
-                    request=tuple(s["r"]),
-                    perm=tuple(int(i) for i in s["perm"]),
-                    branch=s["branch"],
-                    mover=None if s["mover"] is None else int(s["mover"]),
-                    caps=[float(x) for x in s["caps"]],
-                    displacements=[float(x) for x in s["disp"]],
-                    serving=float(s["serving"]),
-                    movement=float(s["movement"]),
-                    cost=float(s["cost"]),
-                    sim_serving=float(s["sim_serving"]),
-                    sim_movement=float(s["sim_movement"]),
-                    sim_cost=float(s["sim_cost"]),
-                    matched_sum=float(s["matched_sum"]),
-                    positions=tuple(tuple(p) for p in s["a"]),
-                    sim_positions=tuple(tuple(p) for p in s["c"]),
-                ))
-            return cls(algo=obj["algo"], sim_tag=obj["sim"], params=params, mode=obj["mode"],
-                       epsilon=obj["epsilon"], project=bool(obj["project"]),
+                branch = s["branch"]
+                if branch not in BRANCH_TAGS:
+                    raise InputError(f"run record branch {branch!r} is not one of {BRANCH_TAGS}")
+                rep = StepReport(
+                    int(s["t"]), point(s["r"]), tuple(per_server(s["perm"], int)), branch,
+                    None if s["mover"] is None else int(s["mover"]),
+                    per_server(s["caps"]), per_server(s["disp"]),
+                    *map(float, (s["serving"], s["movement"], s["cost"], s["sim_serving"],
+                                 s["sim_movement"], s["sim_cost"], s["matched_sum"])),
+                    tuple(per_server(s["a"], point)), tuple(per_server(s["c"], point)))
+                ledger.add(rep.serving, rep.movement)
+                reports.append(rep)
+            algo = obj["algo"]
+            if algo not in ALGO_TAGS:
+                raise InputError(f"run record algorithm {algo!r} is not one of {ALGO_TAGS}")
+            mode, epsilon = derive_mode(params, algo)
+            if (obj["mode"], obj["epsilon"]) != (mode, epsilon):
+                raise InputError(f"run record mode {obj['mode']!r} and epsilon "
+                                 f"{obj['epsilon']!r} are not those its parameters give, "
+                                 f"{mode!r} and {epsilon!r}")
+            audit = obj.get("projection")
+            if audit is not None and not (isinstance(audit, dict) and all(
+                    isinstance(audit.get(key), (int, float)) for key in AUDIT_KEYS)):
+                raise InputError(f"run record projection audit needs the numbers {AUDIT_KEYS}")
+            return cls(algo=algo, sim_tag=obj["sim"], params=params, mode=mode,
+                       epsilon=epsilon, project=bool(obj["project"]),
                        weighted=bool(obj["weighted"]), ledger=ledger, reports=reports,
                        psi0_matched_sum=float(obj["psi0_matched_sum"]),
-                       projection_audit=obj.get("projection"))
+                       projection_audit=audit)
         except KeyError as exc:
             raise InputError(f"run record misses field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed run record: {exc}") from exc
+
+
+def _json_value(shape: str, value):
+    """A step field as to_dict holds it: a list for each sequence."""
+    if shape == "config":
+        return [list(p) for p in value]
+    if shape in ("list", "point"):
+        return list(value)
+    return value
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """json's indent=2 text of a non-empty list at the given depth, from its items' texts."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _value_template(shape: str, k: int, dim: int) -> str:
+    """The %-template of a step field's value, at depth 3."""
+    if shape == "tag":
+        return '"%s"'
+    if shape == "list":
+        return _json_list(["%s"] * k, 3)
+    if shape == "point":
+        return _json_list(["%s"] * dim, 3)
+    if shape == "config":
+        return _json_list([_json_list(["%s"] * dim, 4)] * k, 3)
+    return "%s"
+
+
+# Per shape: a step field's leaves in the order its template holds them.
+_LEAVES = {
+    "number": lambda v: (v,),
+    "tag": lambda v: (v,),
+    "mover": lambda v: ("null" if v is None else v,),
+    "list": iter,
+    "point": iter,
+    "config": chain.from_iterable,
+}
 
 
 class MobileRun:

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kmobile.cli import main
 from kmobile.core import InputError
@@ -115,6 +120,10 @@ class TestRatioTable:
         assert "0.33333333333333331" in table
 
 
+RECORD_PROPERTIES = ("fast-potential", "slow-potential", "helper-invariants",
+                     "projection-bound")
+
+
 class TestCli:
     def test_generate_simulate_verify_roundtrip(self, tmp_path, capsys):
         trace = str(tmp_path / "t.jsonl")
@@ -168,17 +177,37 @@ class TestCli:
             "no-params.run.json": ['{"algo": "ums"}'],
             "truncated.run.json": ['{"algo": "ums", "params"'],
         }
+        # run records with one malformed point or configuration in their first step
+        trace = str(tmp_path / "thm3.jsonl")
+        record = tmp_path / "thm3.run.json"
+        assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "8",
+                     "--out", trace]) == 0
+        assert main(["simulate", "--trace", trace, "--out", str(record)]) == 0
+        valid = json.loads(record.read_text())
+        for name, key, value in (("string-a.run.json", "a", [["x"], ["y"]]),
+                                 ("one-server-a.run.json", "a", [[0.0]]),
+                                 ("string-r.run.json", "r", "12")):
+            bad = copy.deepcopy(valid)
+            bad["steps"][0][key] = value
+            bad_inputs[name] = [json.dumps(bad)]
         capsys.readouterr()
         for name, lines in bad_inputs.items():
             path = tmp_path / name
             path.write_text("\n".join(lines) + "\n")
             if name.endswith(".run.json"):
-                argv = ["verify", "--property", "fast-potential", "--run", str(path)]
+                argvs = [["verify", "--property", prop, "--run", str(path), "--trace", trace]
+                         for prop in RECORD_PROPERTIES]
             else:
-                argv = ["simulate", "--trace", str(path)]
-            assert main(argv) == 2, name
-            err = capsys.readouterr().err
-            assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
+                argvs = [["simulate", "--trace", str(path)]]
+            for argv in argvs:
+                assert main(argv) == 2, (name, argv)
+                err = capsys.readouterr().err
+                assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
+        # input error: a slow-mode record whose delta is 0, where the potential is undefined
+        (tmp_path / "delta-zero.run.json").write_text(
+            json.dumps(dict(valid, params=dict(valid["params"], delta=0.0))))
+        assert main(["verify", "--property", "slow-potential", "--trace", trace,
+                     "--run", str(tmp_path / "delta-zero.run.json")]) == 2
         # input error: a negative size budget
         trace = str(tmp_path / "plane.jsonl")
         assert main(["generate", "--construction", "walk", "--k", "2", "--n", "5",
@@ -233,3 +262,72 @@ sweep.x=16,32
                      "--trace", trace, "--sigma", "0.001"]) == 0
         assert main(["verify", "--property", "slow-potential", "--run", run_path,
                      "--trace", trace, "--sigma", "0.001"]) == 0
+
+
+@pytest.fixture(scope="module")
+def valid_records(tmp_path_factory):
+    """A slow-mode thm3 record with the projection, a fast-mode record of the same trace, and the trace."""
+    tmp = tmp_path_factory.mktemp("records")
+    trace = str(tmp / "thm3.jsonl")
+    slow, fast = str(tmp / "slow.run.json"), str(tmp / "fast.run.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "8",
+                     "--seed", "3", "--out", trace]) == 0
+        assert main(["simulate", "--trace", trace, "--out", slow]) == 0
+        assert main(["simulate", "--trace", trace, "--ms", "3.0", "--out", fast]) == 0
+    records = [json.loads(open(path, encoding="utf-8").read()) for path in (slow, fast)]
+    return records, trace, str(tmp / "mutated.run.json")
+
+
+def node_paths(node, path=()):
+    """Paths to every value in a JSON document, containers included."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from node_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from node_paths(value, path + (i,))
+
+
+MUTATIONS = ("string", "null", "empty", "wrong-length", "nested", "nan")
+
+
+def mutated(value, kind: str, text: str):
+    if kind == "string":
+        return text
+    if kind == "null":
+        return None
+    if kind == "empty":
+        return []
+    if kind == "wrong-length":
+        return value[:-1] if isinstance(value, list) and len(value) > 1 else [value, value]
+    if kind == "nested":
+        return [value]
+    return float("nan")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_survives_mutated_records(valid_records, data):
+    """One field of a valid record replaced: every property exits 0, 1 or 2, never raises."""
+    records, trace, path = valid_records
+    record = copy.deepcopy(records[data.draw(st.sampled_from((0, 1)), label="slow 0, fast 1")])
+    where = data.draw(st.sampled_from(list(node_paths(record))[1:]), label="path")
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    text = data.draw(st.text(max_size=4), label="text")
+    parent = record
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = mutated(parent[where[-1]], kind, text)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    for prop in RECORD_PROPERTIES:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "--property", prop, "--run", path, "--trace", trace])
+        assert code in (0, 1, 2), (prop, where, kind)
+        if code == 2:
+            assert err.getvalue().startswith("input error: "), (prop, where, kind)
+            assert err.getvalue().count("\n") == 1, (prop, where, kind)

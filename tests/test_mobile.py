@@ -1,11 +1,17 @@
+import dataclasses
+import json
+import random
 import warnings
 
 import pytest
 
 from kmobile.adversary import gen_local_walk
+from kmobile.checks import default_y, potential_factors
+from kmobile.cli import _steps_csv
 from kmobile.core import ContractViolationError, InputError, ProblemParams, Trace, distance
+from kmobile.experiment import fmt
 from kmobile.kserver import GreedyServer, PageMigrationCounter, ScriptedSimulator
-from kmobile.mobile import MobileRun, derive_mode, run
+from kmobile.mobile import ALGO_TAGS, MobileRun, RunResult, derive_mode, run
 
 
 def params(**kw):
@@ -159,8 +165,6 @@ class TestRun:
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
         inst = gen_local_walk(20, p, 1.0, seed=9)
         res = run(inst.trace, p, algo="ums")
-        from kmobile.mobile import RunResult
-
         clone = RunResult.from_dict(res.to_dict())
         assert clone.to_dict() == res.to_dict()
         assert clone.ledger.grand_total == res.ledger.grand_total
@@ -199,3 +203,85 @@ class TestRun:
                            for i in range(k))
                 assert abs(used - best) <= 1e-9
                 prev = list(rep.positions)
+
+
+def stdlib_record(res, extra):
+    """The record text as the stdlib's indenting encoder writes it."""
+    return json.dumps(dict(res.to_dict(), **extra), sort_keys=True, indent=2)
+
+
+def fmt_steps_csv(result):
+    """The per-step CSV as written before its one-template writer, one fmt call a cell."""
+    if result.mode == "fast" and result.algo in ("ums", "wms"):
+        psi_f, _ = potential_factors(result)
+    else:
+        p = result.params
+        psi_f = default_y(p) * p.mc / (p.delta * p.ms) if p.delta > 0 else 0.0
+        if result.weighted:
+            psi_f *= p.D
+    lines = ["t,serving,movement,psi\n"]
+    for rep in result.reports:
+        lines.append(",".join([str(rep.t), fmt(rep.serving), fmt(rep.movement),
+                               fmt(psi_f * rep.matched_sum)]) + "\n")
+    return "".join(lines)
+
+
+def writer_matrix():
+    """Seeded runs over every algorithm, k=1..8 and dims 1-3, both modes, projection on and off."""
+    rng = random.Random(2024)
+    for algo in ALGO_TAGS:
+        for k in range(1, 9):
+            for dim in (1, 2, 3):
+                fast = rng.random() < 0.5
+                p = params(k=k, dim=dim, ms=1.0, mc=rng.choice((0.6, 1.2) if fast else (2.0, 3.5)),
+                           delta=0.5, D=rng.choice((1.0, 2.0, 3.7)) if algo == "wms" else 1.0)
+                inst = gen_local_walk(12, p, rng.choice((0.5, 1.0)), seed=rng.randrange(10**6))
+                sim = "greedy" if dim > 1 and algo != "wms" else "auto"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    yield run(inst.trace, p, algo=algo, sim=sim,
+                              project=rng.choice(("on", "off")))
+
+
+def huge_coordinate_run():
+    """A trace the reader accepts whose distances overflow: the record holds NaN and Infinity."""
+    p = ProblemParams(k=1, ms=1e308, mc=1e308, delta=0.0, D=1.0, dim=1)
+    trace = Trace(requests=[(-1.7e308,)], start_config=((1.7e308,),))
+    return run(trace, p, algo="ums")
+
+
+class TestRecordWriter:
+    EXTRA = {"trace_path": 'dir "q" \\ ünïcöde\n"steps": null\n  "steps": null',
+             "seed": 7, "speed_audit": {"ok": True, "max_displacement": 1.5, "cap": 1.5}}
+
+    def test_text_and_csv_equal_the_stdlib_reference(self):
+        seen = set()
+        for res in writer_matrix():
+            assert res.to_json(self.EXTRA) == stdlib_record(res, self.EXTRA)
+            assert _steps_csv(res) == fmt_steps_csv(res)
+            seen |= {(res.mode, res.project)} | {rep.mover is None for rep in res.reports}
+        assert seen >= {("fast", True), ("fast", False), ("slow", True), ("slow", False),
+                        True, False}
+
+    def test_non_finite_floats_are_spelled_as_json_spells_them(self):
+        res = huge_coordinate_run()
+        text = res.to_json(self.EXTRA)
+        assert text == stdlib_record(res, self.EXTRA)
+        assert "NaN" in text and "Infinity" in text
+        assert _steps_csv(res) == fmt_steps_csv(res)
+        nan, inf = float("nan"), float("inf")
+        p = params(k=2, mc=0.6)
+        res = run(gen_local_walk(5, p, 1.0, seed=3).trace, p, algo="ums")
+        res.reports[2] = dataclasses.replace(
+            res.reports[2], serving=nan, movement=inf, cost=-inf, matched_sum=-0.0,
+            caps=[nan, -inf], positions=((-0.0,), (inf,)), request=(-0.0,))
+        text = res.to_json(self.EXTRA)
+        assert text == stdlib_record(res, self.EXTRA)
+        assert "-Infinity" in text and "-0.0" in text
+        assert _steps_csv(res) == fmt_steps_csv(res)
+
+    def test_record_without_steps(self):
+        p = params(k=2, mc=0.6)
+        res = run(gen_local_walk(3, p, 1.0, seed=3).trace, p, algo="ums")
+        res = RunResult.from_dict(dict(res.to_dict(), steps=[]))
+        assert res.to_json({}) == stdlib_record(res, {})
