@@ -214,12 +214,14 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
     violations: list[int] = []
     cap_violations: list[int] = []
     max_disp = 0.0
+    # "not <=" so that a NaN displacement, which compares false with
+    # everything, counts as a violation.
     for rep in result.reports:
         for disp, own_cap in zip(rep.displacements, rep.caps):
             max_disp = max(max_disp, disp)
-            if disp > cap + tol:
+            if not disp <= cap + tol:
                 violations.append(rep.t)
-            if disp > own_cap + REL_SLACK * max(1.0, own_cap):
+            if not disp <= own_cap + REL_SLACK * max(1.0, own_cap):
                 cap_violations.append(rep.t)
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
                       cap_violations=cap_violations)

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Point = tuple[float, ...]
 Config = tuple[Point, ...]
@@ -59,6 +59,18 @@ def distance(p: Point, q: Point) -> float:
     return math.dist(p, q)
 
 
+def check_dims(points: Iterable[Point], dim: int) -> None:
+    """Raise InputError unless every point has ``dim`` coordinates.
+
+    Code that has checked its points once measures them with
+    ``math.dist``, which is what ``distance`` returns, without the
+    per-call check.
+    """
+    for p in points:
+        if len(p) != dim:
+            raise InputError(f"point {p} has dimension {len(p)}, expected {dim}")
+
+
 def move_toward(p: Point, target: Point, cap: float) -> Point:
     """Move p toward target, by at most cap.
 
@@ -67,7 +79,9 @@ def move_toward(p: Point, target: Point, cap: float) -> Point:
     """
     if cap < 0:
         raise InputError("movement cap must be nonnegative")
-    d = distance(p, target)
+    if len(p) != len(target):
+        raise InputError(f"dimension mismatch: {len(p)} vs {len(target)}")
+    d = math.dist(p, target)
     if d <= cap:
         return target
     if cap == 0.0:
@@ -182,13 +196,10 @@ def validate_trace(trace: Trace, params: ProblemParams,
         raise InputError("empty trace")
     if len(trace.start_config) != params.k:
         raise InputError(f"start config has {len(trace.start_config)} servers, expected {params.k}")
-    dim = params.dim
-    for p in itertools.chain(trace.requests, trace.start_config):
-        if len(p) != dim:
-            raise InputError(f"point {p} has dimension {len(p)}, expected {dim}")
+    check_dims(itertools.chain(trace.requests, trace.start_config), params.dim)
     slack = 1.0 + rel_tol
     for t in range(1, len(trace.requests)):
-        d = distance(trace.requests[t - 1], trace.requests[t])
+        d = math.dist(trace.requests[t - 1], trace.requests[t])
         if d > params.mc * slack:
             return TraceViolation("request-locality", t, d, params.mc)
     cert = trace.certificate
@@ -200,8 +211,9 @@ def validate_trace(trace: Trace, params: ProblemParams,
         for t, conf in enumerate(cert):
             if len(conf) != params.k:
                 raise InputError(f"certificate step {t} has {len(conf)} servers")
+            check_dims(conf, params.dim)
             for i in range(params.k):
-                d = distance(prev[i], conf[i])
+                d = math.dist(prev[i], conf[i])
                 if d > params.ms * slack:
                     return TraceViolation("certificate-speed", t + 1, d, params.ms)
             prev = conf
@@ -249,21 +261,48 @@ def _assignment(cost: list[list[float]]) -> tuple[float, list[int]]:
     return sum(cost[i][j] for i, j in enumerate(cols)), cols
 
 
+def _non_decreasing(conf: Sequence[Point]) -> bool:
+    """Whether the first coordinates never decrease; NaN makes it false."""
+    prev = -math.inf
+    for p in conf:
+        if not prev <= p[0]:
+            return False
+        prev = p[0]
+    return True
+
+
 def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
     """Minimum-weight perfect matching between two equal-size configurations.
 
     Among all optimal assignments (within a relative 1e-12) the
     lexicographically smallest permutation is returned, so runs are
-    reproducible despite the ties of co-located servers.  One assignment
-    solve gives the optimum and a completion.  Rows are then fixed in
-    order; a free column preceding the completion's is taken when a
-    solve of the remaining rows and columns still reaches the optimum,
-    and that solve becomes the completion.
+    reproducible despite the ties of co-located servers.
+
+    On the line with both configurations sorted, the identity is an
+    optimal matching (no two matched pairs need cross) and the smallest
+    permutation of all.  At each row the search below first tries the
+    identity's column, whose best completion is then optimal too, so the
+    sum it compares with the optimum differs from it by rounding only,
+    far below the tolerance: the search returns the identity, with its
+    weight summed in row order.  Here that is done without a solve.
+
+    Otherwise one assignment solve gives the optimum and a completion.
+    Rows are then fixed in order; a free column preceding the
+    completion's is taken when a solve of the remaining rows and columns
+    still reaches the optimum, and that solve becomes the completion.
     """
     k = len(a)
     if len(b) != k:
         raise InputError(f"configuration sizes differ: {k} vs {len(b)}")
-    cost = [[distance(p, q) for q in b] for p in a]
+    dim = len(a[0]) if k else 1
+    check_dims(a, dim)
+    check_dims(b, dim)
+    if dim == 1 and _non_decreasing(a) and _non_decreasing(b):
+        weight = 0.0
+        for p, q in zip(a, b):
+            weight += math.dist(p, q)
+        return Matching(tuple(range(k)), weight)
+    cost = [[math.dist(p, q) for q in b] for p in a]
     best, completion = _assignment(cost)
     tol = 1e-12 * (1.0 + best)
     free = list(range(k))

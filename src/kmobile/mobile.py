@@ -9,6 +9,7 @@ baseline ("simple") drops the greedy move and is not competitive.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -24,7 +25,7 @@ from kmobile.core import (
     ProblemParams,
     Trace,
     as_point,
-    distance,
+    check_dims,
     min_weight_matching,
     move_toward,
     validate_trace,
@@ -224,9 +225,16 @@ class RunResult:
             if audit is not None and not (isinstance(audit, dict) and all(
                     isinstance(audit.get(key), (int, float)) for key in AUDIT_KEYS)):
                 raise InputError(f"run record projection audit needs the numbers {AUDIT_KEYS}")
+            # JSON booleans, as the algorithm and the audit's presence give them.
+            flags = {"weighted": algo == "wms", "project": audit is not None}
+            for key, want in flags.items():
+                if obj[key] is not want:
+                    raise InputError(f"run record {key} must be {json.dumps(want)} "
+                                     f"(algorithm {algo!r}, {'a' if flags['project'] else 'no'} "
+                                     f"projection audit), got {obj[key]!r}")
             return cls(algo=algo, sim_tag=obj["sim"], params=params, mode=mode,
-                       epsilon=epsilon, project=bool(obj["project"]),
-                       weighted=bool(obj["weighted"]), ledger=ledger, reports=reports,
+                       epsilon=epsilon, project=flags["project"],
+                       weighted=flags["weighted"], ledger=ledger, reports=reports,
                        psi0_matched_sum=float(obj["psi0_matched_sum"]),
                        projection_audit=audit)
         except KeyError as exc:
@@ -294,16 +302,23 @@ class MobileRun:
         self.on_request_tol = 1e-9 * max(1.0, params.mc)
 
     def step(self, r: Point) -> StepReport:
-        """Guidance step, matching to it, then the algorithm's caps and targets."""
+        """Guidance step, matching to it, then the algorithm's caps and targets.
+
+        The request and the guidance are checked against the dimension
+        once here; the step then measures them with ``math.dist``.
+        """
         self.t += 1
+        dim = self.params.dim
+        check_dims((r,), dim)
         sim_step = self.sim.step(r)
         c = sim_step.positions
+        check_dims(c, dim)
         perm = min_weight_matching(self.positions, c).perm
         matched = [c[j] for j in perm]
         branch, mover, caps, targets = self._POLICIES[self.algo](self, r, c, perm, matched)
         new_pos, disps = self._apply(targets, caps)
         self.positions = new_pos
-        serving = min(distance(p, r) for p in new_pos)
+        serving = min(math.dist(p, r) for p in new_pos)
         movement = sum(disps)
         D = self.params.D
         rep = StepReport(
@@ -312,7 +327,7 @@ class MobileRun:
             cost=serving + D * movement,
             sim_serving=sim_step.serving, sim_movement=sim_step.movement,
             sim_cost=sim_step.serving + D * sim_step.movement,
-            matched_sum=sum(distance(p, q) for p, q in zip(new_pos, matched)),
+            matched_sum=sum(map(math.dist, new_pos, matched)),
             positions=new_pos, sim_positions=c)
         self.reports.append(rep)
         self.ledger.add(serving, movement)
@@ -321,11 +336,11 @@ class MobileRun:
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
         new_pos = tuple(move_toward(p, tgt, cap)
                         for p, tgt, cap in zip(self.positions, targets, caps))
-        disps = [distance(p, q) for p, q in zip(self.positions, new_pos)]
+        disps = list(map(math.dist, self.positions, new_pos))
         return new_pos, disps
 
     def _nearest_index(self, r: Point) -> int:
-        dists = [distance(p, r) for p in self.positions]
+        dists = [math.dist(p, r) for p in self.positions]
         return dists.index(min(dists))
 
     # A policy gets the request, the guidance c, the matching perm and the
@@ -333,14 +348,14 @@ class MobileRun:
 
     def _ums_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
-        on_r = [i for i, p in enumerate(c) if distance(p, r) <= self.on_request_tol]
+        on_r = [i for i, p in enumerate(c) if math.dist(p, r) <= self.on_request_tol]
         if not on_r:
             raise ContractViolationError(
                 f"guidance left no server on the request at step {self.t}")
         j = perm.index(on_r[0])
         cap_full = params.online_speed
         caps = [cap_full] * params.k
-        if distance(self.positions[j], r) <= cap_full:
+        if math.dist(self.positions[j], r) <= cap_full:
             return "matched", None, caps, matched
         mover = self._nearest_index(r)
         targets = list(matched)
@@ -352,7 +367,7 @@ class MobileRun:
         params = self.params
         D = params.D
         mover = self._nearest_index(r)
-        d_til = distance(self.positions[mover], r)
+        d_til = math.dist(self.positions[mover], r)
         if self.mode == "fast":
             cap_mover = min(params.mc, (1.0 - self.epsilon) / D * d_til)
         else:
@@ -364,8 +379,8 @@ class MobileRun:
         targets = list(matched)
         targets[mover] = r
         tentative, _ = self._apply(targets, caps)
-        d_mover = distance(tentative[mover], r)
-        overtaken = any(distance(tentative[i], r) < d_mover
+        d_mover = math.dist(tentative[mover], r)
+        overtaken = any(math.dist(tentative[i], r) < d_mover
                         for i in range(params.k) if i != mover)
         if overtaken:
             return "fallback", None, [params.ms] * params.k, matched

@@ -9,9 +9,10 @@ away from the phase anchor.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from kmobile.core import Config, Point, ProblemParams, distance
+from kmobile.core import Config, Point, ProblemParams, check_dims, distance
 from kmobile.kserver import GuidanceSimulator, SimStep
 
 
@@ -52,6 +53,7 @@ class ProjectionWrapper(GuidanceSimulator):
         self.outer = outer_radius(params, weighted)
         self.anchor: Optional[Point] = None
         self.positions = tuple(sim.positions)
+        check_dims(self.positions, params.dim)
         self.raw_serving = 0.0
         self.raw_movement = 0.0
         self.proj_serving = 0.0
@@ -61,7 +63,7 @@ class ProjectionWrapper(GuidanceSimulator):
 
     def _place(self, hat: list[Point], inner_pos: Config, r: Point, phase_end: bool) -> list[Point]:
         for i, c in enumerate(inner_pos):
-            if distance(c, r) <= self.inner:
+            if math.dist(c, r) <= self.inner:
                 hat[i] = c
             elif phase_end:
                 hat[i] = boundary_point(r, c, self.inner)
@@ -69,6 +71,8 @@ class ProjectionWrapper(GuidanceSimulator):
 
     def step(self, r: Point) -> SimStep:
         raw = self.sim.step(r)
+        # Checked once here, then measured with math.dist.
+        check_dims((r, *raw.positions), self.params.dim)
         self.raw_serving += raw.serving
         self.raw_movement += raw.movement
         hat = list(self.positions)
@@ -79,19 +83,19 @@ class ProjectionWrapper(GuidanceSimulator):
             self.anchor = r
             hat = self._place(hat, raw.positions, r, phase_end=True)
         else:
-            phase_end = distance(self.anchor, r) >= self.inner
+            phase_end = math.dist(self.anchor, r) >= self.inner
             hat = self._place(hat, raw.positions, r, phase_end)
             if phase_end:
                 self.anchor = r
                 self.phase_ends += 1
-        movement = sum(distance(a, b) for a, b in zip(self.positions, hat))
+        movement = sum(map(math.dist, self.positions, hat))
         self.positions = tuple(hat)
-        serving = min(distance(p, r) for p in self.positions)
+        serving = min(math.dist(p, r) for p in self.positions)
         self.proj_serving += serving
         self.proj_movement += movement
         self.max_request_distance = max(
             self.max_request_distance,
-            max(distance(p, r) for p in self.positions))
+            max(math.dist(p, r) for p in self.positions))
         return SimStep(self.positions, serving, movement)
 
     def raw_cost(self) -> float:

@@ -190,6 +190,10 @@ class TestCli:
             bad = copy.deepcopy(valid)
             bad["steps"][0][key] = value
             bad_inputs[name] = [json.dumps(bad)]
+        # flags that are not the JSON booleans the algorithm and the audit give
+        for name, key, value in (("weighted-no.run.json", "weighted", "no"),
+                                 ("project-false.run.json", "project", False)):
+            bad_inputs[name] = [json.dumps(dict(valid, **{key: value}))]
         capsys.readouterr()
         for name, lines in bad_inputs.items():
             path = tmp_path / name
@@ -203,11 +207,31 @@ class TestCli:
                 assert main(argv) == 2, (name, argv)
                 err = capsys.readouterr().err
                 assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
+        # input error: the record checked against a trace whose certificate has a 2-D point
+        planar = tmp_path / "planar-o.thm3.jsonl"
+        lines = (tmp_path / "thm3.jsonl").read_text().splitlines()
+        o_line = next(i for i, line in enumerate(lines) if '"o"' in line)
+        step = json.loads(lines[o_line])
+        step["o"][0] = step["o"][0] + [0.0]
+        lines[o_line] = json.dumps(step)
+        planar.write_text("\n".join(lines) + "\n")
+        for argv in (["simulate", "--trace", str(planar)],
+                     ["verify", "--property", "helper-invariants", "--run", str(record),
+                      "--trace", str(planar)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
         # input error: a slow-mode record whose delta is 0, where the potential is undefined
         (tmp_path / "delta-zero.run.json").write_text(
             json.dumps(dict(valid, params=dict(valid["params"], delta=0.0))))
         assert main(["verify", "--property", "slow-potential", "--trace", trace,
                      "--run", str(tmp_path / "delta-zero.run.json")]) == 2
+        # checker violation: distances that overflow make NaN displacements
+        (tmp_path / "overflow.jsonl").write_text("\n".join([
+            json.dumps(dict(header, ms=1e308, mc=1e308, start=[[1.7e308]])),
+            json.dumps({"t": 1, "r": [-1.7e308]})]) + "\n")
+        assert main(["simulate", "--trace", str(tmp_path / "overflow.jsonl")]) == 1
+        assert json.loads(capsys.readouterr().out)["speed_ok"] is False
         # input error: a negative size budget
         trace = str(tmp_path / "plane.jsonl")
         assert main(["generate", "--construction", "walk", "--k", "2", "--n", "5",

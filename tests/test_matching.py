@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import kmobile
-from kmobile.core import InputError, Matching, distance, min_weight_matching
+from kmobile import core, mobile
+from kmobile.adversary import gen_thm3
+from kmobile.core import InputError, Matching, _assignment, distance, min_weight_matching
 
 
 def brute_force(a, b):
@@ -110,3 +112,102 @@ def test_k2_simulate_leaves_scipy_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def reference_matching(a, b):
+    """The matching without the sorted-line shortcut: one solve, then row fixing."""
+    k = len(a)
+    cost = [[distance(p, q) for q in b] for p in a]
+    best, completion = _assignment(cost)
+    tol = 1e-12 * (1.0 + best)
+    free = list(range(k))
+    fixed = 0.0
+    for i in range(k):
+        for j in free:
+            if j == completion[i]:
+                break
+            rest_cols = [c for c in free if c != j]
+            rest, sub = _assignment([[cost[r][c] for c in rest_cols]
+                                     for r in range(i + 1, k)])
+            if fixed + cost[i][j] + rest <= best + tol:
+                completion[i:] = [j] + [rest_cols[x] for x in sub]
+                break
+        free.remove(completion[i])
+        fixed += cost[i][completion[i]]
+    return tuple(completion), fixed
+
+
+def assert_same_as_reference(a, b):
+    m = min_weight_matching(a, b)
+    perm, weight = reference_matching(a, b)
+    assert (m.perm, m.weight.hex()) == (perm, weight.hex()), (a, b)
+
+
+def is_sorted_line(conf):
+    return all(len(p) == 1 for p in conf) and all(
+        conf[i][0] <= conf[i + 1][0] for i in range(len(conf) - 1))
+
+
+def line_coordinates(rng, k):
+    """k coordinates of one of four kinds, with runs of co-located points."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        xs = [float(rng.randint(-4, 4)) for _ in range(k)]
+    elif kind == 1:
+        xs = [rng.choice((-1e15, 1e15)) + rng.uniform(-50.0, 50.0) for _ in range(k)]
+    elif kind == 2:
+        xs = [rng.choice((0.0, -0.0, 1.0, -1.0, 0.1)) for _ in range(k)]
+    else:
+        xs = [rng.uniform(-10.0, 10.0) for _ in range(k)]
+    for _ in range(rng.randrange(k)):
+        i = rng.randrange(k)
+        xs[i] = xs[rng.randrange(k)]     # co-located runs once sorted
+    return xs
+
+
+def test_sorted_line_shortcut_matches_reference():
+    # Bits, not values: the shortcut must return what the search returns.
+    rng = random.Random(11)
+    shortcut = general = 0
+    for k in range(1, 13):
+        for _ in range(40):
+            xa, xb = line_coordinates(rng, k), line_coordinates(rng, k)
+            for a, b in (([(x,) for x in sorted(xa)], [(x,) for x in sorted(xb)]),
+                         ([(x,) for x in xa], [(x,) for x in xb])):
+                shortcut += is_sorted_line(a) and is_sorted_line(b)
+                general += not (is_sorted_line(a) and is_sorted_line(b))
+                assert_same_as_reference(a, b)
+    assert shortcut > 400 and general > 300
+
+
+def test_planar_matching_matches_reference():
+    rng = random.Random(12)
+    for k in range(1, 10):
+        for _ in range(15):
+            a = [(float(rng.randint(-3, 3)), rng.uniform(-1e15, 1e15)) for _ in range(k)]
+            b = [(float(rng.randint(-3, 3)), rng.choice((0.0, -0.0))) for _ in range(k)]
+            assert_same_as_reference(a, b)
+
+
+def test_sorted_line_matchings_skip_the_solve(monkeypatch):
+    # A k=8 thm3 run under double coverage keeps both configurations sorted
+    # nearly always; only the other matchings may reach the assignment solve.
+    inputs = []
+    solves = []
+
+    def record_matching(a, b):
+        inputs.append((tuple(a), tuple(b)))
+        return min_weight_matching(a, b)
+
+    def count_solve(cost):
+        solves.append(len(cost))
+        return _assignment(cost)
+
+    monkeypatch.setattr(mobile, "min_weight_matching", record_matching)
+    monkeypatch.setattr(core, "_assignment", count_solve)
+    inst = gen_thm3(8, 16, seed=4)
+    mobile.run(inst.trace, inst.params, "ums", sim="dc-line")
+    unsorted = sum(not (is_sorted_line(a) and is_sorted_line(b)) for a, b in inputs)
+    assert len(inputs) == len(inst.trace) + 1
+    assert 0 < unsorted < len(inputs) / 10
+    assert len(solves) == unsorted

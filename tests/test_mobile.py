@@ -10,8 +10,9 @@ from kmobile.checks import default_y, potential_factors
 from kmobile.cli import _steps_csv
 from kmobile.core import ContractViolationError, InputError, ProblemParams, Trace, distance
 from kmobile.experiment import fmt
-from kmobile.kserver import GreedyServer, PageMigrationCounter, ScriptedSimulator
+from kmobile.kserver import GreedyServer, PageMigrationCounter, ScriptedSimulator, SimStep
 from kmobile.mobile import ALGO_TAGS, MobileRun, RunResult, derive_mode, run
+from kmobile.projection import ProjectionWrapper
 
 
 def params(**kw):
@@ -74,6 +75,27 @@ class TestUmsStep:
         m = MobileRun(p, "ums", sim, ((0.0,),), "slow", None)
         with pytest.raises(ContractViolationError):
             m.step((5.0,))
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("sim_measures", [True, False])
+    def test_wrong_dimension_guidance_is_an_input_error(self, project, sim_measures):
+        class UnmeasuredScript(ScriptedSimulator):
+            """Emits its configurations without measuring them."""
+
+            def step(self, r):
+                self.positions = self.script[self.t]
+                self.t += 1
+                return SimStep(self.positions, 0.0, 0.0)
+
+        p = params(k=2, mc=10.0)
+        start = ((0.0,), (4.0,))
+        script = [[(1.0,), (4.0, 0.0)]]
+        sim = (ScriptedSimulator if sim_measures else UnmeasuredScript)(start, script)
+        if project:
+            sim = ProjectionWrapper(sim, p, weighted=False)
+        m = MobileRun(p, "ums", sim, start, "slow", None)
+        with pytest.raises(InputError):
+            m.step((1.0,))
 
     def test_fast_mode_serves_every_request_from_start(self):
         p = params(k=2, ms=1.0, mc=0.5, delta=0.0)
