@@ -11,9 +11,7 @@ designed to satisfy.
 """
 
 from kmobile.core import (
-    CheckFailure,
     ContractViolationError,
-    CostLedger,
     InputError,
     KMobileError,
     Matching,
@@ -29,9 +27,7 @@ from kmobile.core import (
 )
 
 __all__ = [
-    "CheckFailure",
     "ContractViolationError",
-    "CostLedger",
     "InputError",
     "KMobileError",
     "Matching",

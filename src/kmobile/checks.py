@@ -44,6 +44,22 @@ def potential_factors(result: RunResult) -> tuple[float, float]:
     raise InputError(f"no fast-mode potential is defined for algorithm {result.algo!r}")
 
 
+def psi_factor(result: RunResult, y: Optional[float] = None) -> float:
+    """Weight of the matched distance sum in the potential psi.
+
+    potential_factors' for fast-mode UMS and WMS; otherwise y*mc/(delta*ms),
+    times D when weighted, with y defaulting to default_y (0 when delta is 0).
+    """
+    if result.mode == "fast" and result.algo in ("ums", "wms"):
+        return potential_factors(result)[0]
+    p = result.params
+    if p.delta <= 0.0:
+        return 0.0
+    if y is None:
+        y = default_y(p)
+    return y * p.mc / (p.delta * p.ms) * (p.D if result.weighted else 1.0)
+
+
 def check_fast_potential(result: RunResult) -> PotentialReport:
     """Per-step margins of the fast-mode amortized cost bound.
 
@@ -116,8 +132,6 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     params = result.params
     if params.delta <= 0.0:
         raise InputError("the slow-mode potential checker needs delta > 0")
-    if y is None:
-        y = default_y(params)
     weighted = result.weighted
     threshold = PHI_FACTOR * sigma * params.k * params.mc / params.delta ** 2
     if weighted:
@@ -126,7 +140,9 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     high = _phi_quadratic(threshold, threshold, params, weighted)
     boundary_gap = abs(high - low) / max(1.0, abs(low))
 
-    psi_f = y * params.mc / (params.delta * params.ms) * (params.D if weighted else 1.0)
+    if y is None:
+        y = default_y(params)
+    psi_f = psi_factor(result, y)
     bound_f = y * params.mc / (params.delta * params.ms)
 
     def phi_of(a_conf, o_hat):
@@ -215,12 +231,15 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
     cap_violations: list[int] = []
     max_disp = 0.0
     # "not <=" so that a NaN displacement, which compares false with
-    # everything, counts as a violation.
+    # everything, counts as a violation.  max() keeps its first argument
+    # against a NaN, so a NaN is put first here and then stays.
     for rep in result.reports:
         for disp, own_cap in zip(rep.displacements, rep.caps):
             max_disp = max(max_disp, disp)
             if not disp <= cap + tol:
                 violations.append(rep.t)
+                if disp != disp:
+                    max_disp = disp
             if not disp <= own_cap + REL_SLACK * max(1.0, own_cap):
                 cap_violations.append(rep.t)
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,

@@ -12,15 +12,8 @@ import json
 import sys
 
 from kmobile import checks
-from kmobile.adversary import (
-    CONSTRUCTIONS,
-    gen_local_walk,
-    gen_simple_counterexample,
-    gen_thm3,
-    gen_thm4,
-)
+from kmobile.adversary import CONSTRUCTIONS
 from kmobile.core import (
-    CheckFailure,
     ContractViolationError,
     InputError,
     KMobileError,
@@ -31,8 +24,11 @@ from kmobile.core import (
     write_trace,
 )
 from kmobile.experiment import (
+    PARAM_TYPES,
     ExperimentSpec,
+    build_instance,
     emit_ratio_table,
+    parse_seeds,
     parse_spec_file,
     run_experiment,
 )
@@ -69,15 +65,7 @@ def _override_params(params: ProblemParams, args) -> ProblemParams:
 
 
 def _steps_csv(result: RunResult) -> str:
-    from kmobile.checks import default_y, potential_factors
-
-    if result.mode == "fast" and result.algo in ("ums", "wms"):
-        psi_f, _ = potential_factors(result)
-    else:
-        p = result.params
-        psi_f = default_y(p) * p.mc / (p.delta * p.ms) if p.delta > 0 else 0.0
-        if result.weighted:
-            psi_f *= p.D
+    psi_f = checks.psi_factor(result)
     # "%.17g" spells every float as fmt does, nan and inf included.
     return "t,serving,movement,psi\n" + "".join([
         "%d,%.17g,%.17g,%.17g\n" % (rep.t, rep.serving, rep.movement, psi_f * rep.matched_sum)
@@ -106,9 +94,9 @@ def cmd_simulate(args) -> int:
     summary = {
         "mode": result.mode,
         "epsilon": result.epsilon,
-        "grand_total": result.ledger.grand_total,
-        "serving_total": result.ledger.serving_total,
-        "movement_total": result.ledger.movement_total,
+        "grand_total": result.grand_total,
+        "serving_total": result.serving_total,
+        "movement_total": result.movement_total,
         "speed_ok": speed.ok,
     }
     _dump_json(summary)
@@ -116,26 +104,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.construction == "thm3":
-        inst = gen_thm3(args.k, args.x, D=args.D, ms=args.ms, seed=args.seed,
-                        z_choice=args.z_choice, delta=args.delta)
-    elif args.construction == "thm4":
-        if args.mc is None:
-            raise InputError("thm4 needs --mc")
-        inst = gen_thm4(args.k, args.x, ms=args.ms, mc=args.mc, D=args.D,
-                        seed=args.seed, z_choice=args.z_choice, delta=args.delta)
-    elif args.construction == "simple-cx":
-        if args.y is None:
-            raise InputError("simple-cx needs --y")
-        inst = gen_simple_counterexample(args.x, args.y, ms=args.ms)
-    elif args.construction == "walk":
-        if args.mc is None:
-            raise InputError("walk needs --mc")
-        params = ProblemParams(k=args.k, ms=args.ms, mc=args.mc, delta=args.delta,
-                               D=args.D, dim=args.dim)
-        inst = gen_local_walk(args.n, params, args.step_scale, args.seed or 0)
-    else:
-        raise InputError(f"unknown construction {args.construction!r}")
+    point = {key: getattr(args, key) for key in PARAM_TYPES if getattr(args, key) is not None}
+    inst = build_instance(args.construction, point, args.seed, args.z_choice)
     write_trace(args.out, inst.trace, inst.params)
     meta = {
         "construction": inst.construction,
@@ -249,7 +219,7 @@ def cmd_sweep(args) -> int:
         spec.construction = args.construction
         spec.trace_path = None
     if args.seeds:
-        spec.seeds = [int(s) for s in args.seeds.split(",")]
+        spec.seeds = parse_seeds(args.seeds)
     records, aggregate = run_experiment(spec)
     if args.out:
         _dump_json(aggregate, args.out)
@@ -284,17 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit an adversarial trace plus metadata")
     p_gen.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
     p_gen.add_argument("--out", required=True)
+    # Unset parameters take build_instance's defaults.
     p_gen.add_argument("--x", type=int, default=64)
     p_gen.add_argument("--y", type=int)
-    p_gen.add_argument("--k", type=int, default=2)
-    p_gen.add_argument("--n", type=int, default=100)
-    p_gen.add_argument("--dim", type=int, default=1)
-    p_gen.add_argument("--ms", type=float, default=1.0)
+    p_gen.add_argument("--k", type=int)
+    p_gen.add_argument("--n", type=int)
+    p_gen.add_argument("--dim", type=int)
+    p_gen.add_argument("--ms", type=float)
     p_gen.add_argument("--mc", type=float)
-    p_gen.add_argument("--D", type=float, default=1.0)
-    p_gen.add_argument("--delta", type=float, default=0.5)
-    p_gen.add_argument("--step-scale", dest="step_scale", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--D", type=float)
+    p_gen.add_argument("--delta", type=float)
+    p_gen.add_argument("--step-scale", dest="step_scale", type=float)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--z-choice", dest="z_choice", type=int,
                        help="enumerated target index (two-server constructions)")
     p_gen.set_defaults(func=cmd_generate)
@@ -343,7 +314,7 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CheckFailure, ContractViolationError) as exc:
+    except ContractViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except KMobileError as exc:

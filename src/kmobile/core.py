@@ -1,4 +1,4 @@
-"""Geometry, problem parameters, traces, matchings and cost accounting.
+"""Geometry, problem parameters, traces and matchings.
 
 Points are plain tuples of floats; configurations are tuples of points.
 Everything in this module is a pure function over immutable values, so
@@ -11,7 +11,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Point = tuple[float, ...]
@@ -35,10 +36,6 @@ class ResourceBudgetError(KMobileError):
 
 class ContractViolationError(KMobileError):
     """A component broke an interface guarantee it was relied upon for."""
-
-
-class CheckFailure(KMobileError):
-    """A verifier found a hard violation."""
 
 
 def as_point(coords: Sequence[float]) -> Point:
@@ -173,10 +170,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def dim(self) -> int:
-        return len(self.requests[0]) if self.requests else len(self.start_config[0])
-
 
 class TraceViolation(NamedTuple):
     kind: str  # "request-locality" | "certificate-speed" | "certificate-length"
@@ -190,7 +183,8 @@ def validate_trace(trace: Trace, params: ProblemParams,
     """Check locality of requests and certificate feasibility.
 
     Returns None if the trace is valid, otherwise the first violation.
-    Dimension mismatches raise InputError.
+    Dimension mismatches raise InputError, and so do points so far apart
+    that their distances overflow.
     """
     if not trace.requests:
         raise InputError("empty trace")
@@ -217,6 +211,11 @@ def validate_trace(trace: Trace, params: ProblemParams,
                 if d > params.ms * slack:
                     return TraceViolation("certificate-speed", t + 1, d, params.ms)
             prev = conf
+    # No distance between the points exceeds their bounding box's diagonal.
+    points = [*trace.requests, *trace.start_config, *itertools.chain.from_iterable(cert or ())]
+    spans = [max(c) - min(c) for c in (list(map(itemgetter(i), points)) for i in range(params.dim))]
+    if not math.isfinite(math.hypot(*spans)):
+        raise InputError("the trace's points span a box whose diagonal overflows a float")
     return None
 
 
@@ -320,39 +319,6 @@ def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
         free.remove(completion[i])
         fixed += cost[i][completion[i]]
     return Matching(tuple(completion), fixed)
-
-
-@dataclass
-class CostLedger:
-    """Per-step serving and movement records with D-weighted totals."""
-
-    D: float = 1.0
-    serving: list[float] = field(default_factory=list)
-    movement: list[float] = field(default_factory=list)
-
-    def add(self, serving: float, movement: float) -> None:
-        if serving < 0 or movement < 0:
-            raise InputError("costs must be nonnegative")
-        self.serving.append(serving)
-        self.movement.append(movement)
-
-    @property
-    def serving_total(self) -> float:
-        return sum(self.serving)
-
-    @property
-    def movement_total(self) -> float:
-        return sum(self.movement)
-
-    @property
-    def grand_total(self) -> float:
-        return self.serving_total + self.D * self.movement_total
-
-    def step_cost(self, t: int) -> float:
-        return self.serving[t] + self.D * self.movement[t]
-
-    def __len__(self) -> int:
-        return len(self.serving)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from kmobile.core import (
     read_trace,
 )
 from kmobile.mobile import run as run_mobile
-from kmobile.offline import DP_MAX_POINTS, DP_MAX_STEPS, GridSpec, dp_optimum
+from kmobile.offline import GridSpec, dp_optimum
 
 
 def fmt(x: float) -> str:
@@ -83,7 +83,33 @@ class RunRecord:
         }
 
 
-_INT_KEYS = {"k", "x", "y", "n", "dim", "z_choice"}
+# The construction parameters a sweep point may set, and their types.
+PARAM_TYPES = {"k": int, "x": int, "y": int, "n": int, "dim": int, "z_choice": int,
+               "ms": float, "mc": float, "delta": float, "D": float, "step_scale": float}
+
+# Per construction: the parameters it needs; the others default to _DEFAULTS.
+_NEEDS = {"thm3": ("x",), "thm4": ("x", "mc"), "simple-cx": ("x", "y"), "walk": ("mc",)}
+_DEFAULTS = {"k": 2, "n": 100, "dim": 1, "ms": 1.0, "delta": 0.5, "D": 1.0, "step_scale": 1.0}
+
+
+def _param_value(key: str, value):
+    """``value`` as the PARAM_TYPES type of ``key``; anything else raises InputError."""
+    conv = PARAM_TYPES.get(key)
+    if conv is None:
+        raise InputError(f"unknown parameter {key!r} (expected one of {', '.join(PARAM_TYPES)})")
+    try:
+        return conv(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        kind = "an integer" if conv is int else "a number"
+        raise InputError(f"parameter {key} must be {kind}, got {value!r}") from exc
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Comma-separated integer seeds."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InputError(f"seeds must be comma-separated integers, got {text!r}") from exc
 
 
 def parse_spec_file(path: str) -> ExperimentSpec:
@@ -97,73 +123,62 @@ def parse_spec_file(path: str) -> ExperimentSpec:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key == "construction":
-                spec.construction = value
-            elif key == "trace":
-                spec.trace_path = value
-            elif key in ("algo", "sim", "project"):
-                setattr(spec, key, value)
-            elif key == "seeds":
-                spec.seeds = [int(v) for v in value.split(",") if v.strip()]
-            elif key.startswith("sweep."):
-                axis = key[len("sweep."):]
-                conv = int if axis in _INT_KEYS else float
-                spec.sweep[axis] = [conv(v) for v in value.split(",") if v.strip()]
-            else:
-                conv = int if key in _INT_KEYS else float
-                spec.base[key] = conv(value)
+            try:
+                if key == "construction":
+                    spec.construction = value
+                elif key == "trace":
+                    spec.trace_path = value
+                elif key in ("algo", "sim", "project"):
+                    setattr(spec, key, value)
+                elif key == "seeds":
+                    spec.seeds = parse_seeds(value)
+                elif key.startswith("sweep."):
+                    axis = key[len("sweep."):]
+                    spec.sweep[axis] = [_param_value(axis, v) for v in value.split(",")
+                                        if v.strip()]
+                else:
+                    spec.base[key] = _param_value(key, value)
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
     return spec
 
 
-def _point_params(point: dict) -> dict:
-    out = {}
-    for key in ("k", "x", "y", "n", "dim", "z_choice"):
-        if key in point:
-            out[key] = int(point[key])
-    for key in ("ms", "mc", "delta", "D", "step_scale"):
-        if key in point:
-            out[key] = float(point[key])
-    return out
+def build_instance(construction: str, point: dict, seed: int,
+                   z_choice: Optional[int]) -> GeneratedInstance:
+    """The construction's instance at a sweep point; the one map from construction to generator.
 
-
-def _build_instance(construction: str, point: dict, seed: int,
-                    z_choice: Optional[int]) -> GeneratedInstance:
-    p = _point_params(point)
-    needed = {"thm3": ("x",), "thm4": ("x", "mc"), "simple-cx": ("x", "y"),
-              "walk": ("mc",)}.get(construction)
+    ``z_choice``, not the point's, picks the two-server target.
+    """
+    needed = _NEEDS.get(construction)
     if needed is None:
         raise InputError(f"unknown construction {construction!r}")
+    p = dict(_DEFAULTS)
+    p.update((key, _param_value(key, value)) for key, value in point.items())
     for key in needed:
         if key not in p:
-            raise InputError(f"construction {construction} needs {key}=")
+            raise InputError(f"construction {construction} needs {key}")
     if construction == "thm3":
-        return gen_thm3(p.get("k", 2), p["x"], D=p.get("D", 1.0), ms=p.get("ms", 1.0),
-                        seed=seed, z_choice=z_choice, delta=p.get("delta", 0.5))
+        return gen_thm3(p["k"], p["x"], D=p["D"], ms=p["ms"], seed=seed, z_choice=z_choice,
+                        delta=p["delta"])
     if construction == "thm4":
-        return gen_thm4(p.get("k", 2), p["x"], ms=p.get("ms", 1.0), mc=p["mc"],
-                        D=p.get("D", 1.0), seed=seed, z_choice=z_choice,
-                        delta=p.get("delta", 0.5))
+        return gen_thm4(p["k"], p["x"], ms=p["ms"], mc=p["mc"], D=p["D"], seed=seed,
+                        z_choice=z_choice, delta=p["delta"])
     if construction == "simple-cx":
-        return gen_simple_counterexample(p["x"], p["y"], ms=p.get("ms", 1.0))
-    params = ProblemParams(k=p.get("k", 2), ms=p.get("ms", 1.0), mc=p["mc"],
-                           delta=p.get("delta", 0.5), D=p.get("D", 1.0),
-                           dim=p.get("dim", 1))
-    return gen_local_walk(p.get("n", 100), params, p.get("step_scale", 1.0), seed)
+        return gen_simple_counterexample(p["x"], p["y"], ms=p["ms"])
+    params = ProblemParams(k=p["k"], ms=p["ms"], mc=p["mc"], delta=p["delta"], D=p["D"],
+                           dim=p["dim"])
+    return gen_local_walk(p["n"], params, p["step_scale"], seed)
 
 
 def _dp_reference(instance: GeneratedInstance) -> Optional[float]:
-    params = instance.params
-    trace = instance.trace
-    if params.dim != 1 or params.k > 2 or len(trace) > DP_MAX_STEPS:
-        return None
-    grid = GridSpec.from_resolution(trace, params.ms)
-    if grid.n > DP_MAX_POINTS:
+    """The DP optimum on the line, or None where dp_optimum's caps refuse the instance."""
+    trace, params = instance.trace, instance.params
+    if params.dim != 1:
         return None
     try:
-        cost, _ = dp_optimum(trace, params, grid)
+        return dp_optimum(trace, params, GridSpec.from_resolution(trace, params.ms))[0]
     except ResourceBudgetError:
         return None
-    return cost
 
 
 def _run_checks(result) -> dict:
@@ -202,21 +217,21 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
         trace, params = read_trace(spec.trace_path)
         result = run_mobile(trace, params, algo=spec.algo, sim=spec.sim,
                             project=spec.project)
-        costs.append(result.ledger.grand_total)
-        serving, movement = result.ledger.serving_total, result.ledger.movement_total
+        costs.append(result.grand_total)
+        serving, movement = result.serving_total, result.movement_total
         if trace.certificate is not None:
             reference = certificate_cost(trace, params)
         all_checks = _run_checks(result)
     else:
         z_choices = range(TWO_SERVER_CHOICES) if enumerate_targets else [point.get("z_choice")]
         for zc in z_choices:
-            inst = _build_instance(spec.construction, point, seed,
-                                   None if zc is None else int(zc))
+            inst = build_instance(spec.construction, point, seed,
+                                  None if zc is None else int(zc))
             result = run_mobile(inst.trace, inst.params, algo=spec.algo,
                                 sim=spec.sim, project=spec.project)
-            costs.append(result.ledger.grand_total)
-            serving += result.ledger.serving_total
-            movement += result.ledger.movement_total
+            costs.append(result.grand_total)
+            serving += result.serving_total
+            movement += result.movement_total
             for key, val in _run_checks(result).items():
                 if key.endswith("_ok"):
                     all_checks[key] = all_checks.get(key, True) and val

@@ -49,9 +49,6 @@ class GuidanceSimulator:
     def step(self, r: Point) -> SimStep:
         raise NotImplementedError
 
-    def _serve_distance(self, r: Point) -> float:
-        return min(distance(p, r) for p in self.positions)
-
 
 class GreedyServer(GuidanceSimulator):
     """The nearest server (lowest index on ties) jumps onto the request."""
@@ -313,7 +310,7 @@ class ScriptedSimulator(GuidanceSimulator):
         movement = sum(distance(a, b) for a, b in zip(self.positions, new))
         self.positions = new
         self.t += 1
-        return SimStep(self.positions, self._serve_distance(r), movement)
+        return SimStep(new, min(distance(p, r) for p in new), movement)
 
 
 def default_sim_tag(algo: str, params: ProblemParams, n: int) -> str:

@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Union
 from kmobile.core import (
     Config,
     ContractViolationError,
-    CostLedger,
     InputError,
     Point,
     ProblemParams,
@@ -114,13 +113,22 @@ class RunResult:
     epsilon: Optional[float]
     project: bool
     weighted: bool
-    ledger: CostLedger
     reports: list[StepReport]
     psi0_matched_sum: float
     projection_audit: Optional[dict] = None
 
-    def max_displacement(self) -> float:
-        return max((d for rep in self.reports for d in rep.displacements), default=0.0)
+    # The run's totals, summed over the steps in order.
+    @property
+    def serving_total(self) -> float:
+        return sum([rep.serving for rep in self.reports])
+
+    @property
+    def movement_total(self) -> float:
+        return sum([rep.movement for rep in self.reports])
+
+    @property
+    def grand_total(self) -> float:
+        return self.serving_total + self.params.D * self.movement_total
 
     def _head(self) -> dict:
         """The record's top-level fields other than the steps."""
@@ -134,9 +142,9 @@ class RunResult:
             "params": self.params.to_dict(),
             "psi0_matched_sum": self.psi0_matched_sum,
             "ledger": {
-                "serving_total": self.ledger.serving_total,
-                "movement_total": self.ledger.movement_total,
-                "grand_total": self.ledger.grand_total,
+                "serving_total": self.serving_total,
+                "movement_total": self.movement_total,
+                "grand_total": self.grand_total,
             },
             "projection": self.projection_audit,
         }
@@ -198,7 +206,6 @@ class RunResult:
                                      f"where k={k} belong")
                 return out
 
-            ledger = CostLedger(D=params.D)
             reports = []
             for s in obj["steps"]:
                 branch = s["branch"]
@@ -211,7 +218,8 @@ class RunResult:
                     *map(float, (s["serving"], s["movement"], s["cost"], s["sim_serving"],
                                  s["sim_movement"], s["sim_cost"], s["matched_sum"])),
                     tuple(per_server(s["a"], point)), tuple(per_server(s["c"], point)))
-                ledger.add(rep.serving, rep.movement)
+                if rep.serving < 0 or rep.movement < 0:
+                    raise InputError(f"run record step {rep.t} has a negative cost")
                 reports.append(rep)
             algo = obj["algo"]
             if algo not in ALGO_TAGS:
@@ -234,7 +242,7 @@ class RunResult:
                                      f"projection audit), got {obj[key]!r}")
             return cls(algo=algo, sim_tag=obj["sim"], params=params, mode=mode,
                        epsilon=epsilon, project=flags["project"],
-                       weighted=flags["weighted"], ledger=ledger, reports=reports,
+                       weighted=flags["weighted"], reports=reports,
                        psi0_matched_sum=float(obj["psi0_matched_sum"]),
                        projection_audit=audit)
         except KeyError as exc:
@@ -295,7 +303,6 @@ class MobileRun:
         self.positions: Config = tuple(start)
         self.mode = mode
         self.epsilon = epsilon
-        self.ledger = CostLedger(D=params.D)
         self.reports: list[StepReport] = []
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
@@ -330,7 +337,6 @@ class MobileRun:
             matched_sum=sum(map(math.dist, new_pos, matched)),
             positions=new_pos, sim_positions=c)
         self.reports.append(rep)
-        self.ledger.add(serving, movement)
         return rep
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
@@ -436,6 +442,6 @@ def run(trace: Trace, params: ProblemParams, algo: str = "ums",
         }
     return RunResult(algo=algo, sim_tag=sim_tag, params=params, mode=mode,
                      epsilon=epsilon, project=project_on, weighted=weighted,
-                     ledger=mrun.ledger, reports=mrun.reports,
+                     reports=mrun.reports,
                      psi0_matched_sum=mrun.psi0_matched_sum,
                      projection_audit=audit)

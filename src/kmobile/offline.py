@@ -212,15 +212,6 @@ def step_geometry(offline_conf: Config, online_conf: Config, r: Point,
                         outer=outer, in_inner=dists[i] <= inner)
 
 
-def trajectory_geometry(offline: Sequence[Config], online: Sequence[Config],
-                        requests: Sequence[Point], params: ProblemParams,
-                        sigma: float) -> list[StepGeometry]:
-    if not len(offline) == len(online) == len(requests):
-        raise InputError("offline, online and request sequences must share a length")
-    return [step_geometry(o, a, r, params, sigma)
-            for o, a, r in zip(offline, online, requests)]
-
-
 def classify_transition(offline: Sequence[Config], online: Sequence[Config],
                         requests: Sequence[Point], params: ProblemParams,
                         t1: int, t2: int, sigma: float = 1.0) -> str:
@@ -372,7 +363,10 @@ class _HelperContext:
         self.params = params
         self.sigma = sigma
         self.n = len(requests)
-        self.geo = trajectory_geometry(offline, online, requests, params, sigma)
+        if not len(offline) == len(online) == len(requests):
+            raise InputError("offline, online and request sequences must share a length")
+        self.geo = [step_geometry(o, a, r, params, sigma)
+                    for o, a, r in zip(offline, online, requests)]
         self.speed_cap = helper_speed_cap(params, sigma)
         self.follow = follow_speed(params)
         self.engage = engage_threshold(params, sigma)

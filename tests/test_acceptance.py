@@ -120,10 +120,9 @@ def test_criterion_05_jump_construction_ratios():
             assert certificate_cost(inst.trace, inst.params) <= \
                 inst.offline_cost_bound * (1 + 1e-6)
             res = record("c5", run(inst.trace, inst.params, algo="ums", sim="dc-line"))
-            costs.append(res.ledger.grand_total)
+            costs.append(res.grand_total)
             start = inst.choices["phase2_start"]
-            phase2.append(sum(res.ledger.step_cost(t)
-                              for t in range(start - 1, len(res.ledger))))
+            phase2.append(sum(rep.cost for rep in res.reports[start - 1:]))
         ratios.append(sum(costs) / 4.0 / inst.offline_cost_bound)
         phase2_means.append(sum(phase2) / 4.0)
         assert phase2_means[-1] >= x * x * 1.0 / 264.0
@@ -145,7 +144,7 @@ def test_criterion_06_walking_construction_ratios():
         for zc in range(4):
             inst = gen_thm4(2, 128, ms=1.0, mc=mc, z_choice=zc)
             res = record("c6", run(inst.trace, inst.params, algo="ums", sim="dc-line"))
-            costs.append(res.ledger.grand_total)
+            costs.append(res.grand_total)
         ratios.append(sum(costs) / 4.0 / inst.offline_cost_bound)
     assert ratios[0] < ratios[1] < ratios[2]
     elapsed = time.monotonic() - t0
@@ -160,13 +159,13 @@ def test_criterion_07_matching_only_counterexample():
     assert abs(cert - 420.0) < 1e-9
     simple = record("c7", run(inst.trace, inst.params, algo="simple",
                               sim="split-serve", project="off"))
-    assert simple.ledger.grand_total >= 7200.0
-    assert simple.ledger.grand_total / cert > 17.0
+    assert simple.grand_total >= 7200.0
+    assert simple.grand_total / cert > 17.0
     ums = record("c7", run(inst.trace, inst.params, algo="ums", sim="auto"))
-    ums_ratio = ums.ledger.grand_total / cert
+    ums_ratio = ums.grand_total / cert
     assert ums_ratio < 5.0
-    report(7, f"matching-only pays {simple.ledger.grand_total:.0f} (ratio "
-              f"{simple.ledger.grand_total / cert:.1f} > 17), UMS ratio {ums_ratio:.2f} < 5")
+    report(7, f"matching-only pays {simple.grand_total:.0f} (ratio "
+              f"{simple.grand_total / cert:.1f} > 17), UMS ratio {ums_ratio:.2f} < 5")
 
 
 def test_criterion_08_oracle_equivalence():
@@ -196,7 +195,7 @@ def test_criterion_08_oracle_equivalence():
         for algo in algos:
             res = record("c8", run(snapped, params, algo=algo, sim="greedy",
                                    project="off"))
-            assert res.ledger.grand_total >= cost - slack, (trial, algo)
+            assert res.grand_total >= cost - slack, (trial, algo)
         dominated += 1
     assert dominated == 20
     report(8, f"matching equals brute force on {checked} instances; offline DP "

@@ -203,6 +203,15 @@ class TestAudits:
         assert not audit.ok
         assert 4 in audit.violations
 
+    def test_speed_audit_reports_nan_displacement(self):
+        p = params(k=2, mc=2.0, ms=0.5, delta=0.5)
+        res = run(gen_local_walk(10, p, 1.0, seed=2).trace, p, algo="ums")
+        res.reports[3].displacements[1] = math.nan
+        res.reports[6].displacements[0] = 0.5  # a finite maximum after the NaN
+        audit = audit_speed_caps(res)
+        assert not audit.ok and audit.violations == [4] and audit.cap_violations == [4]
+        assert math.isnan(audit.max_displacement)
+
     def test_projection_check_requires_projection(self):
         p = params(mc=0.5)
         inst = gen_local_walk(5, p, 1.0, seed=0)

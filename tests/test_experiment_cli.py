@@ -226,12 +226,28 @@ class TestCli:
             json.dumps(dict(valid, params=dict(valid["params"], delta=0.0))))
         assert main(["verify", "--property", "slow-potential", "--trace", trace,
                      "--run", str(tmp_path / "delta-zero.run.json")]) == 2
-        # checker violation: distances that overflow make NaN displacements
+        # input error: finite points whose distances overflow
         (tmp_path / "overflow.jsonl").write_text("\n".join([
             json.dumps(dict(header, ms=1e308, mc=1e308, start=[[1.7e308]])),
             json.dumps({"t": 1, "r": [-1.7e308]})]) + "\n")
-        assert main(["simulate", "--trace", str(tmp_path / "overflow.jsonl")]) == 1
-        assert json.loads(capsys.readouterr().out)["speed_ok"] is False
+        capsys.readouterr()
+        assert main(["simulate", "--trace", str(tmp_path / "overflow.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        # input error: spec files, seeds and construction parameters
+        good_spec = "construction=thm3\nk=2\nx=8\nseeds=0\n"
+        argvs = {}
+        for i, line in enumerate(("seeds=a", "x=zz", "x=8,16", "dlta=0.3", "sweep.bogus=1,2")):
+            (tmp_path / f"bad{i}.spec").write_text(good_spec + line + "\n")
+            argvs[line] = ["sweep", "--spec", str(tmp_path / f"bad{i}.spec")]
+        argvs["--seeds a"] = ["sweep", "--spec", write_spec(tmp_path, good_spec),
+                              "--seeds", "a"]
+        argvs["walk without --mc"] = ["generate", "--construction", "walk",
+                                      "--out", str(tmp_path / "w.jsonl")]
+        for name, argv in argvs.items():
+            assert main(argv) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
         # input error: a negative size budget
         trace = str(tmp_path / "plane.jsonl")
         assert main(["generate", "--construction", "walk", "--k", "2", "--n", "5",

@@ -29,7 +29,7 @@ def mapped(trace, f):
 
 
 def total(trace, params):
-    return run(trace, params, "ums", sim="dc-line").ledger.grand_total
+    return run(trace, params, "ums", sim="dc-line").grand_total
 
 
 def walk(k, mc, delta):

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import random
 import warnings
+from unittest import mock
 
 import pytest
 
 from kmobile.adversary import gen_local_walk
-from kmobile.checks import default_y, potential_factors
+from kmobile.checks import audit_speed_caps, default_y, potential_factors
 from kmobile.cli import _steps_csv
 from kmobile.core import ContractViolationError, InputError, ProblemParams, Trace, distance
 from kmobile.experiment import fmt
@@ -101,7 +102,7 @@ class TestUmsStep:
         p = params(k=2, ms=1.0, mc=0.5, delta=0.0)
         inst = gen_local_walk(60, p, 1.0, seed=12)
         res = run(inst.trace, p, algo="ums", sim="dc-line")
-        assert res.ledger.serving_total == 0.0
+        assert res.serving_total == 0.0
 
 
 class TestWmsStep:
@@ -149,7 +150,7 @@ class TestRun:
         p = params(k=2, mc=1.0, ms=1.0, delta=0.0)
         trace = Trace(requests=[(0.0,)] * 10, start_config=((0.0,), (0.0,)))
         res = run(trace, p, algo="ums")
-        assert res.ledger.grand_total == 0.0
+        assert res.grand_total == 0.0
 
     def test_projection_auto_matches_mode(self):
         p_fast = params(k=1, mc=0.5, ms=1.0, delta=0.0)
@@ -166,15 +167,15 @@ class TestRun:
         for algo in ("ums", "simple"):
             res = run(inst.trace, p, algo=algo, sim="greedy")
             cap = (1 + p.delta) * p.ms
-            assert res.max_displacement() <= cap + 1e-9
+            assert audit_speed_caps(res).max_displacement <= cap + 1e-9
 
     def test_deterministic_ledgers(self):
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
         inst = gen_local_walk(50, p, 1.0, seed=9)
         r1 = run(inst.trace, p, algo="ums")
         r2 = run(inst.trace, p, algo="ums")
-        assert r1.ledger.serving == r2.ledger.serving
-        assert r1.ledger.movement == r2.ledger.movement
+        assert [rep.serving for rep in r1.reports] == [rep.serving for rep in r2.reports]
+        assert [rep.movement for rep in r1.reports] == [rep.movement for rep in r2.reports]
         assert r1.to_dict() == r2.to_dict()
 
     def test_invalid_trace_rejected(self):
@@ -189,7 +190,16 @@ class TestRun:
         res = run(inst.trace, p, algo="ums")
         clone = RunResult.from_dict(res.to_dict())
         assert clone.to_dict() == res.to_dict()
-        assert clone.ledger.grand_total == res.ledger.grand_total
+        assert clone.grand_total == res.grand_total
+
+    def test_run_result_rejects_negative_step_cost(self):
+        p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
+        record = run(gen_local_walk(5, p, 1.0, seed=9).trace, p, algo="ums").to_dict()
+        for key in ("serving", "movement"):
+            bad = json.loads(json.dumps(record))
+            bad["steps"][2][key] = -0.5
+            with pytest.raises(InputError, match="negative cost"):
+                RunResult.from_dict(bad)
 
     def test_simple_ignores_greedy_move(self):
         p = params(k=2, mc=1.0, ms=1.0, delta=0.0)
@@ -203,7 +213,7 @@ class TestRun:
         inst = gen_local_walk(15, p, 1.0, seed=6)
         res = run(inst.trace, p, algo="ums", sim="wfa")
         assert res.sim_tag == "wfa"
-        assert res.ledger.serving_total == 0.0
+        assert res.serving_total == 0.0
         from kmobile.checks import check_fast_potential
 
         assert check_fast_potential(res).ok
@@ -266,10 +276,14 @@ def writer_matrix():
 
 
 def huge_coordinate_run():
-    """A trace the reader accepts whose distances overflow: the record holds NaN and Infinity."""
+    """A run whose distances overflow, so that its record holds NaN and Infinity.
+
+    validate_trace rejects such a trace as an input error; the run skips it.
+    """
     p = ProblemParams(k=1, ms=1e308, mc=1e308, delta=0.0, D=1.0, dim=1)
     trace = Trace(requests=[(-1.7e308,)], start_config=((1.7e308,),))
-    return run(trace, p, algo="ums")
+    with mock.patch("kmobile.mobile.validate_trace", return_value=None):
+        return run(trace, p, algo="ums")
 
 
 class TestRecordWriter:

@@ -4,7 +4,6 @@ import pytest
 
 from kmobile.adversary import gen_thm4
 from kmobile.core import (
-    CostLedger,
     InputError,
     ProblemParams,
     Trace,
@@ -13,6 +12,7 @@ from kmobile.core import (
     validate_trace,
     write_trace,
 )
+from kmobile.mobile import run
 
 
 def params1(**kw):
@@ -121,14 +121,13 @@ def test_read_trace_missing_header(tmp_path):
         read_trace(str(path))
 
 
-def test_cost_ledger_totals():
-    ledger = CostLedger(D=2.0)
-    ledger.add(1.0, 0.5)
-    ledger.add(0.25, 2.0)
-    assert ledger.serving_total == 1.25
-    assert ledger.movement_total == 2.5
-    recomputed = sum(ledger.serving) + ledger.D * sum(ledger.movement)
-    assert abs(ledger.grand_total - recomputed) <= 1e-9 * max(1.0, recomputed)
-    assert ledger.step_cost(1) == 0.25 + 2.0 * 2.0
-    with pytest.raises(InputError):
-        ledger.add(-1.0, 0.0)
+def test_run_totals_are_step_sums():
+    inst = gen_thm4(2, 16, ms=1.0, mc=2.0, D=2.0, seed=1)
+    res = run(inst.trace, inst.params, algo="wms", sim="dc-line")
+    serving = sum(rep.serving for rep in res.reports)
+    movement = sum(rep.movement for rep in res.reports)
+    assert movement > 0.0
+    assert (res.serving_total, res.movement_total) == (serving, movement)
+    assert res.grand_total == serving + 2.0 * movement
+    assert res.to_dict()["ledger"] == {"serving_total": serving, "movement_total": movement,
+                                       "grand_total": res.grand_total}
