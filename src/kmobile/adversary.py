@@ -39,10 +39,6 @@ class GeneratedInstance:
     choices: dict = field(default_factory=dict)
 
 
-def _two_server_targets(x: int, ms: float) -> list[float]:
-    return [-0.75 * x * ms, -0.25 * x * ms, 0.25 * x * ms, 0.75 * x * ms]
-
-
 def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
                         n: int) -> list[Config]:
     """All offline servers head to their targets simultaneously at speed ms."""
@@ -59,21 +55,25 @@ def _max_jump(requests: Sequence[Point]) -> float:
                 for t in range(1, len(requests))), default=0.0)
 
 
-def _pick_target(k: int, x: int, ms: float, rng: Optional[random.Random],
-                 z_choice: Optional[int]):
-    """Z points for the jump constructions; returns (list of Z, choice record)."""
-    if k == 2:
-        values = _two_server_targets(x, ms)
+def _jump_setup(k: int, x: int, ms: float, seed: Optional[int], z_choice: Optional[int]):
+    """The jump constructions' checks, seeded rng, origin and start, then for k=2 the
+    target list [Z] and its choice record (None and None for k > 2)."""
+    if k < 2:
+        raise InputError("construction needs k >= 2")
+    if x <= 0 or x % 8 != 0:
+        raise InputError("x must be a positive multiple of 8")
+    rng = random.Random(seed if seed is not None else 0)
+    origin = (0.0,)
+    start = tuple(origin for _ in range(k))
+    if k != 2:
         if z_choice is not None:
-            if not 0 <= z_choice < TWO_SERVER_CHOICES:
-                raise InputError(f"z_choice must be in 0..{TWO_SERVER_CHOICES - 1}")
-            idx = z_choice
-        else:
-            idx = (rng or random.Random(0)).randrange(TWO_SERVER_CHOICES)
-        return [values[idx]], {"z_index": idx}
-    if z_choice is not None:
-        raise InputError("z_choice enumeration is only defined for k=2")
-    return None, None
+            raise InputError("z_choice enumeration is only defined for k=2")
+        return rng, origin, start, None, None
+    if z_choice is not None and not 0 <= z_choice < TWO_SERVER_CHOICES:
+        raise InputError(f"z_choice must be in 0..{TWO_SERVER_CHOICES - 1}")
+    idx = z_choice if z_choice is not None else rng.randrange(TWO_SERVER_CHOICES)
+    z = (-0.75 * x * ms, -0.25 * x * ms, 0.25 * x * ms, 0.75 * x * ms)[idx]
+    return rng, origin, start, [z], {"z_index": idx}
 
 
 def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
@@ -89,16 +89,8 @@ def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
     The first block is long enough for every offline server to arrive
     before its Z is requested.
     """
-    if k < 2:
-        raise InputError("construction needs k >= 2")
-    if x <= 0 or x % 8 != 0:
-        raise InputError("x must be a positive multiple of 8")
-    rng = random.Random(seed if seed is not None else 0)
-    origin = (0.0,)
-    start = tuple(origin for _ in range(k))
-
+    rng, origin, start, zs, choice = _jump_setup(k, x, ms, seed, z_choice)
     if k == 2:
-        zs, choice = _pick_target(k, x, ms, rng, z_choice)
         z = zs[0]
         phase1 = x
         requests = [origin] * phase1 + [(z,)] * (x // 8)
@@ -107,8 +99,6 @@ def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
         lower = x * x * ms / 264.0
         choices = dict(choice, Z=[z], phase1_len=phase1, phase2_start=phase1 + 1)
     else:
-        if z_choice is not None:
-            raise InputError("z_choice enumeration is only defined for k=2")
         seg = x * ms
         zs = []
         for g in range(k - 1):
@@ -142,15 +132,9 @@ def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
     locality bound.  For k > 2 the line is split into 5(k-1) segments
     grouped in fives; the chosen inner segments neighbor an outer one.
     """
-    if k < 2:
-        raise InputError("construction needs k >= 2")
-    if x <= 0 or x % 8 != 0:
-        raise InputError("x must be a positive multiple of 8")
     if mc < ms:
         raise InputError("needs mc >= ms")
-    rng = random.Random(seed if seed is not None else 0)
-    origin = (0.0,)
-    start = tuple(origin for _ in range(k))
+    rng, origin, start, zs, choice = _jump_setup(k, x, ms, seed, z_choice)
 
     def walk(frm: float, to: float) -> list[Point]:
         out = []
@@ -161,7 +145,6 @@ def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
         return out
 
     if k == 2:
-        zs, choice = _pick_target(k, x, ms, rng, z_choice)
         z = zs[0]
         phase1 = x
         walk_steps = walk(0.0, z)
@@ -172,8 +155,6 @@ def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
                        walk_start=phase1 + 1,
                        final_start=phase1 + len(walk_steps) + 1)
     else:
-        if z_choice is not None:
-            raise InputError("z_choice enumeration is only defined for k=2")
         seg = x * ms
         zs = []
         for g in range(k - 1):

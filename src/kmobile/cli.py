@@ -180,18 +180,7 @@ def cmd_verify(args) -> int:
                                 sigma=args.sigma, offline_start=trace.start_config)
         if args.property == "helper-invariants":
             audit = audit_helper(helper, online, requests, params, sigma=args.sigma)
-            _dump_json({
-                "steps": audit.steps,
-                "guard_fired": audit.guard_fired,
-                "guard_vacuous": audit.guard_vacuous,
-                "speed_violations": audit.speed_violations,
-                "guard_speed_violations": audit.guard_speed_violations,
-                "containment_violations": audit.containment_violations,
-                "distance_bound_violations": audit.distance_bound_violations,
-                "max_speed": audit.max_speed,
-                "speed_cap": audit.speed_cap,
-                "diagnostics": helper.diagnostics,
-            })
+            _dump_json(dict(dataclasses.asdict(audit), diagnostics=helper.diagnostics))
             return EXIT_OK if audit.ok() else EXIT_VIOLATION
         rep = checks.check_slow_potential(result, helper, trace.start_config,
                                           y=args.Y, sigma=args.sigma)

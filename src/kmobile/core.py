@@ -38,12 +38,30 @@ class ContractViolationError(KMobileError):
     """A component broke an interface guarantee it was relied upon for."""
 
 
-def as_point(coords: Sequence[float]) -> Point:
-    if isinstance(coords, (str, bytes)):
-        raise InputError(f"a point is a list of coordinates, got {coords!r}")
-    p = tuple(map(float, coords))
-    if not p:
-        raise InputError("a point needs at least one coordinate")
+# A JSON number parses to an int or a float.  A bool is an int subclass
+# and float() parses a string, so readers test type(), not isinstance().
+NUMBER_TYPES = frozenset((int, float))
+
+
+def as_number(value, what: str) -> float:
+    """A number read from a JSON file, as a float; an int too large raises OverflowError."""
+    if type(value) not in NUMBER_TYPES:
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_int(value, what: str) -> int:
+    """An integer read from a JSON file: a JSON integer, not 1.0 or 1.5."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def as_point(coords) -> Point:
+    """A point read from a JSON file: a non-empty list of finite numbers."""
+    if type(coords) is not list or not coords:
+        raise InputError(f"a point is a non-empty list of coordinates, got {coords!r}")
+    p = tuple(as_number(c, "a coordinate") for c in coords)
     if not all(map(math.isfinite, p)):
         raise InputError(f"non-finite coordinate in point {p}")
     return p
@@ -131,12 +149,10 @@ class ProblemParams:
             raise InputError(f"parameters must be a JSON object, got {obj!r}")
         values = {}
         for f in dataclasses.fields(cls):
-            try:
-                values[f.name] = (int if f.type == "int" else float)(obj[f.name])
-            except KeyError as exc:
-                raise InputError(f"parameters miss field {f.name!r}") from exc
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise InputError(f"parameter {f.name!r} is not a number: {exc}") from exc
+            if f.name not in obj:
+                raise InputError(f"parameters miss field {f.name!r}")
+            read = as_int if f.type == "int" else as_number
+            values[f.name] = read(obj[f.name], f"parameter {f.name!r}")
         return cls(**values)
 
 
@@ -355,7 +371,7 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
@@ -364,14 +380,14 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
                     params = ProblemParams.from_dict(obj)
                     start = tuple(as_point(p) for p in obj["start"])
                 elif "r" in obj:
-                    _put_step(requests, int(obj["t"]), as_point(obj["r"]))
+                    _put_step(requests, as_int(obj["t"], "t"), as_point(obj["r"]))
                 elif "o" in obj:
-                    _put_step(cert, int(obj["t"]), tuple(as_point(p) for p in obj["o"]))
+                    _put_step(cert, as_int(obj["t"], "t"), tuple(as_point(p) for p in obj["o"]))
                 else:
                     raise InputError(f"unrecognized record {sorted(obj)}")
             except KeyError as exc:
                 raise InputError(f"{path}:{lineno}: record misses field {exc}") from exc
-            except (InputError, TypeError, ValueError) as exc:
+            except (InputError, OverflowError, TypeError, ValueError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
     if params is None:
         raise InputError(f"{path}: missing header line")

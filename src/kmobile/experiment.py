@@ -8,7 +8,7 @@ byte-stable across reruns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from kmobile import checks
@@ -55,6 +55,14 @@ class ExperimentSpec:
         for axis, values in self.sweep.items():
             if not values:
                 raise InputError(f"sweep axis {axis} has no values")
+        # A parameter the runs never read must not appear in the aggregate as if applied.
+        for key in sorted({**self.base, **self.sweep}):
+            if self.trace_path is not None:
+                raise InputError(f"spec parameter {key} is not read with trace={self.trace_path}: "
+                                 "the runs take the trace header's parameters")
+            if key not in _point_keys(self.construction):
+                raise InputError(f"spec parameter {key} is not read by construction "
+                                 f"{self.construction}")
 
 
 @dataclass
@@ -69,27 +77,26 @@ class RunRecord:
     checks: dict
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "seed": self.seed,
-            "cost": self.cost,
-            "serving": self.serving,
-            "movement": self.movement,
-            "reference": self.reference,
-            "ratio": self.ratio,
-            "checks": self.checks,
-            "ok": self.ok,
-        }
-
 
 # The construction parameters a sweep point may set, and their types.
 PARAM_TYPES = {"k": int, "x": int, "y": int, "n": int, "dim": int, "z_choice": int,
                "ms": float, "mc": float, "delta": float, "D": float, "step_scale": float}
 
-# Per construction: the parameters it needs; the others default to _DEFAULTS.
-_NEEDS = {"thm3": ("x",), "thm4": ("x", "mc"), "simple-cx": ("x", "y"), "walk": ("mc",)}
+# Per construction: the parameters its generator reads, passed by name;
+# a parameter without a _DEFAULTS entry must be given.
+_READS = {"thm3": ("k", "x", "D", "ms", "delta"),
+          "thm4": ("k", "x", "ms", "mc", "D", "delta"),
+          "simple-cx": ("x", "y", "ms"),
+          "walk": ("k", "ms", "mc", "delta", "D", "dim", "n", "step_scale")}
 _DEFAULTS = {"k": 2, "n": 100, "dim": 1, "ms": 1.0, "delta": 0.5, "D": 1.0, "step_scale": 1.0}
+
+
+def _point_keys(construction: str) -> tuple[str, ...]:
+    """The parameters a sweep point may set: those the construction's generator reads,
+    and ``z_choice`` for the two-server constructions, which pick their target by it."""
+    if construction not in _READS:
+        raise InputError(f"unknown construction {construction!r}")
+    return _READS[construction] + (("z_choice",) if construction in ("thm3", "thm4") else ())
 
 
 def _param_value(key: str, value):
@@ -149,25 +156,22 @@ def build_instance(construction: str, point: dict, seed: int,
 
     ``z_choice``, not the point's, picks the two-server target.
     """
-    needed = _NEEDS.get(construction)
-    if needed is None:
-        raise InputError(f"unknown construction {construction!r}")
+    _point_keys(construction)  # an unknown construction raises here
     p = dict(_DEFAULTS)
     p.update((key, _param_value(key, value)) for key, value in point.items())
-    for key in needed:
+    args = {}
+    for key in _READS[construction]:
         if key not in p:
             raise InputError(f"construction {construction} needs {key}")
+        args[key] = p[key]
     if construction == "thm3":
-        return gen_thm3(p["k"], p["x"], D=p["D"], ms=p["ms"], seed=seed, z_choice=z_choice,
-                        delta=p["delta"])
+        return gen_thm3(**args, seed=seed, z_choice=z_choice)
     if construction == "thm4":
-        return gen_thm4(p["k"], p["x"], ms=p["ms"], mc=p["mc"], D=p["D"], seed=seed,
-                        z_choice=z_choice, delta=p["delta"])
+        return gen_thm4(**args, seed=seed, z_choice=z_choice)
     if construction == "simple-cx":
-        return gen_simple_counterexample(p["x"], p["y"], ms=p["ms"])
-    params = ProblemParams(k=p["k"], ms=p["ms"], mc=p["mc"], delta=p["delta"], D=p["D"],
-                           dim=p["dim"])
-    return gen_local_walk(p["n"], params, p["step_scale"], seed)
+        return gen_simple_counterexample(**args)
+    n, step_scale = args.pop("n"), args.pop("step_scale")
+    return gen_local_walk(n, ProblemParams(**args), step_scale, seed)
 
 
 def _dp_reference(instance: GeneratedInstance) -> Optional[float]:
@@ -278,7 +282,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], dict]:
             "seeds": spec.seeds,
             "sweep": spec.sweep,
         },
-        "records": [r.to_dict() for r in records],
+        "records": [asdict(r) for r in records],
         "all_ok": all(r.ok for r in records),
     }
     return records, aggregate

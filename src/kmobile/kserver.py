@@ -18,6 +18,7 @@ from kmobile.core import (
     Point,
     ProblemParams,
     ResourceBudgetError,
+    check_dims,
     distance,
     min_weight_matching,
     read_budget,
@@ -227,11 +228,6 @@ class WorkFunctionServer(GuidanceSimulator):
         self.positions = tuple(cur)
         return SimStep(self.positions, 0.0, moved)
 
-    def value(self, conf_points: Sequence[Point]) -> float:
-        """Current work-function value of a configuration (testing hook)."""
-        conf = tuple(sorted(self.index[p] for p in conf_points))
-        return self.values[conf]
-
 
 class PageMigrationCounter(GuidanceSimulator):
     """Deterministic k-page-migration heuristic with per-page credits.
@@ -246,23 +242,26 @@ class PageMigrationCounter(GuidanceSimulator):
         if D < 1.0:
             raise InputError("page migration needs D >= 1")
         self.positions = tuple(start)
+        self.dim = len(self.positions[0])
+        check_dims(self.positions, self.dim)
         self.D = D
         self.credits = [0.0] * len(start)
 
     def step(self, r: Point) -> SimStep:
-        dists = [distance(p, r) for p in self.positions]
+        # Checked once here, then measured with math.dist.
+        check_dims((r,), self.dim)
+        dists = [math.dist(p, r) for p in self.positions]
         i = dists.index(min(dists))
         d = dists[i]
         self.credits[i] += d
-        movement = 0.0
         if d > 0.0 and self.credits[i] >= 2.0 * self.D * d:
             pos = list(self.positions)
             pos[i] = r
             self.positions = tuple(pos)
-            movement = d
             self.credits[i] = 0.0
-        serving = min(distance(p, r) for p in self.positions)
-        return SimStep(self.positions, serving, movement)
+            # The page now on r serves it; the others are at least d away.
+            return SimStep(self.positions, 0.0, d)
+        return SimStep(self.positions, d, 0.0)
 
 
 class SplitServeLine(GuidanceSimulator):

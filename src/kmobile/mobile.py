@@ -13,20 +13,19 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from kmobile.core import (
+    NUMBER_TYPES,
     Config,
     ContractViolationError,
     InputError,
     Point,
     ProblemParams,
     Trace,
-    as_point,
+    as_number,
     check_dims,
     min_weight_matching,
-    move_toward,
     validate_trace,
 )
 from kmobile.kserver import GuidanceSimulator, default_sim_tag, make_simulator
@@ -55,7 +54,7 @@ def derive_mode(params: ProblemParams, algo: str) -> tuple[str, Optional[float]]
     return "fast", min(eps_raw, 1.0 - 1e-9)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     """Everything a verifier needs to replay one step."""
 
@@ -166,23 +165,26 @@ class RunResult:
         """The steps as json.dumps indents them at depth 1.
 
         The stdlib's indenting encoder is pure Python.  Here each step
-        fills one %-template built from the sorted step keys, and ``%s``
-        spells a float as ``float.__repr__`` does, which is json's spelling
-        of a finite float.  json spells the others NaN, Infinity and
-        -Infinity; one replace of "nan" and "inf" over the text does the
-        same, because no key, branch tag or "null" holds those letters.
+        fills one %-template built from the sorted step keys, from one
+        tuple holding the step's leaves in that same key order, and
+        ``%s`` spells a float as ``float.__repr__`` does, which is json's
+        spelling of a finite float.  json spells the others NaN, Infinity
+        and -Infinity; one replace of "nan" and "inf" over the text does
+        the same, because no key, branch tag or "null" holds those letters.
         """
         if not self.reports:
             return "[]"
-        keys = sorted(STEP_FIELDS)
         k, dim = self.params.k, self.params.dim
-        members = [f'"{key}": {_value_template(STEP_FIELDS[key][1], k, dim)}' for key in keys]
+        members = [f'"{key}": {_value_template(STEP_FIELDS[key][1], k, dim)}'
+                   for key in sorted(STEP_FIELDS)]
         template = "{" + _json_list(members, 2)[1:-1] + "}"
         assert "nan" not in template and "inf" not in template
-        fields = attrgetter(*(STEP_FIELDS[key][0] for key in keys))
-        leaves = [_LEAVES[STEP_FIELDS[key][1]] for key in keys]
-        text = _json_list([template % tuple(chain.from_iterable(
-            leaf(value) for leaf, value in zip(leaves, fields(r)))) for r in self.reports], 1)
+        flat = chain.from_iterable
+        text = _json_list([template % (
+            *flat(r.positions), r.branch, *flat(r.sim_positions), *r.caps, r.cost,
+            *r.displacements, r.matched_sum, r.movement, "null" if r.mover is None else r.mover,
+            *r.perm, *r.request, r.serving, r.sim_cost, r.sim_movement, r.sim_serving, r.t)
+            for r in self.reports], 1)
         return text.replace("nan", "NaN").replace("inf", "Infinity")
 
     @classmethod
@@ -190,37 +192,7 @@ class RunResult:
         """Inverse of to_dict; a missing or malformed field raises InputError."""
         try:
             params = ProblemParams.from_dict(obj["params"])
-            k, dim = params.k, params.dim
-
-            def point(coords) -> Point:
-                p = as_point(coords)
-                if len(p) != dim:
-                    raise InputError(f"run record point has {len(p)} coordinates "
-                                     f"where dim={dim} belong")
-                return p
-
-            def per_server(values, cast=float) -> list:
-                out = list(map(cast, values))
-                if len(out) != k:
-                    raise InputError(f"run record step lists {len(out)} entries "
-                                     f"where k={k} belong")
-                return out
-
-            reports = []
-            for s in obj["steps"]:
-                branch = s["branch"]
-                if branch not in BRANCH_TAGS:
-                    raise InputError(f"run record branch {branch!r} is not one of {BRANCH_TAGS}")
-                rep = StepReport(
-                    int(s["t"]), point(s["r"]), tuple(per_server(s["perm"], int)), branch,
-                    None if s["mover"] is None else int(s["mover"]),
-                    per_server(s["caps"]), per_server(s["disp"]),
-                    *map(float, (s["serving"], s["movement"], s["cost"], s["sim_serving"],
-                                 s["sim_movement"], s["sim_cost"], s["matched_sum"])),
-                    tuple(per_server(s["a"], point)), tuple(per_server(s["c"], point)))
-                if rep.serving < 0 or rep.movement < 0:
-                    raise InputError(f"run record step {rep.t} has a negative cost")
-                reports.append(rep)
+            reports = _read_steps(obj["steps"], params.k, params.dim)
             algo = obj["algo"]
             if algo not in ALGO_TAGS:
                 raise InputError(f"run record algorithm {algo!r} is not one of {ALGO_TAGS}")
@@ -231,7 +203,7 @@ class RunResult:
                                  f"{mode!r} and {epsilon!r}")
             audit = obj.get("projection")
             if audit is not None and not (isinstance(audit, dict) and all(
-                    isinstance(audit.get(key), (int, float)) for key in AUDIT_KEYS)):
+                    type(audit.get(key)) in NUMBER_TYPES for key in AUDIT_KEYS)):
                 raise InputError(f"run record projection audit needs the numbers {AUDIT_KEYS}")
             # JSON booleans, as the algorithm and the audit's presence give them.
             flags = {"weighted": algo == "wms", "project": audit is not None}
@@ -243,12 +215,79 @@ class RunResult:
             return cls(algo=algo, sim_tag=obj["sim"], params=params, mode=mode,
                        epsilon=epsilon, project=flags["project"],
                        weighted=flags["weighted"], reports=reports,
-                       psi0_matched_sum=float(obj["psi0_matched_sum"]),
+                       psi0_matched_sum=as_number(obj["psi0_matched_sum"],
+                                                  "run record psi0_matched_sum"),
                        projection_audit=audit)
         except KeyError as exc:
             raise InputError(f"run record misses field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"malformed run record: {exc}") from exc
+
+
+def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
+    """A record's step reports, read one column (one key over all steps) at a time.
+
+    Each check runs once over a column's flattened values, where each
+    step's values sit side by side; only a failed check looks for the
+    first bad value, to name its step.
+    """
+    def check(ok: bool, values: list, width: int, bad, what: str) -> None:
+        """Unless ``ok``, fail at the step of the first value that is ``bad``."""
+        if not ok:
+            i = next(i for i, v in enumerate(values) if bad(v))
+            raise InputError(f"run record step {i // width + 1}: {what}, got {values[i]!r}")
+
+    def column(key: str) -> list:
+        try:
+            return [s[key] for s in steps]
+        except KeyError:
+            check(False, steps, 1, lambda s: key not in s, f"a step needs the field {key!r}")
+
+    def items(values: list, length: int, width: int, what: str) -> list:
+        """The items of ``values`` (``width`` a step), each a list of ``length``, chained."""
+        check(set(map(type, values)) <= {list} and set(map(len, values)) <= {length}, values,
+              width, lambda v: type(v) is not list or len(v) != length,
+              f"{what} must list {length} entries")
+        return list(chain.from_iterable(values))
+
+    def numbers(values: list, width: int, what: str, integral=False) -> list:
+        types = {int} if integral else NUMBER_TYPES
+        check(set(map(type, values)) <= types, values, width, lambda v: type(v) not in types,
+              f"{what} must be {'an integer' if integral else 'a number'}")
+        return values if integral else list(map(float, values))
+
+    def points(values: list, per_step: int, what: str) -> zip:
+        coords = numbers(items(values, dim, per_step, what), per_step * dim, "a coordinate")
+        check(all(map(math.isfinite, coords)), coords, per_step * dim,
+              lambda x: not math.isfinite(x), "a coordinate must be finite")
+        return _chunks(coords, dim)
+
+    def per_server(key: str, integral=False) -> zip:
+        return _chunks(numbers(items(column(key), k, 1, key), k, key, integral), k)
+
+    check(set(map(type, steps)) <= {dict}, steps, 1, lambda s: type(s) is not dict,
+          "a step must be an object")
+    branch, mover = column("branch"), column("mover")
+    check(all(map(BRANCH_TAGS.__contains__, branch)), branch, 1,
+          lambda b: b not in BRANCH_TAGS, f"the branch must be one of {BRANCH_TAGS}")
+    check(set(map(type, mover)) <= {int, type(None)}, mover, 1,
+          lambda m: m is not None and type(m) is not int, "the mover must be an integer or null")
+    costs = [numbers(column(key), 1, key) for key in (
+        "serving", "movement", "cost", "sim_serving", "sim_movement", "sim_cost", "matched_sum")]
+    for key, values in zip(("serving", "movement"), costs):
+        check(not any(map((0.0).__gt__, values)), values, 1, (0.0).__gt__,
+              f"{key} is a negative cost")
+    return list(map(
+        StepReport, numbers(column("t"), 1, "t", integral=True), points(column("r"), 1, "r"),
+        per_server("perm", integral=True), branch, mover, map(list, per_server("caps")),
+        map(list, per_server("disp")), *costs,
+        *(_chunks(points(items(column(key), k, 1, key), k, f"a point of {key}"), k)
+          for key in ("a", "c"))))
+
+
+def _chunks(values, size: int) -> zip:
+    """Consecutive tuples of ``size`` items of ``values``."""
+    return zip(*[iter(values)] * size)
 
 
 def _json_value(shape: str, value):
@@ -277,17 +316,6 @@ def _value_template(shape: str, k: int, dim: int) -> str:
     if shape == "config":
         return _json_list([_json_list(["%s"] * dim, 4)] * k, 3)
     return "%s"
-
-
-# Per shape: a step field's leaves in the order its template holds them.
-_LEAVES = {
-    "number": lambda v: (v,),
-    "tag": lambda v: (v,),
-    "mover": lambda v: ("null" if v is None else v,),
-    "list": iter,
-    "point": iter,
-    "config": chain.from_iterable,
-}
 
 
 class MobileRun:
@@ -322,8 +350,8 @@ class MobileRun:
         check_dims(c, dim)
         perm = min_weight_matching(self.positions, c).perm
         matched = [c[j] for j in perm]
-        branch, mover, caps, targets = self._POLICIES[self.algo](self, r, c, perm, matched)
-        new_pos, disps = self._apply(targets, caps)
+        branch, mover, caps, targets, moved = self._POLICIES[self.algo](self, r, c, perm, matched)
+        new_pos, disps = moved or self._apply(targets, caps)
         self.positions = new_pos
         serving = min(math.dist(p, r) for p in new_pos)
         movement = sum(disps)
@@ -340,17 +368,30 @@ class MobileRun:
         return rep
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
-        new_pos = tuple(move_toward(p, tgt, cap)
-                        for p, tgt, cap in zip(self.positions, targets, caps))
-        disps = list(map(math.dist, self.positions, new_pos))
-        return new_pos, disps
+        """``core.move_toward`` of each server with its target and cap, and how far it went.
+
+        Each distance is measured once: a server that reaches its target
+        went exactly that distance.
+        """
+        if any(map((0.0).__gt__, caps)):
+            raise InputError("movement cap must be nonnegative")
+        new_pos, disps = [], []
+        for p, tgt, cap in zip(self.positions, targets, caps):
+            d = math.dist(p, tgt)
+            if not d <= cap:  # a NaN distance included, as in move_toward
+                tgt = p if cap == 0.0 else tuple(pc + cap / d * (tc - pc) for pc, tc in zip(p, tgt))
+                d = math.dist(p, tgt)
+            new_pos.append(tgt)
+            disps.append(d)
+        return tuple(new_pos), disps
 
     def _nearest_index(self, r: Point) -> int:
         dists = [math.dist(p, r) for p in self.positions]
         return dists.index(min(dists))
 
     # A policy gets the request, the guidance c, the matching perm and the
-    # matched guidance (read-only); it returns branch, mover, caps, targets.
+    # matched guidance (read-only); it returns branch, mover, caps, targets
+    # and, when it has already applied them, the move that _apply gives.
 
     def _ums_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
@@ -362,12 +403,12 @@ class MobileRun:
         cap_full = params.online_speed
         caps = [cap_full] * params.k
         if math.dist(self.positions[j], r) <= cap_full:
-            return "matched", None, caps, matched
+            return "matched", None, caps, matched, None
         mover = self._nearest_index(r)
         targets = list(matched)
         targets[mover] = r
         caps[mover] = (1.0 + params.delta / 2.0) * params.ms
-        return "greedy", mover, caps, targets
+        return "greedy", mover, caps, targets, None
 
     def _wms_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
@@ -384,16 +425,17 @@ class MobileRun:
         caps[mover] = cap_mover
         targets = list(matched)
         targets[mover] = r
-        tentative, _ = self._apply(targets, caps)
+        moved = self._apply(targets, caps)
+        tentative = moved[0]
         d_mover = math.dist(tentative[mover], r)
         overtaken = any(math.dist(tentative[i], r) < d_mover
                         for i in range(params.k) if i != mover)
         if overtaken:
-            return "fallback", None, [params.ms] * params.k, matched
-        return "tentative", mover, caps, targets
+            return "fallback", None, [params.ms] * params.k, matched, None
+        return "tentative", mover, caps, targets, moved
 
     def _simple_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
-        return "matching-only", None, [self.params.online_speed] * self.params.k, matched
+        return "matching-only", None, [self.params.online_speed] * self.params.k, matched, None
 
     # Plain functions: a bound method kept on the run would be a reference
     # cycle holding every step report until the cyclic collector runs.

@@ -59,21 +59,6 @@ class GridSpec:
         n = math.ceil((hi - lo) / h - 1e-12) + 1
         return cls(lo, lo + (n - 1) * h, n)
 
-    def snap(self, x: float) -> float:
-        if self.n == 1:
-            return self.lo
-        i = round((x - self.lo) / self.h)
-        i = min(max(i, 0), self.n - 1)
-        return self.lo + i * self.h
-
-
-def snap_trace(trace: Trace, grid: GridSpec) -> Trace:
-    """Trace with all requests and start positions moved to grid points."""
-    return Trace(
-        requests=[(grid.snap(r[0]),) for r in trace.requests],
-        start_config=tuple((grid.snap(p[0]),) for p in trace.start_config),
-        certificate=None)
-
 
 def dp_optimum(trace: Trace, params: ProblemParams,
                grid: GridSpec) -> tuple[float, list[Config]]:
@@ -212,20 +197,6 @@ def step_geometry(offline_conf: Config, online_conf: Config, r: Point,
                         outer=outer, in_inner=dists[i] <= inner)
 
 
-def classify_transition(offline: Sequence[Config], online: Sequence[Config],
-                        requests: Sequence[Point], params: ProblemParams,
-                        t1: int, t2: int, sigma: float = 1.0) -> str:
-    """Long or short transition between two in-inner steps (1-based)."""
-    n = len(requests)
-    if not 1 <= t1 < t2 <= n:
-        raise InputError(f"need 1 <= t1 < t2 <= {n}")
-    g1 = step_geometry(offline[t1 - 1], online[t1 - 1], requests[t1 - 1], params, sigma)
-    g2 = step_geometry(offline[t2 - 1], online[t2 - 1], requests[t2 - 1], params, sigma)
-    if not (g1.in_inner and g2.in_inner):
-        raise InputError("transition endpoints must have the request inside the inner circle")
-    return "long" if (t2 - t1) > g1.inner / params.mc + 2.0 else "short"
-
-
 @dataclass
 class HelperTrajectory:
     start: Point
@@ -278,12 +249,8 @@ class _Step3Plan(_ChasePlan):
     kind = "step3"
 
     def __init__(self, ctx: "_HelperContext", s0: int):
-        release = None
         thresh = 2.0 * ctx.engage
-        for t in range(s0, ctx.n + 1):
-            if ctx.geo[t - 1].d_oa >= thresh:
-                release = t
-                break
+        release = next((t for t in range(s0, ctx.n + 1) if ctx.geo[t - 1].d_oa >= thresh), None)
         super().__init__(ctx, s0, release)
 
     def end_anchor(self):
@@ -377,10 +344,7 @@ class _HelperContext:
         return min(distance(pos, a) for a in self.online[t - 1])
 
     def next_anchor(self, t: int) -> Optional[int]:
-        for a in self.anchors:
-            if a >= t:
-                return a
-        return None
+        return next((a for a in self.anchors if a >= t), None)
 
     def find_termination(self, anchor: int):
         """First terminating event of the sequence starting at an anchor.

@@ -90,12 +90,11 @@ class ProjectionWrapper(GuidanceSimulator):
                 self.phase_ends += 1
         movement = sum(map(math.dist, self.positions, hat))
         self.positions = tuple(hat)
-        serving = min(math.dist(p, r) for p in self.positions)
+        dists = [math.dist(p, r) for p in hat]
+        serving = min(dists)
         self.proj_serving += serving
         self.proj_movement += movement
-        self.max_request_distance = max(
-            self.max_request_distance,
-            max(math.dist(p, r) for p in self.positions))
+        self.max_request_distance = max(self.max_request_distance, max(dists))
         return SimStep(self.positions, serving, movement)
 
     def raw_cost(self) -> float:

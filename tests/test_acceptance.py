@@ -24,14 +24,24 @@ from kmobile.checks import (
 )
 from kmobile.core import (
     ProblemParams,
+    Trace,
     certificate_cost,
     distance,
     min_weight_matching,
 )
 from kmobile.mobile import run
-from kmobile.offline import GridSpec, audit_helper, compute_helper, dp_optimum, snap_trace
+from kmobile.offline import GridSpec, audit_helper, compute_helper, dp_optimum
 
 RUNS = []  # (label, RunResult) for the cross-cutting speed-cap criterion
+
+
+def snap_trace(trace, grid):
+    """The trace with every request and start position moved to its nearest grid point."""
+    def snap(p):
+        i = min(max(round((p[0] - grid.lo) / grid.h), 0), grid.n - 1)
+        return (grid.lo + i * grid.h,)
+
+    return Trace([snap(r) for r in trace.requests], tuple(map(snap, trace.start_config)))
 
 
 def record(label, result):

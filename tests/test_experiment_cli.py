@@ -176,6 +176,16 @@ class TestCli:
             "string-start.jsonl": [json.dumps(dict(header, start=["0"])), request],
             "no-params.run.json": ['{"algo": "ums"}'],
             "truncated.run.json": ['{"algo": "ums", "params"'],
+            # a number read from a file must be a JSON number, an integral one where an int belongs
+            "string-coordinate.jsonl": [json.dumps(header), json.dumps({"t": 1, "r": ["0.42"]})],
+            "bool-coordinate.jsonl": [json.dumps(header), json.dumps({"t": 1, "r": [True]})],
+            "fraction-t.jsonl": [json.dumps(header), json.dumps({"t": 1.5, "r": [0.0]})],
+            "fraction-k.jsonl": [json.dumps(dict(header, k=2.7, start=[[0.0], [0.0]])), request],
+            "string-ms.jsonl": [json.dumps(dict(header, ms="1.0")), request],
+            "bool-dim.jsonl": [json.dumps(dict(header, dim=True)), request],
+            # integers too large for a float, and too long to parse
+            "huge-int.jsonl": [json.dumps(header), '{"t": 1, "r": [1' + "0" * 400 + "]}"],
+            "long-int.jsonl": [json.dumps(header), '{"t": 1, "r": [1' + "0" * 5000 + "]}"],
         }
         # run records with one malformed point or configuration in their first step
         trace = str(tmp_path / "thm3.jsonl")
@@ -186,10 +196,19 @@ class TestCli:
         valid = json.loads(record.read_text())
         for name, key, value in (("string-a.run.json", "a", [["x"], ["y"]]),
                                  ("one-server-a.run.json", "a", [[0.0]]),
-                                 ("string-r.run.json", "r", "12")):
+                                 ("string-r.run.json", "r", "12"),
+                                 ("float-perm.run.json", "perm", [0.0, 1.0]),
+                                 ("string-t.run.json", "t", "1"),
+                                 ("fraction-mover.run.json", "mover", 0.5),
+                                 ("string-serving.run.json", "serving", "0.5"),
+                                 ("bool-cost.run.json", "cost", True),
+                                 ("string-caps.run.json", "caps", ["1.5", "1.5"])):
             bad = copy.deepcopy(valid)
             bad["steps"][0][key] = value
             bad_inputs[name] = [json.dumps(bad)]
+        for name, key, value in (("float-k.run.json", "k", 2.0),
+                                 ("string-delta.run.json", "delta", "0.5")):
+            bad_inputs[name] = [json.dumps(dict(valid, params=dict(valid["params"], **{key: value})))]
         # flags that are not the JSON booleans the algorithm and the audit give
         for name, key, value in (("weighted-no.run.json", "weighted", "no"),
                                  ("project-false.run.json", "project", False)):
@@ -244,10 +263,20 @@ class TestCli:
                               "--seeds", "a"]
         argvs["walk without --mc"] = ["generate", "--construction", "walk",
                                       "--out", str(tmp_path / "w.jsonl")]
+        # parameters the runs never read, named with the construction or the trace
+        unread = {"y=5": ("construction thm3", good_spec), "n=7": ("construction thm3", good_spec),
+                  "k=3": (f"trace={trace}", f"trace={trace}\nseeds=0\n"),
+                  "mc=9.0": (f"trace={trace}", f"trace={trace}\nseeds=0\n")}
+        for line, (_, text) in unread.items():
+            (tmp_path / f"unread-{line}.spec").write_text(text + line + "\n")
+            argvs[line] = ["sweep", "--spec", str(tmp_path / f"unread-{line}.spec")]
         for name, argv in argvs.items():
             assert main(argv) == 2, name
             err = capsys.readouterr().err
             assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
+            if name in unread:
+                assert f"parameter {name.split('=')[0]} " in err, (name, err)
+                assert unread[name][0] in err, (name, err)
         # input error: a negative size budget
         trace = str(tmp_path / "plane.jsonl")
         assert main(["generate", "--construction", "walk", "--k", "2", "--n", "5",
@@ -330,12 +359,19 @@ def node_paths(node, path=()):
             yield from node_paths(value, path + (i,))
 
 
-MUTATIONS = ("string", "null", "empty", "wrong-length", "nested", "nan")
+MUTATIONS = ("string", "null", "empty", "wrong-length", "nested", "nan",
+             "number-string", "bool", "fraction")
 
 
 def mutated(value, kind: str, text: str):
     if kind == "string":
         return text
+    if kind == "number-string":
+        return str(value)
+    if kind == "bool":
+        return True
+    if kind == "fraction":
+        return 0.5
     if kind == "null":
         return None
     if kind == "empty":
@@ -360,7 +396,13 @@ def test_verify_survives_mutated_records(valid_records, data):
     parent = record
     for key in where[:-1]:
         parent = parent[key]
-    parent[where[-1]] = mutated(parent[where[-1]], kind, text)
+    original = parent[where[-1]]
+    parent[where[-1]] = mutated(original, kind, text)
+    # A number in the steps or the parameters read as a string or a bool, or an
+    # integer read as 0.5, is an input error.
+    must_reject = where[0] in ("steps", "params") and (
+        (kind in ("number-string", "bool") and type(original) in (int, float))
+        or (kind == "fraction" and type(original) is int))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh)
     for prop in RECORD_PROPERTIES:
@@ -368,6 +410,7 @@ def test_verify_survives_mutated_records(valid_records, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["verify", "--property", prop, "--run", path, "--trace", trace])
         assert code in (0, 1, 2), (prop, where, kind)
+        assert code == 2 or not must_reject, (prop, where, kind)
         if code == 2:
             assert err.getvalue().startswith("input error: "), (prop, where, kind)
             assert err.getvalue().count("\n") == 1, (prop, where, kind)

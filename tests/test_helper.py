@@ -5,7 +5,6 @@ import pytest
 from kmobile.core import InputError, ProblemParams, distance
 from kmobile.offline import (
     audit_helper,
-    classify_transition,
     compute_helper,
     engage_threshold,
     follow_speed,
@@ -24,6 +23,18 @@ def params(**kw):
 
 def static(conf, n):
     return [conf] * n
+
+
+def classify_transition(offline, online, requests, params, t1, t2, sigma=1.0):
+    """Long or short transition between two in-inner steps (1-based)."""
+    n = len(requests)
+    if not 1 <= t1 < t2 <= n:
+        raise InputError(f"need 1 <= t1 < t2 <= {n}")
+    g1 = step_geometry(offline[t1 - 1], online[t1 - 1], requests[t1 - 1], params, sigma)
+    g2 = step_geometry(offline[t2 - 1], online[t2 - 1], requests[t2 - 1], params, sigma)
+    if not (g1.in_inner and g2.in_inner):
+        raise InputError("transition endpoints must have the request inside the inner circle")
+    return "long" if (t2 - t1) > g1.inner / params.mc + 2.0 else "short"
 
 
 class TestGeometry:

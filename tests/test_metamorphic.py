@@ -1,4 +1,4 @@
-"""Metamorphic checks of UMS under double-coverage guidance on the line.
+"""Metamorphic checks of the online algorithms on the line.
 
 Translating every point leaves the total cost unchanged up to rounding.
 On the walks below, whose servers all start on the first request,
@@ -9,7 +9,15 @@ ties between co-located servers go to the lowest index, which a mirror
 image does not preserve, so the mirrored run can move other servers:
 at k=2, x=16, seed 0 the total is 25.0 and the mirrored total 22.75.
 That is the tie-break, not a fault, so it is not asserted.
+
+Scaling every coordinate, ms and mc by a factor scales the total by the
+same factor: on UMS/dc-line and WMS/pm-counter walks and on 1-D thm3
+(k=2, 4, slow mode with the projection).  It is asserted within 1e-12
+relative; for the factors 2 and 0.5 every total came out exact, as
+expected where multiplying by a power of two adds no rounding.
 """
+import dataclasses
+
 import pytest
 
 from kmobile.adversary import gen_local_walk, gen_thm3
@@ -56,3 +64,31 @@ def test_reflecting_a_walk_keeps_the_total(k):
     inst = walk(k, 1.5, 0.2)
     base = total(inst.trace, inst.params)
     assert total(mapped(inst.trace, lambda x: -x), inst.params) == pytest.approx(base, rel=REL)
+
+
+def scaled_total(inst, factor, algo, sim):
+    """grand_total with every coordinate, ms and mc multiplied by factor."""
+    params = dataclasses.replace(inst.params, ms=inst.params.ms * factor,
+                                 mc=inst.params.mc * factor)
+    return run(mapped(inst.trace, lambda x: x * factor), params, algo, sim=sim).grand_total
+
+
+def weighted_walk(k, D):
+    params = ProblemParams(k=k, ms=1.0, mc=1.2, delta=0.5, D=D)
+    return gen_local_walk(200, params, 1.0, seed=10 + k)
+
+
+SCALED = ([pytest.param(walk(k, mc, delta), "ums", "dc-line", id=f"ums-walk-k{k}-mc{mc}")
+           for k in (1, 2, 3) for mc, delta in ((0.8, 0.0), (1.5, 0.2))]
+          + [pytest.param(weighted_walk(k, D), "wms", "pm-counter", id=f"wms-walk-k{k}-D{D}")
+             for k, D in ((1, 2.0), (2, 3.0), (3, 2.5))]
+          + [pytest.param(gen_thm3(k, 16, seed=k), "ums", "dc-line", id=f"thm3-k{k}")
+             for k in (2, 4)])
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+@pytest.mark.parametrize("inst,algo,sim", SCALED)
+def test_scaling_scales_the_total(inst, algo, sim, factor):
+    base = run(inst.trace, inst.params, algo, sim=sim).grand_total
+    assert base > 0.0
+    assert scaled_total(inst, factor, algo, sim) == pytest.approx(factor * base, rel=1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import warnings
 from unittest import mock
@@ -9,7 +10,14 @@ import pytest
 from kmobile.adversary import gen_local_walk
 from kmobile.checks import audit_speed_caps, default_y, potential_factors
 from kmobile.cli import _steps_csv
-from kmobile.core import ContractViolationError, InputError, ProblemParams, Trace, distance
+from kmobile.core import (
+    ContractViolationError,
+    InputError,
+    ProblemParams,
+    Trace,
+    distance,
+    move_toward,
+)
 from kmobile.experiment import fmt
 from kmobile.kserver import GreedyServer, PageMigrationCounter, ScriptedSimulator, SimStep
 from kmobile.mobile import ALGO_TAGS, MobileRun, RunResult, derive_mode, run
@@ -286,6 +294,25 @@ def huge_coordinate_run():
         return run(trace, p, algo="ums")
 
 
+def bits(value):
+    """A step field with every float spelled by float.hex, so -0.0 and NaN compare exactly."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [bits(v) for v in value]
+    return value
+
+
+def report_bits(rep):
+    return {f.name: bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+
+
+def reference_apply(positions, targets, caps):
+    """MobileRun._apply as it was: move_toward per server, then math.dist per server."""
+    new_pos = tuple(move_toward(p, tgt, cap) for p, tgt, cap in zip(positions, targets, caps))
+    return new_pos, list(map(math.dist, positions, new_pos))
+
+
 class TestRecordWriter:
     EXTRA = {"trace_path": 'dir "q" \\ ünïcöde\n"steps": null\n  "steps": null',
              "seed": 7, "speed_audit": {"ok": True, "max_displacement": 1.5, "cap": 1.5}}
@@ -321,3 +348,62 @@ class TestRecordWriter:
         res = run(gen_local_walk(3, p, 1.0, seed=3).trace, p, algo="ums")
         res = RunResult.from_dict(dict(res.to_dict(), steps=[]))
         assert res.to_json({}) == stdlib_record(res, {})
+
+    def test_reader_gives_back_every_report_field(self):
+        for res in writer_matrix():
+            clone = RunResult.from_dict(json.loads(res.to_json(self.EXTRA)))
+            assert list(map(report_bits, clone.reports)) == list(map(report_bits, res.reports))
+
+
+class TestStepMove:
+    def test_apply_equals_the_move_toward_reference(self):
+        rng = random.Random(11)
+        seen = set()
+        for k in range(1, 9):
+            for dim in (1, 2, 3):
+                p = params(k=k, dim=dim)
+                for _ in range(40):
+                    pos = [tuple(rng.uniform(-3.0, 3.0) for _ in range(dim)) for _ in range(k)]
+                    if k > 1 and rng.random() < 0.3:
+                        pos[-1] = pos[0]  # co-located servers
+                    targets = [q if rng.random() < 0.2 else
+                               tuple(rng.uniform(-3.0, 3.0) for _ in range(dim)) for q in pos]
+                    caps = []
+                    for q, tgt in zip(pos, targets):
+                        kind = rng.choice(("zero", "exact", "above", "below"))
+                        d = math.dist(q, tgt)
+                        caps.append({"zero": 0.0, "exact": d, "above": d + rng.random(),
+                                     "below": d * rng.random()}[kind])
+                        seen.add(kind if d > 0.0 else "at-target")
+                    mrun = MobileRun(p, "ums", GreedyServer(pos), pos, "fast", 0.5)
+                    got = mrun._apply(targets, caps)
+                    want = reference_apply(tuple(pos), targets, caps)
+                    assert bits(got) == bits(want), (k, dim, pos, targets, caps)
+        assert seen == {"zero", "exact", "above", "below", "at-target"}
+
+    def test_apply_rejects_a_negative_cap(self):
+        mrun = MobileRun(params(k=2), "ums", GreedyServer([(0.0,), (1.0,)]),
+                         [(0.0,), (1.0,)], "fast", 0.5)
+        with pytest.raises(InputError, match="nonnegative"):
+            mrun._apply([(1.0,), (2.0,)], [1.0, -0.5])
+
+    def test_tentative_branch_returns_the_move_it_applied(self):
+        policy = MobileRun._POLICIES["wms"]
+        moves = {}
+
+        def spy(mrun, r, c, perm, matched):
+            out = policy(mrun, r, c, perm, matched)
+            branch, _, caps, targets, moved = out
+            if branch == "tentative":
+                assert bits(moved) == bits(mrun._apply(targets, caps)), mrun.t
+                moves[mrun.t] = moved[0]
+            return out
+
+        p = params(k=3, mc=0.8, ms=1.0, delta=0.5, D=2.5, dim=2)
+        inst = gen_local_walk(300, p, 1.0, seed=5)
+        with mock.patch.dict(MobileRun._POLICIES, {"wms": spy}):
+            res = run(inst.trace, p, algo="wms")
+        assert len(moves) > 100
+        for t, positions in moves.items():
+            assert bits(res.reports[t - 1].positions) == bits(positions)
+

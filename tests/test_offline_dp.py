@@ -13,9 +13,17 @@ from kmobile.offline import (
     DP_MAX_STEPS,
     GridSpec,
     dp_optimum,
-    snap_trace,
 )
 from kmobile.core import ResourceBudgetError
+
+
+def snap_trace(trace, grid):
+    """The trace with every request and start position moved to its nearest grid point."""
+    def snap(p):
+        i = min(max(round((p[0] - grid.lo) / grid.h), 0), grid.n - 1)
+        return (grid.lo + i * grid.h,)
+
+    return Trace([snap(r) for r in trace.requests], tuple(map(snap, trace.start_config)))
 
 
 def params(**kw):
