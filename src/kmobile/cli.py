@@ -21,6 +21,7 @@ from kmobile.core import (
     ResourceBudgetError,
     certificate_cost,
     read_trace,
+    validate_trace,
     write_trace,
 )
 from kmobile.experiment import (
@@ -170,6 +171,9 @@ def cmd_verify(args) -> int:
         if not args.trace:
             raise InputError(f"--trace with a certificate is required for {args.property}")
         trace, params = read_trace(args.trace)
+        violation = validate_trace(trace, params)
+        if violation is not None:
+            raise InputError(f"invalid trace: {violation}")
         if trace.certificate is None:
             raise InputError("the trace carries no offline certificate")
         online = [rep.positions for rep in result.reports]
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
     p_gen.add_argument("--out", required=True)
     # Unset parameters take build_instance's defaults.
-    p_gen.add_argument("--x", type=int, default=64)
+    p_gen.add_argument("--x", type=int)
     p_gen.add_argument("--y", type=int)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--n", type=int)

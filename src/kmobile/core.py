@@ -194,8 +194,7 @@ class TraceViolation(NamedTuple):
     bound: float
 
 
-def validate_trace(trace: Trace, params: ProblemParams,
-                   rel_tol: float = REL_TOL) -> Optional[TraceViolation]:
+def validate_trace(trace: Trace, params: ProblemParams) -> Optional[TraceViolation]:
     """Check locality of requests and certificate feasibility.
 
     Returns None if the trace is valid, otherwise the first violation.
@@ -207,7 +206,7 @@ def validate_trace(trace: Trace, params: ProblemParams,
     if len(trace.start_config) != params.k:
         raise InputError(f"start config has {len(trace.start_config)} servers, expected {params.k}")
     check_dims(itertools.chain(trace.requests, trace.start_config), params.dim)
-    slack = 1.0 + rel_tol
+    slack = 1.0 + REL_TOL
     for t in range(1, len(trace.requests)):
         d = math.dist(trace.requests[t - 1], trace.requests[t])
         if d > params.mc * slack:

@@ -55,14 +55,12 @@ class ExperimentSpec:
         for axis, values in self.sweep.items():
             if not values:
                 raise InputError(f"sweep axis {axis} has no values")
-        # A parameter the runs never read must not appear in the aggregate as if applied.
-        for key in sorted({**self.base, **self.sweep}):
-            if self.trace_path is not None:
-                raise InputError(f"spec parameter {key} is not read with trace={self.trace_path}: "
-                                 "the runs take the trace header's parameters")
-            if key not in _point_keys(self.construction):
-                raise InputError(f"spec parameter {key} is not read by construction "
-                                 f"{self.construction}")
+        # A parameter the runs never read must not appear in the aggregate as if applied;
+        # build_instance refuses those a construction does not read.
+        keys = sorted({**self.base, **self.sweep})
+        if self.trace_path is not None and keys:
+            raise InputError(f"spec parameter {keys[0]} is not read with trace={self.trace_path}: "
+                             "the runs take the trace header's parameters")
 
 
 @dataclass
@@ -88,7 +86,8 @@ _READS = {"thm3": ("k", "x", "D", "ms", "delta"),
           "thm4": ("k", "x", "ms", "mc", "D", "delta"),
           "simple-cx": ("x", "y", "ms"),
           "walk": ("k", "ms", "mc", "delta", "D", "dim", "n", "step_scale")}
-_DEFAULTS = {"k": 2, "n": 100, "dim": 1, "ms": 1.0, "delta": 0.5, "D": 1.0, "step_scale": 1.0}
+_DEFAULTS = {"k": 2, "x": 64, "n": 100, "dim": 1, "ms": 1.0, "delta": 0.5, "D": 1.0,
+             "step_scale": 1.0}
 
 
 def _point_keys(construction: str) -> tuple[str, ...]:
@@ -156,7 +155,9 @@ def build_instance(construction: str, point: dict, seed: int,
 
     ``z_choice``, not the point's, picks the two-server target.
     """
-    _point_keys(construction)  # an unknown construction raises here
+    unread = sorted(set(point) - set(_point_keys(construction)))  # raises if unknown
+    if unread:
+        raise InputError(f"parameter {unread[0]} is not read by construction {construction}")
     p = dict(_DEFAULTS)
     p.update((key, _param_value(key, value)) for key, value in point.items())
     args = {}
@@ -288,20 +289,19 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], dict]:
     return records, aggregate
 
 
-def emit_ratio_table(records: list[RunRecord], axis: Optional[str] = None) -> str:
+def emit_ratio_table(records: list[RunRecord]) -> str:
     """CSV of mean/min/max ratio per sweep value; stable column order."""
     header = "value,mean_ratio,min_ratio,max_ratio\n"
     if not records:
         return header
-    if axis is None:
-        keys = set()
-        for r in records:
-            keys |= set(r.point)
-        varying = sorted(k for k in keys
-                         if len({json.dumps(r.point.get(k)) for r in records}) > 1)
-        if len(varying) > 1:
-            raise InputError(f"records vary along multiple axes: {varying}")
-        axis = varying[0] if varying else (sorted(keys)[0] if keys else "value")
+    keys = set()
+    for r in records:
+        keys |= set(r.point)
+    varying = sorted(k for k in keys
+                     if len({json.dumps(r.point.get(k)) for r in records}) > 1)
+    if len(varying) > 1:
+        raise InputError(f"records vary along multiple axes: {varying}")
+    axis = varying[0] if varying else (sorted(keys)[0] if keys else "value")
     groups: dict[float, list[float]] = {}
     for r in records:
         if axis not in r.point:

@@ -206,129 +206,12 @@ class HelperTrajectory:
     diagnostics: list[str] = field(default_factory=list)
 
 
-class _Plan:
-    kind = "?"
-    last = 0
-
-    def covers(self, t: int) -> bool:
-        return t <= self.last
-
-    def action(self, t: int, o_hat: Point) -> tuple[Optional[Point], float, str]:
-        raise NotImplementedError
-
-    def end_anchor(self) -> Optional[int]:
-        return None
-
-
-class _ChasePlan(_Plan):
-    """Chase the request at the helper speed cap, landing one step early."""
-
-    kind = "chase"
-
-    def __init__(self, ctx: "_HelperContext", s0: int, target_anchor: Optional[int]):
-        self.ctx = ctx
-        self.anchor = target_anchor
-        self.last = target_anchor if target_anchor is not None else ctx.n
-
-    def action(self, t, o_hat):
-        ctx = self.ctx
-        if self.anchor is not None:
-            if t == self.anchor:
-                return None, 0.0, self.kind
-            if t == self.anchor - 1:
-                return ctx.requests[self.anchor - 1], ctx.speed_cap, self.kind
-        return ctx.requests[t - 1], ctx.speed_cap, self.kind
-
-    def end_anchor(self):
-        return self.anchor
-
-
-class _Step3Plan(_ChasePlan):
-    """Low-separation regime: chase the request until separation recovers."""
-
-    kind = "step3"
-
-    def __init__(self, ctx: "_HelperContext", s0: int):
-        thresh = 2.0 * ctx.engage
-        release = next((t for t in range(s0, ctx.n + 1) if ctx.geo[t - 1].d_oa >= thresh), None)
-        super().__init__(ctx, s0, release)
-
-    def end_anchor(self):
-        if self.anchor is not None and self.ctx.geo[self.anchor - 1].in_inner:
-            return self.anchor
-        return None
-
-
-class _SequencePlan(_Plan):
-    """Behavior over one sequence of short transitions and its terminator."""
-
-    def __init__(self, ctx: "_HelperContext", anchor: int, exec_from: int, o_hat: Point):
-        self.ctx = ctx
-        self.anchor = anchor
-        term = ctx.find_termination(anchor)
-        self.term = term
-        if term is None:
-            self.kind = "follow"
-            self.last = ctx.n
-        elif term[0] == "long":
-            self.kind = "follow-long"
-            self.last = term[3]
-        else:
-            self.kind = "circle"
-            _, self.o_ell, self.t2, self.t3 = term
-            self.last = self.t3
-            self.target_point = ctx.offline[self.t3 - 1][ctx.geo[self.t3 - 1].o_star]
-            self.direct = self._direct_feasible(exec_from, o_hat)
-        if term is not None and term[0] == "long":
-            _, self.o_ell, self.t2, self.t3 = term
-
-    def _direct_feasible(self, s0: int, o_hat: Point) -> bool:
-        ctx = self.ctx
-        tmp = o_hat
-        for t in range(s0, self.t3 + 1):
-            tmp = move_toward(tmp, self.target_point, ctx.follow)
-            g = ctx.geo[t - 1]
-            if distance(tmp, g.o_star_pos) > g.outer * (1.0 + 1e-9):
-                return False
-        return True
-
-    def action(self, t, o_hat):
-        ctx = self.ctx
-        if self.term is None:
-            g = ctx.geo[t - 1]
-            return ctx.offline[t - 1][g.o_star], ctx.follow, "follow"
-        if self.term[0] == "long":
-            if t <= self.t2:
-                return ctx.offline[t - 1][self.o_ell], ctx.follow, "follow-long"
-            if t == self.t3:
-                return None, 0.0, "long-land"
-            if t == self.t3 - 1:
-                return ctx.requests[self.t3 - 1], ctx.speed_cap, "long-skip"
-            return ctx.requests[t - 1], ctx.speed_cap, "long-chase"
-        # Short-transition terminator.
-        if self.direct:
-            return self.target_point, ctx.follow, "circle-direct"
-        center = ctx.offline[t - 1][self.o_ell]
-        radius = 2.0 * ctx.params.delta / HOLD_CIRCLE_DIVISOR * ctx.d_to_online(t, self.o_ell)
-        if distance(center, self.target_point) <= radius:
-            return self.target_point, ctx.follow, "circle-inside"
-        f = radius / distance(center, self.target_point)
-        p = tuple(c + f * (tp - c) for c, tp in zip(center, self.target_point))
-        return p, ctx.follow, "circle-hold"
-
-    def end_anchor(self):
-        if self.term is None:
-            return None
-        return self.term[3]
-
-
 class _HelperContext:
     def __init__(self, offline, online, requests, params, sigma):
         self.offline = offline
         self.online = online
         self.requests = requests
         self.params = params
-        self.sigma = sigma
         self.n = len(requests)
         if not len(offline) == len(online) == len(requests):
             raise InputError("offline, online and request sequences must share a length")
@@ -339,12 +222,16 @@ class _HelperContext:
         self.engage = engage_threshold(params, sigma)
         self.anchors = [t for t in range(1, self.n + 1) if self.geo[t - 1].in_inner]
 
-    def d_to_online(self, t: int, server: int) -> float:
-        pos = self.offline[t - 1][server]
-        return min(distance(pos, a) for a in self.online[t - 1])
+    def chase(self, t: int, anchor: Optional[int], tags: tuple[str, str, str]):
+        """Chase the request at the speed cap, landing on the anchor's request one step early.
 
-    def next_anchor(self, t: int) -> Optional[int]:
-        return next((a for a in self.anchors if a >= t), None)
+        ``tags`` name the landed step, the landing step and the chase steps.
+        """
+        if t == anchor:
+            return None, 0.0, tags[0]
+        if anchor is not None and t == anchor - 1:
+            return self.requests[t], self.speed_cap, tags[1]
+        return self.requests[t - 1], self.speed_cap, tags[2]
 
     def find_termination(self, anchor: int):
         """First terminating event of the sequence starting at an anchor.
@@ -378,6 +265,61 @@ class _HelperContext:
             prev = nxt
         return None
 
+    def plan(self, t: int, anchor: Optional[int], o_hat: Point):
+        """The plan that starts at step t, with the helper at o_hat.
+
+        ``anchor`` is the anchor handed on by the plan that ended at
+        step t - 1, if any.  Returns (engaged, last, hand_on, action):
+        an engaged plan is the low-separation regime, which no other
+        regime preempts; the plan runs to step ``last`` and then hands
+        on the anchor ``hand_on``; ``action(s)`` gives the target, the
+        speed and the mode tag of step s.
+        """
+        if self.geo[t - 1].d_oa < self.engage:
+            # Low separation: chase the request until separation recovers.
+            release = next((s for s in range(t, self.n + 1)
+                            if self.geo[s - 1].d_oa >= 2.0 * self.engage), None)
+            hand_on = release if release is not None and self.geo[release - 1].in_inner else None
+            return True, release or self.n, hand_on, \
+                lambda s: self.chase(s, release, ("step3",) * 3)
+        if anchor is None and not self.geo[t - 1].in_inner:
+            nxt = next((a for a in self.anchors if a >= t), None)
+            return False, nxt or self.n, nxt, lambda s: self.chase(s, nxt, ("chase",) * 3)
+        # One sequence of short transitions from the anchor, and its terminator.
+        term = self.find_termination(t if anchor is None else anchor)
+        if term is None:
+            return False, self.n, None, \
+                lambda s: (self.offline[s - 1][self.geo[s - 1].o_star], self.follow, "follow")
+        kind, o_ell, t2, t3 = term
+        if kind == "long":
+            def action(s):
+                if s <= t2:
+                    return self.offline[s - 1][o_ell], self.follow, "follow-long"
+                return self.chase(s, t3, ("long-land", "long-skip", "long-chase"))
+            return False, t3, t3, action
+        # Short transition: head straight for the receiving server's position
+        # at t3 if that keeps the helper in every outer circle on the way,
+        # else hold on a small circle around the passing server.
+        target = self.offline[t3 - 1][self.geo[t3 - 1].o_star]
+        direct, p = True, o_hat
+        for s in range(t, t3 + 1):
+            p = move_toward(p, target, self.follow)
+            g = self.geo[s - 1]
+            if distance(p, g.o_star_pos) > g.outer * (1.0 + 1e-9):
+                direct = False
+                break
+
+        def action(s):
+            if direct:
+                return target, self.follow, "circle-direct"
+            center = self.offline[s - 1][o_ell]
+            radius = 2.0 * self.params.delta / HOLD_CIRCLE_DIVISOR * min(
+                distance(center, a) for a in self.online[s - 1])
+            hold = move_toward(center, target, radius)
+            # move_toward gives back the target itself when it is within the radius.
+            return hold, self.follow, "circle-inside" if hold is target else "circle-hold"
+        return False, t3, t3, action
+
 
 def compute_helper(offline: Sequence[Config], online: Sequence[Config],
                    requests: Sequence[Point], params: ProblemParams,
@@ -396,38 +338,25 @@ def compute_helper(offline: Sequence[Config], online: Sequence[Config],
     positions: list[Point] = []
     modes: list[str] = []
     diagnostics: list[str] = []
-    plan: Optional[_Plan] = None
-    pending_anchor: Optional[int] = None
-
-    for t in range(1, ctx.n + 1):
-        engaged_now = ctx.geo[t - 1].d_oa < ctx.engage
-        if plan is not None and plan.kind != "step3" and engaged_now:
-            plan = None  # preempted by the low-separation regime
-        if plan is None or not plan.covers(t):
-            if plan is not None:
-                pending_anchor = plan.end_anchor()
-            if engaged_now:
-                plan = _Step3Plan(ctx, t)
-            elif pending_anchor is not None:
-                plan = _SequencePlan(ctx, pending_anchor, t, o_hat)
-            elif ctx.geo[t - 1].in_inner:
-                plan = _SequencePlan(ctx, t, t, o_hat)
-            else:
-                plan = _ChasePlan(ctx, t, ctx.next_anchor(t))
-            pending_anchor = None
-        target, cap, tag = plan.action(t, o_hat)
-        if target is not None:
-            moved = move_toward(o_hat, target, cap)
-            if tag in ("long-skip", "chase", "step3") and t == plan.last - 1 \
-                    and distance(moved, target) > 1e-9 * max(1.0, params.mc):
-                diagnostics.append(f"t={t}: landing target missed by "
-                                   f"{distance(moved, target):.6g}")
-            o_hat = moved
-        positions.append(o_hat)
-        modes.append(tag)
-        if plan.covers(t) and plan.last == t:
-            pending_anchor = plan.end_anchor()
-            plan = None
+    t, anchor = 1, None
+    while t <= ctx.n:
+        engaged, last, hand_on, action = ctx.plan(t, anchor, o_hat)
+        anchor = None
+        for t in range(t, last + 1):
+            if not engaged and ctx.geo[t - 1].d_oa < ctx.engage:
+                break  # preempted by the low-separation regime
+            target, cap, tag = action(t)
+            if target is not None:
+                moved = move_toward(o_hat, target, cap)
+                if tag in ("long-skip", "chase", "step3") and t == last - 1 \
+                        and distance(moved, target) > 1e-9 * max(1.0, params.mc):
+                    diagnostics.append(f"t={t}: landing target missed by "
+                                       f"{distance(moved, target):.6g}")
+                o_hat = moved
+            positions.append(o_hat)
+            modes.append(tag)
+        else:
+            t, anchor = last + 1, hand_on
 
     return HelperTrajectory(start=start, positions=positions, modes=modes,
                             geometry=ctx.geo, diagnostics=diagnostics)

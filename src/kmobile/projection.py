@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from kmobile.core import Config, Point, ProblemParams, check_dims, distance
+from kmobile.core import Config, Point, ProblemParams, check_dims, move_toward
 from kmobile.kserver import GuidanceSimulator, SimStep
 
 
@@ -28,13 +28,6 @@ def outer_radius(params: ProblemParams, weighted: bool) -> float:
     if weighted:
         return (32.0 * params.k * params.D + 1.0) * params.mc
     return (8.0 * params.k + 1.0) * params.mc
-
-
-def boundary_point(r: Point, c: Point, radius: float) -> Point:
-    """Point on the circle of given radius around r closest to c (c outside)."""
-    d = distance(r, c)
-    f = radius / d
-    return tuple(rc + f * (cc - rc) for rc, cc in zip(r, c))
 
 
 class ProjectionWrapper(GuidanceSimulator):
@@ -66,7 +59,7 @@ class ProjectionWrapper(GuidanceSimulator):
             if math.dist(c, r) <= self.inner:
                 hat[i] = c
             elif phase_end:
-                hat[i] = boundary_point(r, c, self.inner)
+                hat[i] = move_toward(r, c, self.inner)
         return hat
 
     def step(self, r: Point) -> SimStep:

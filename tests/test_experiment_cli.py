@@ -240,6 +240,26 @@ class TestCli:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
+        # input error: certificates the trace's own parameters forbid, which verify must
+        # refuse as simulate does: one server per step, and one server moved by 500 at t=5
+        lines = (tmp_path / "thm3.jsonl").read_text().splitlines()
+        one_server, far_move = list(lines), list(lines)
+        for i, line in enumerate(lines):
+            step = json.loads(line)
+            if "o" in step:
+                one_server[i] = json.dumps(dict(step, o=step["o"][:1]))
+                if step["t"] == 5:
+                    far_move[i] = json.dumps(dict(step, o=[[step["o"][0][0] + 500.0],
+                                                           *step["o"][1:]]))
+        for name, text in (("one-server.jsonl", one_server), ("far-move.jsonl", far_move)):
+            path = str(tmp_path / name)
+            (tmp_path / name).write_text("\n".join(text) + "\n")
+            for argv in (["simulate", "--trace", path],
+                         *(["verify", "--property", prop, "--run", str(record), "--trace", path]
+                           for prop in ("helper-invariants", "slow-potential"))):
+                assert main(argv) == 2, (name, argv)
+                err = capsys.readouterr().err
+                assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
         # input error: a slow-mode record whose delta is 0, where the potential is undefined
         (tmp_path / "delta-zero.run.json").write_text(
             json.dumps(dict(valid, params=dict(valid["params"], delta=0.0))))
@@ -270,6 +290,10 @@ class TestCli:
         for line, (_, text) in unread.items():
             (tmp_path / f"unread-{line}.spec").write_text(text + line + "\n")
             argvs[line] = ["sweep", "--spec", str(tmp_path / f"unread-{line}.spec")]
+        # generate flags the construction never reads; the first in name order is named
+        unread["mc=3.0"] = ("construction thm3", None)
+        argvs["mc=3.0"] = ["generate", "--construction", "thm3", "--y", "5", "--n", "7",
+                           "--mc", "3.0", "--out", str(tmp_path / "unread.jsonl")]
         for name, argv in argvs.items():
             assert main(argv) == 2, name
             err = capsys.readouterr().err

@@ -1,8 +1,8 @@
 import random
 
-from kmobile.core import ProblemParams, distance
+from kmobile.core import ProblemParams, distance, move_toward
 from kmobile.kserver import DoubleCoverageLine, GreedyServer, ScriptedSimulator
-from kmobile.projection import ProjectionWrapper, boundary_point, inner_radius, outer_radius
+from kmobile.projection import ProjectionWrapper, inner_radius, outer_radius
 
 
 def params(**kw):
@@ -23,7 +23,8 @@ def test_outer_radius_values():
 
 
 def test_boundary_point_nearest():
-    p = boundary_point((0.0, 0.0), (100.0, 0.0), 4.0)
+    # A phase end pulls an outside server onto the inner boundary by a capped move from r.
+    p = move_toward((0.0, 0.0), (100.0, 0.0), 4.0)
     assert p == (4.0, 0.0)
 
 
