@@ -300,6 +300,9 @@ def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
     far below the tolerance: the search returns the identity, with its
     weight summed in row order.  Here that is done without a solve.
 
+    For k = 2 the search keeps the identity when its sum is within the
+    tolerance of the crossed sum; one comparison gives the same bits.
+
     Otherwise one assignment solve gives the optimum and a completion.
     Rows are then fixed in order; a free column preceding the
     completion's is taken when a solve of the remaining rows and columns
@@ -316,6 +319,13 @@ def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
         for p, q in zip(a, b):
             weight += math.dist(p, q)
         return Matching(tuple(range(k)), weight)
+    if k == 2:
+        c00, c01 = math.dist(a[0], b[0]), math.dist(a[0], b[1])
+        c10, c11 = math.dist(a[1], b[0]), math.dist(a[1], b[1])
+        crossed = c01 + c10
+        if c00 + c11 <= crossed + 1e-12 * (1.0 + crossed):
+            return Matching((0, 1), c00 + c11)
+        return Matching((1, 0), crossed)
     cost = [[math.dist(p, q) for q in b] for p in a]
     best, completion = _assignment(cost)
     tol = 1e-12 * (1.0 + best)

@@ -12,6 +12,8 @@ import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from kmobile.core import (
     Config,
     InputError,
@@ -19,7 +21,6 @@ from kmobile.core import (
     ProblemParams,
     ResourceBudgetError,
     check_dims,
-    distance,
     min_weight_matching,
     read_budget,
 )
@@ -56,15 +57,15 @@ class GreedyServer(GuidanceSimulator):
 
     def __init__(self, start: Sequence[Point]):
         self.positions = tuple(start)
+        self.dim = len(self.positions[0])
+        check_dims(self.positions, self.dim)
 
     def step(self, r: Point) -> SimStep:
-        dists = [distance(p, r) for p in self.positions]
+        check_dims((r,), self.dim)
+        dists = [math.dist(p, r) for p in self.positions]
         i = dists.index(min(dists))
-        moved = dists[i]
-        pos = list(self.positions)
-        pos[i] = r
-        self.positions = tuple(pos)
-        return SimStep(self.positions, 0.0, moved)
+        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
+        return SimStep(self.positions, 0.0, dists[i])
 
 
 class DoubleCoverageLine(GuidanceSimulator):
@@ -77,9 +78,8 @@ class DoubleCoverageLine(GuidanceSimulator):
     """
 
     def __init__(self, start: Sequence[Point]):
-        for p in start:
-            if len(p) != 1:
-                raise InputError("double coverage requires dimension 1")
+        if any(len(p) != 1 for p in start):
+            raise InputError("double coverage requires dimension 1")
         self.positions = tuple(sorted(start))
 
     def step(self, r: Point) -> SimStep:
@@ -115,118 +115,140 @@ class WorkFunctionServer(GuidanceSimulator):
     and the requests seen so far, which keeps the work function
     computable at desk scale.  Ties in the move rule are broken by the
     lexicographically smallest resulting configuration.
+
+    A configuration (a sorted tuple of point indices) and a base (k - 1
+    of them) each get an id in creation order: ``ids``, ``base_ids``.
+    ``values[id]`` is a configuration's work-function value.  _intern
+    grows, by one point, ``dmat[a][b] == math.dist(points[a], points[b])``,
+    ``neighbours[base][p]``, the id of base plus point p, their numpy
+    copies ``_dist`` and ``_nbr``, and per configuration and slot the
+    base left when the slot is emptied (``_slot_base``) and its point
+    (``_slot_point``).
     """
 
     def __init__(self, start: Sequence[Point], max_configs: Optional[int] = None):
         self.k = len(start)
         self.max_configs = max_configs if max_configs is not None else wfa_config_budget()
+        self.dim = len(start[0])
+        check_dims(start, self.dim)
         self.points: list[Point] = []
         self.index: dict[Point, int] = {}
-        # Grown by _intern: dmat[a][b] == distance(points[a], points[b]),
-        # and neighbours[base][p] == tuple(sorted(base + (p,))) for every
-        # sorted base of k - 1 point indices.
+        self.ids: dict[tuple[int, ...], int] = {}
+        # With k = 1 the one base, (), holds no point.
+        self.base_ids = {b: 0 for b in itertools.combinations_with_replacement((), self.k - 1)}
         self.dmat: list[list[float]] = []
-        self.neighbours: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-            base: [] for base in itertools.combinations_with_replacement((), self.k - 1)}
-        for p in start:
+        self.neighbours: list[list[int]] = [[] for _ in self.base_ids]
+        self._dist = np.empty((0, 0))
+        self._nbr = np.empty((len(self.base_ids), 0), dtype=np.intp)
+        self._slot_base = self._slot_point = np.empty((0, self.k), dtype=np.intp)
+        for p in dict.fromkeys(start):
             self._intern(p)
         self.positions = tuple(start)
-        self.values: dict[tuple[int, ...], float] = {}
-        for conf in itertools.combinations_with_replacement(range(len(self.points)), self.k):
-            pts = tuple(self.points[i] for i in conf)
-            self.values[conf] = min_weight_matching(start, pts).weight
+        self.values: list[float] = [
+            min_weight_matching(start, tuple(self.points[i] for i in conf)).weight
+            for conf in self.ids]
 
-    def _intern(self, p: Point) -> int:
-        if p not in self.index:
-            for a, row in zip(self.points, self.dmat):
-                row.append(distance(a, p))
-            self.index[p] = len(self.points)
-            self.points.append(p)
-            self.dmat.append([distance(p, b) for b in self.points])
-            q = len(self.points) - 1
-            for base, keys in self.neighbours.items():
-                keys.append(tuple(sorted(base + (q,))))
-            for base in itertools.combinations_with_replacement(range(q + 1), self.k - 1):
-                if q in base:
-                    self.neighbours[base] = [tuple(sorted(base + (x,))) for x in range(q + 1)]
-        return self.index[p]
+    def _intern(self, p: Point) -> None:
+        """Add point p: its distances, and the configurations and bases holding it."""
+        q = len(self.points)
+        n = q + 1
+        table = math.comb(n + self.k - 1, self.k)
+        if table > self.max_configs:
+            raise ResourceBudgetError(f"work-function table would need {table} "
+                                      f"configurations (budget {self.max_configs})")
+        self.index[p] = q
+        self.points.append(p)
+        # math.dist(a, b) == math.dist(b, a) bit for bit: it measures |a_i - b_i|.
+        dist = [math.dist(p, b) for b in self.points]
+        for row, d in zip(self.dmat, dist):
+            row.append(d)
+        self.dmat.append(dist)
+        grown = np.empty((n, n))
+        grown[:q, :q] = self._dist
+        grown[q] = grown[:, q] = dist
+        self._dist = grown
+        # The configurations and bases holding q end in q, which sorts last.
+        ids, base_ids, k = self.ids, self.base_ids, self.k
+        new = [base + (q,) for base in itertools.combinations_with_replacement(range(n), k - 1)]
+        for conf in new:
+            ids[conf] = len(ids)
+        old = len(base_ids)
+        for base, keys in zip(base_ids, self.neighbours):
+            keys.append(ids[base + (q,)])
+        for base in [conf[:-1] for conf in new if q in conf[:-1]]:
+            base_ids[base] = len(base_ids)
+            self.neighbours.append([ids[tuple(sorted(base + (x,)))] for x in range(n)])
+        grown = np.empty((len(base_ids), n), dtype=np.intp)
+        grown[:old, :q] = self._nbr
+        grown[:old, q] = [keys[q] for keys in self.neighbours[:old]]
+        grown[old:] = np.reshape(self.neighbours[old:], (-1, n))
+        self._nbr = grown
+        slot_base = [[base_ids[conf[:s] + conf[s + 1:]] for s in range(k)] for conf in new]
+        self._slot_base = np.concatenate([self._slot_base, slot_base])
+        self._slot_point = np.concatenate([self._slot_point, new])
 
-    def _extend_table(self, q: int) -> None:
-        """Admit configurations containing the new point q.
+    def _extend_table(self) -> None:
+        """Give values to the configurations _intern just added.
 
         Values come from single-server relocation relaxed to a fixed
         point, which realizes the optimal matching distance from the
         previously known configurations.  Each pass relaxes every new
-        configuration from conf - x + p over its distinct slots x and
-        then every point p, in that order, with a strict 1e-15 margin
-        and updates applied in place.  The keys conf - x + p come from
-        ``neighbours`` and the distances d(x, p) from ``dmat``; _intern
-        grows both by one point, so no key is sorted and no distance
-        computed inside the relaxation.
+        configuration, in creation order, from conf - x + p over its
+        distinct slots x and then every point p, in that order, with a
+        strict 1e-15 margin and updates applied in place.
+
+        A pass changes no value until some candidate beats its
+        configuration's value at the start of the pass, so one numpy test
+        of every candidate against those values tells whether the next
+        pass would change anything; the relaxation stops where it would not.
         """
-        n = len(self.points)
         values = self.values
-        pending = [conf for conf in itertools.combinations_with_replacement(range(n), self.k)
-                   if q in conf]
-        for conf in pending:
-            values[conf] = math.inf
-        plan = [(conf, [(self.neighbours[conf[:slot] + conf[slot + 1:]], self.dmat[x])
-                        for slot, x in enumerate(conf) if slot == 0 or conf[slot - 1] != x])
-                for conf in pending]
-        changed = True
-        while changed:
-            changed = False
-            for conf, slots in plan:
-                best = values[conf]
+        lo = len(values)
+        confs, bases = self._slot_point[lo:], self._slot_base[lo:]
+        values.extend([math.inf] * len(confs))
+        plan = [(cid, [(self.neighbours[base], self.dmat[x])
+                       for s, (base, x) in enumerate(zip(bs, conf)) if s == 0 or conf[s - 1] != x])
+                for cid, conf, bs in zip(range(lo, len(values)), confs.tolist(), bases.tolist())]
+        others, dists = self._nbr[bases], self._dist[confs]
+        while True:
+            for cid, slots in plan:
+                best = values[cid]
+                bar = best - 1e-15
                 for keys, row in slots:
                     for other, d in zip(keys, row):
                         cand = values[other] + d
-                        if cand < best - 1e-15:
+                        if cand < bar:
                             best = cand
-                            changed = True
-                values[conf] = best
+                            bar = cand - 1e-15
+                values[cid] = best
+            now = np.array(values)
+            if not (now[others] + dists < (now[lo:] - 1e-15)[:, None, None]).any():
+                return
 
     def step(self, r: Point) -> SimStep:
+        check_dims((r,), self.dim)
         if r not in self.index:
-            n_next = len(self.points) + 1
-            table = math.comb(n_next + self.k - 1, self.k)
-            if table > self.max_configs:
-                raise ResourceBudgetError(
-                    f"work-function table would need {table} configurations "
-                    f"(budget {self.max_configs})")
-            q = self._intern(r)
-            self._extend_table(q)
+            self._intern(r)
+            self._extend_table()
         ri = self.index[r]
-        dist_r = self.dmat[ri]
-        # Serve update: end in conf after one server visited r, read
-        # once per distinct base conf - x.
-        via = {base: self.values[keys[ri]] for base, keys in self.neighbours.items()}
-        new_values: dict[tuple[int, ...], float] = {}
-        for conf in self.values:
-            best = math.inf
-            for slot, x in enumerate(conf):
-                if slot > 0 and conf[slot - 1] == x:
-                    continue
-                cand = via[conf[:slot] + conf[slot + 1:]] + dist_r[x]
-                if cand < best:
-                    best = cand
-            new_values[conf] = best
-        self.values = new_values
-        # Move rule: pick the server whose relocation onto r minimizes
-        # work-function value plus movement.
-        cur = list(self.positions)
-        candidates = []
-        for i, p in enumerate(cur):
-            conf = tuple(sorted(self.index[x] for j, x in enumerate(cur) if j != i))
-            conf = tuple(sorted(conf + (ri,)))
-            val = self.values[conf] + distance(p, r)
-            result = tuple(sorted(r if j == i else x for j, x in enumerate(cur)))
-            candidates.append((val, result, i))
-        val, _, i = min(candidates, key=lambda c: (c[0], c[1]))
-        moved = distance(cur[i], r)
-        cur[i] = r
-        self.positions = tuple(cur)
-        return SimStep(self.positions, 0.0, moved)
+        # Serve update: end in conf after one server visited r, the least
+        # over its slots x of value(conf - x + r) + d(x, r).  The numpy
+        # minimum is exact: a repeated slot repeats its sum, and no sum is
+        # NaN or -0.0.
+        via = np.array(self.values)[self._nbr[:, ri]]
+        self.values = (via[self._slot_base] + self._dist[ri][self._slot_point]).min(axis=1).tolist()
+        # Move rule: relocate onto r the server that minimizes work-function
+        # value plus movement, then the resulting configuration, then its index.
+        cur = self.positions
+
+        def move_cost(i: int) -> tuple[float, Config]:
+            rest = [x for j, x in enumerate(cur) if j != i]
+            conf = tuple(sorted([self.index[x] for x in rest] + [ri]))
+            return self.values[self.ids[conf]] + math.dist(cur[i], r), tuple(sorted(rest + [r]))
+
+        i = min(range(self.k), key=move_cost)
+        self.positions = cur[:i] + (r,) + cur[i + 1:]
+        return SimStep(self.positions, 0.0, math.dist(cur[i], r))
 
 
 class PageMigrationCounter(GuidanceSimulator):
@@ -255,9 +277,7 @@ class PageMigrationCounter(GuidanceSimulator):
         d = dists[i]
         self.credits[i] += d
         if d > 0.0 and self.credits[i] >= 2.0 * self.D * d:
-            pos = list(self.positions)
-            pos[i] = r
-            self.positions = tuple(pos)
+            self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
             self.credits[i] = 0.0
             # The page now on r serves it; the others are at least d away.
             return SimStep(self.positions, 0.0, d)
@@ -275,21 +295,19 @@ class SplitServeLine(GuidanceSimulator):
     def __init__(self, start: Sequence[Point]):
         if len(start) < 2:
             raise InputError("split-serve needs at least two servers")
-        for p in start:
-            if len(p) != 1:
-                raise InputError("split-serve requires dimension 1")
+        if any(len(p) != 1 for p in start):
+            raise InputError("split-serve requires dimension 1")
         self.positions = tuple(start)
         self.prev_request: Optional[Point] = None
         self.second_phase = False
 
     def step(self, r: Point) -> SimStep:
+        check_dims((r,), 1)
         if self.prev_request is not None and r[0] <= self.prev_request[0]:
             self.second_phase = True
-        server = 1 if self.second_phase else 0
-        pos = list(self.positions)
-        moved = distance(pos[server], r)
-        pos[server] = r
-        self.positions = tuple(pos)
+        i = 1 if self.second_phase else 0
+        moved = math.dist(self.positions[i], r)
+        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
         self.prev_request = r
         return SimStep(self.positions, 0.0, moved)
 
@@ -299,6 +317,8 @@ class ScriptedSimulator(GuidanceSimulator):
 
     def __init__(self, start: Sequence[Point], script: Sequence[Sequence[Point]]):
         self.positions = tuple(start)
+        self.dim = len(self.positions[0])
+        check_dims(self.positions, self.dim)
         self.script = [tuple(conf) for conf in script]
         self.t = 0
 
@@ -306,10 +326,12 @@ class ScriptedSimulator(GuidanceSimulator):
         if self.t >= len(self.script):
             raise InputError("scripted simulator ran out of steps")
         new = self.script[self.t]
-        movement = sum(distance(a, b) for a, b in zip(self.positions, new))
+        # A scripted configuration enters the run at its step.
+        check_dims((r, *new), self.dim)
+        movement = sum(math.dist(a, b) for a, b in zip(self.positions, new))
         self.positions = new
         self.t += 1
-        return SimStep(new, min(distance(p, r) for p in new), movement)
+        return SimStep(new, min(math.dist(p, r) for p in new), movement)
 
 
 def default_sim_tag(algo: str, params: ProblemParams, n: int) -> str:
@@ -324,9 +346,7 @@ def default_sim_tag(algo: str, params: ProblemParams, n: int) -> str:
     if params.dim == 1:
         return "dc-line"
     table = math.comb(n + params.k + params.k - 1, params.k)
-    if table <= wfa_config_budget():
-        return "wfa"
-    return "greedy"
+    return "wfa" if table <= wfa_config_budget() else "greedy"
 
 
 def make_simulator(tag: str, start: Sequence[Point], params: ProblemParams) -> GuidanceSimulator:

@@ -311,6 +311,18 @@ class TestCli:
         # input error: malformed construction parameters
         assert main(["generate", "--construction", "simple-cx", "--x", "10",
                      "--y", "9", "--out", str(tmp_path / "x.jsonl")]) == 2
+        # resource budget: a k=3 work-function table over three start points
+        # holds 10 configurations, although the requests add no point
+        trace = str(tmp_path / "wfa-start.jsonl")
+        start = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        (tmp_path / "wfa-start.jsonl").write_text("\n".join(
+            [json.dumps(dict(header, k=3, dim=2, mc=2.0, start=start))]
+            + [json.dumps({"t": t, "r": p}) for t, p in enumerate(start[1:] + start[:1], 1)]) + "\n")
+        monkeypatch.setenv("KMOB_BUDGET", "5")
+        assert main(["simulate", "--sim", "wfa", "--trace", trace]) == 3
+        monkeypatch.setenv("KMOB_BUDGET", "10")
+        assert main(["simulate", "--sim", "wfa", "--trace", trace]) == 0
+        monkeypatch.delenv("KMOB_BUDGET")
         # resource budget: DP over too many steps
         trace = str(tmp_path / "long.jsonl")
         main(["generate", "--construction", "walk", "--k", "1", "--n", "40",
@@ -398,6 +410,10 @@ def mutated(value, kind: str, text: str):
         return 0.5
     if kind == "null":
         return None
+    if kind == "huge":
+        return 1e308
+    if kind == "negative":
+        return -value if type(value) in (int, float) else value
     if kind == "empty":
         return []
     if kind == "wrong-length":
@@ -438,3 +454,61 @@ def test_verify_survives_mutated_records(valid_records, data):
         if code == 2:
             assert err.getvalue().startswith("input error: "), (prop, where, kind)
             assert err.getvalue().count("\n") == 1, (prop, where, kind)
+
+
+def run_cli(argv):
+    """Exit code and standard error of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+SPEC = ("construction=thm3", "algo=ums", "sim=dc-line", "k=2", "x=8", "seeds=0", "sweep.delta=0.5")
+TRACE_SPEC = ("trace={trace}", "algo=ums", "seeds=0")
+SPEC_TOKENS = ("", "0", "-1", "1", "2.5", "1e400", "-0.0", "nan", "inf", "true", "1,2", ",",
+               "=", "#", "ums", "wms", "wfa", "greedy", "thm4", "walk", "0x10", "1_0", "sweep.",
+               "sweep.k", "sweep.seeds", "trace", "k", "x", "D", "dim", "project", "seeds")
+# No digits, so a drawn value cannot ask for a large instance.
+SPEC_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Nd",)), max_size=4)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_survives_mutated_traces_and_specs(valid_records, data):
+    """One value of a trace, one line of a spec: simulate and sweep exit 0-3, never raise."""
+    _, trace, path = valid_records
+    with open(trace, encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh]
+    row = data.draw(st.integers(0, len(lines) - 1), label="trace line")
+    where = data.draw(st.sampled_from(list(node_paths(lines[row]))[1:]), label="path")
+    kind = data.draw(st.sampled_from(MUTATIONS + ("huge", "negative")), label="mutation")
+    text = data.draw(st.text(max_size=4), label="text")
+    parent = lines[row]
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = mutated(parent[where[-1]], kind, text)
+    mutated_trace = path + ".jsonl"
+    with open(mutated_trace, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(obj) + "\n" for obj in lines))
+
+    spec = [entry.format(trace=trace) for entry in data.draw(
+        st.sampled_from((SPEC, TRACE_SPEC)), label="spec")]
+    i = data.draw(st.integers(0, len(spec) - 1), label="spec line")
+    token = data.draw(st.one_of(st.sampled_from(SPEC_TOKENS), SPEC_TEXT), label="token")
+    key, value = spec[i].split("=")
+    how = data.draw(st.sampled_from(("value", "key", "line", "delete")), label="spec mutation")
+    if how == "delete":
+        del spec[i]
+    else:
+        spec[i] = {"value": f"{key}={token}", "key": f"{token}={value}", "line": token}[how]
+    spec_path = path + ".spec"
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(spec) + "\n")
+
+    for argv in (["simulate", "--trace", mutated_trace], ["sweep", "--spec", spec_path]):
+        code, err = run_cli(argv)
+        assert code in (0, 1, 2, 3), (argv[0], code, err)
+        if code == 2:
+            assert err.startswith("input error: ") and err.count("\n") == 1, (argv[0], err)

@@ -180,6 +180,47 @@ def test_sorted_line_shortcut_matches_reference():
     assert shortcut > 400 and general > 300
 
 
+def two_server_inputs(rng):
+    """Two k=2 configurations in dimension 1 or 2: grid points with many
+    ties, co-located pairs, or mirror pairs whose straight sum is nudged
+    above the crossed sum, inside and outside the tolerance."""
+    dim = rng.choice((1, 2))
+    kind = rng.randrange(3)
+    if kind == 0:
+        draw = lambda: tuple(float(rng.randint(-2, 2)) for _ in range(dim))
+        return [draw(), draw()], [draw(), draw()]
+    if kind == 1:
+        p, q = (tuple(rng.uniform(-5, 5) for _ in range(dim)) for _ in range(2))
+        return rng.choice(([p, p], [p, q], [q, p])), rng.choice(([p, p], [q, q], [q, p]))
+    # The straight sum exceeds the crossed one by 2 * nudge: within the
+    # tolerance for the two smaller nudges, beyond it for the largest.
+    x = rng.uniform(0.5, 3.0)
+    nudge = rng.choice((0.0, 1e-14, 1e-13, 1e-11))
+    pad = (0.0,) * (dim - 1)
+    return [(-x,) + pad, (x,) + pad], [(nudge,) + pad, (0.0,) + pad]
+
+
+def test_two_server_matching_matches_reference_without_a_solve(monkeypatch):
+    solves = []
+
+    def count_solve(cost):
+        solves.append(len(cost))
+        return _assignment(cost)
+
+    rng = random.Random(13)
+    cases = [two_server_inputs(rng) for _ in range(3000)]
+    monkeypatch.setattr(core, "_assignment", count_solve)
+    perms = [min_weight_matching(a, b).perm for a, b in cases]
+    assert solves == []
+    monkeypatch.undo()
+    for a, b in cases:
+        assert_same_as_reference(a, b)
+    crossed_within_tol = sum(
+        distance(a[0], b[0]) + distance(a[1], b[1]) > distance(a[0], b[1]) + distance(a[1], b[0])
+        and perm == (0, 1) for (a, b), perm in zip(cases, perms))
+    assert perms.count((1, 0)) > 300 and crossed_within_tol > 100
+
+
 def test_planar_matching_matches_reference():
     rng = random.Random(12)
     for k in range(1, 10):

@@ -94,9 +94,29 @@ def brute_wfa_tables(start, requests):
     return pts, tables
 
 
-class FixedPointWFA(WorkFunctionServer):
-    """Reference work function: neighbour keys sorted and distances
-    recomputed on every pass, the serve update read per (conf, slot)."""
+class FixedPointWFA:
+    """Reference work function, independent of WorkFunctionServer: values
+    in a dict keyed by sorted configuration, neighbour keys sorted and
+    distances recomputed on every pass, the serve update read per
+    (conf, slot)."""
+
+    def __init__(self, start):
+        self.k = len(start)
+        self.points = []
+        self.index = {}
+        for p in start:
+            self._intern(p)
+        self.positions = tuple(start)
+        self.values = {}
+        for conf in itertools.combinations_with_replacement(range(len(self.points)), self.k):
+            pts = tuple(self.points[i] for i in conf)
+            self.values[conf] = min_weight_matching(start, pts).weight
+
+    def _intern(self, p):
+        if p not in self.index:
+            self.index[p] = len(self.points)
+            self.points.append(p)
+        return self.index[p]
 
     def _extend_table(self, q):
         n = len(self.points)
@@ -155,6 +175,34 @@ class FixedPointWFA(WorkFunctionServer):
         return SimStep(self.positions, 0.0, moved)
 
 
+def hex_table(wfa):
+    """Every configuration's value as float.hex, keyed by sorted configuration."""
+    if isinstance(wfa, FixedPointWFA):
+        return {conf: val.hex() for conf, val in wfa.values.items()}
+    return {conf: wfa.values[i].hex() for conf, i in wfa.ids.items()}
+
+
+def assert_same_walk(start, requests, trial):
+    """WorkFunctionServer and the reference agree on every step and, bit
+    for bit, on every configuration's value after every step."""
+    fast, ref = WorkFunctionServer(list(start)), FixedPointWFA(list(start))
+    assert hex_table(fast) == hex_table(ref), trial
+    for r in requests:
+        assert fast.step(r) == ref.step(r), trial
+        assert hex_table(fast) == hex_table(ref), trial
+
+
+def planar_walk(rng, n, mc):
+    """Local random walk from the origin with every step at most mc long."""
+    cur = (0.0, 0.0)
+    out = [cur]
+    for _ in range(n - 1):
+        angle, length = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, mc)
+        cur = (cur[0] + length * math.cos(angle), cur[1] + length * math.sin(angle))
+        out.append(cur)
+    return out
+
+
 class TestWorkFunction:
     def test_single_server_follows_requests(self):
         w = WorkFunctionServer([(0.0,)])
@@ -192,7 +240,7 @@ class TestWorkFunction:
                     if not all(p in seen for p in conf_pts):
                         continue
                     key = tuple(sorted(wfa.index[p] for p in conf_pts))
-                    assert abs(wfa.values[key] - val) < 1e-9
+                    assert abs(wfa.values[wfa.ids[key]] - val) < 1e-9
 
     def test_matches_fixed_point_reference_bit_for_bit(self):
         rng = random.Random(17)
@@ -206,11 +254,16 @@ class TestWorkFunction:
             start = [draw()] * k if rng.random() < 0.5 else [draw() for _ in range(k)]
             pool = [draw() for _ in range(rng.randint(2, 10 - 2 * k))]
             requests = [rng.choice(pool) for _ in range(rng.randint(4, 12))]
-            fast, ref = WorkFunctionServer(list(start)), FixedPointWFA(list(start))
-            assert fast.values == ref.values
-            for r in requests:
-                assert fast.step(r) == ref.step(r), trial
-                assert fast.values == ref.values, trial
+            assert_same_walk(start, requests, trial)
+
+    def test_bench_size_walks_match_reference_bit_for_bit(self):
+        # Planar walks as long as the benchmark's, 56 steps at k=2 and 20 at
+        # k=3, from co-located start servers and from distinct ones.
+        rng = random.Random(23)
+        for trial, (k, steps) in enumerate(((2, 56), (2, 56), (3, 20), (3, 20))):
+            requests = planar_walk(rng, steps, 1.2)
+            start = [requests[0]] * k if trial % 2 == 0 else requests[:k]
+            assert_same_walk(start, requests, trial)
 
     def test_values_monotone_in_time(self):
         rng = random.Random(9)
@@ -221,8 +274,8 @@ class TestWorkFunction:
             wfa.step((rng.uniform(-4, 8),))
             if prev is not None:
                 for conf, val in prev.items():
-                    assert wfa.values[conf] >= val - 1e-9
-            prev = dict(wfa.values)
+                    assert wfa.values[wfa.ids[conf]] >= val - 1e-9
+            prev = {conf: wfa.values[i] for conf, i in wfa.ids.items()}
 
     def test_budget_error(self):
         w = WorkFunctionServer([(0.0,), (1.0,)], max_configs=10)
@@ -282,6 +335,17 @@ def test_scripted_simulator_costs():
     s = ScriptedSimulator([(0.0,)], [[(3.0,)]])
     step = s.step((4.0,))
     assert step == (((3.0,),), 1.0, 3.0)
+
+
+def test_simulators_reject_points_of_another_dimension():
+    plane = ((0.0, 0.0), (1.0, 0.0))
+    for sim in (GreedyServer(plane), WorkFunctionServer(list(plane)),
+                SplitServeLine([(0.0,), (1.0,)]), ScriptedSimulator(plane, [plane])):
+        with pytest.raises(InputError):
+            sim.step((0.5,) * (3 - len(sim.positions[0])))
+    for make in (GreedyServer, WorkFunctionServer, lambda s: ScriptedSimulator(s, [])):
+        with pytest.raises(InputError):
+            make([(0.0, 0.0), (1.0,)])
 
 
 def test_make_simulator_and_default_tags():
