@@ -18,7 +18,7 @@ from kmobile.core import (
     Point,
     ProblemParams,
     Trace,
-    distance,
+    check_dims,
     move_toward,
 )
 
@@ -45,14 +45,15 @@ def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
     confs = []
     cur = list(start)
     for _ in range(n):
-        cur = [move_toward(p, tgt, ms) for p, tgt in zip(cur, targets)]
+        # move_toward returns tgt itself to a server already on it.
+        cur = [p if p is tgt else move_toward(p, tgt, ms) for p, tgt in zip(cur, targets)]
         confs.append(tuple(cur))
     return confs
 
 
 def _max_jump(requests: Sequence[Point]) -> float:
-    return max((distance(requests[t - 1], requests[t])
-                for t in range(1, len(requests))), default=0.0)
+    check_dims(requests, len(requests[0]))
+    return max(map(math.dist, requests, requests[1:]), default=0.0)
 
 
 def _jump_setup(k: int, x: int, ms: float, seed: Optional[int], z_choice: Optional[int]):

@@ -238,11 +238,13 @@ def certificate_cost(trace: Trace, params: ProblemParams) -> float:
     """Evaluated cost of the attached offline trajectory."""
     if trace.certificate is None:
         raise InputError("trace carries no certificate")
+    check_dims(itertools.chain(trace.start_config, trace.requests, *trace.certificate),
+               params.dim)
     total = 0.0
     prev = trace.start_config
     for conf, r in zip(trace.certificate, trace.requests):
-        total += params.D * sum(distance(prev[i], conf[i]) for i in range(params.k))
-        total += min(distance(p, r) for p in conf)
+        total += params.D * sum(math.dist(prev[i], conf[i]) for i in range(params.k))
+        total += min(math.dist(p, r) for p in conf)
         prev = conf
     return total
 

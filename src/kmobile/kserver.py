@@ -201,21 +201,24 @@ class WorkFunctionServer(GuidanceSimulator):
         configuration's value at the start of the pass, so one numpy test
         of every candidate against those values tells whether the next
         pass would change anything; the relaxation stops where it would not.
+        The first pass reads only points p before x: neighbour ids rise
+        with p to conf's own at p = x, and ids from there on read inf.
         """
         values = self.values
         lo = len(values)
         confs, bases = self._slot_point[lo:], self._slot_base[lo:]
         values.extend([math.inf] * len(confs))
-        plan = [(cid, [(self.neighbours[base], self.dmat[x])
+        plan = [(cid, [(self.neighbours[base], self.dmat[x], x)
                        for s, (base, x) in enumerate(zip(bs, conf)) if s == 0 or conf[s - 1] != x])
                 for cid, conf, bs in zip(range(lo, len(values)), confs.tolist(), bases.tolist())]
         others, dists = self._nbr[bases], self._dist[confs]
+        first = True
         while True:
             for cid, slots in plan:
                 best = values[cid]
                 bar = best - 1e-15
-                for keys, row in slots:
-                    for other, d in zip(keys, row):
+                for keys, row, x in slots:
+                    for other, d in zip(keys[:x] if first else keys, row):
                         cand = values[other] + d
                         if cand < bar:
                             best = cand
@@ -224,6 +227,7 @@ class WorkFunctionServer(GuidanceSimulator):
             now = np.array(values)
             if not (now[others] + dists < (now[lo:] - 1e-15)[:, None, None]).any():
                 return
+            first = False
 
     def step(self, r: Point) -> SimStep:
         check_dims((r,), self.dim)

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from operator import is_
 from typing import Optional, Sequence, Union
 
 from kmobile.core import (
@@ -335,12 +336,19 @@ class MobileRun:
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
         self.on_request_tol = 1e-9 * max(1.0, params.mc)
+        # The last report if its step settled: no server moved or missed its target.
+        self._settled: Optional[StepReport] = None
 
     def step(self, r: Point) -> StepReport:
         """Guidance step, matching to it, then the algorithm's caps and targets.
 
         The request and the guidance are checked against the dimension
         once here; the step then measures them with ``math.dist``.
+
+        A step is a function of the positions, request and guidance by
+        value (a zero's sign changes no distance), and a settled step left
+        the positions it started from.  So a step that repeats its request
+        and guidance repeats its numbers, placing this step's own points.
         """
         self.t += 1
         dim = self.params.dim
@@ -348,12 +356,23 @@ class MobileRun:
         sim_step = self.sim.step(r)
         c = sim_step.positions
         check_dims(c, dim)
-        perm = min_weight_matching(self.positions, c).perm
-        matched = [c[j] for j in perm]
-        branch, mover, caps, targets, moved = self._POLICIES[self.algo](self, r, c, perm, matched)
-        new_pos, disps = moved or self._apply(targets, caps)
+        last = self._settled
+        if last is not None and r == last.request and c == last.sim_positions:
+            perm, branch, mover = last.perm, last.branch, last.mover
+            targets = [c[j] for j in perm]
+            if mover is not None:  # greedy and tentative move it onto r
+                targets[mover] = r
+            new_pos, caps, disps = tuple(targets), list(last.caps), list(last.displacements)
+            serving, matched_sum = last.serving, last.matched_sum
+        else:
+            perm = min_weight_matching(self.positions, c).perm
+            matched = [c[j] for j in perm]
+            branch, mover, caps, targets, moved = self._POLICIES[self.algo](
+                self, r, c, perm, matched)
+            new_pos, disps = moved or self._apply(targets, caps)
+            serving = min(math.dist(p, r) for p in new_pos)
+            matched_sum = sum(map(math.dist, new_pos, matched))
         self.positions = new_pos
-        serving = min(math.dist(p, r) for p in new_pos)
         movement = sum(disps)
         D = self.params.D
         rep = StepReport(
@@ -362,9 +381,10 @@ class MobileRun:
             cost=serving + D * movement,
             sim_serving=sim_step.serving, sim_movement=sim_step.movement,
             sim_cost=sim_step.serving + D * sim_step.movement,
-            matched_sum=sum(map(math.dist, new_pos, matched)),
-            positions=new_pos, sim_positions=c)
+            matched_sum=matched_sum, positions=new_pos, sim_positions=c)
         self.reports.append(rep)
+        settled = movement == 0.0 and all(map(is_, new_pos, targets))
+        self._settled = rep if settled else None
         return rep
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:

@@ -53,34 +53,45 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_movement = 0.0
         self.max_request_distance = 0.0
         self.phase_ends = 0
+        # The last full step's request, guidance, inside servers and serving.
+        self._last: Optional[tuple] = None
 
-    def _place(self, hat: list[Point], inner_pos: Config, r: Point, phase_end: bool) -> list[Point]:
+    def _place(self, hat: list[Point], inner_pos: Config, r: Point, phase_end: bool) -> list[int]:
+        """Place the shadows in ``hat``; returns the servers inside the inner circle."""
+        inside = []
         for i, c in enumerate(inner_pos):
             if math.dist(c, r) <= self.inner:
                 hat[i] = c
+                inside.append(i)
             elif phase_end:
                 hat[i] = move_toward(r, c, self.inner)
-        return hat
+        return inside
 
     def step(self, r: Point) -> SimStep:
         raw = self.sim.step(r)
+        c = raw.positions
         # Checked once here, then measured with math.dist.
-        check_dims((r, *raw.positions), self.params.dim)
+        check_dims((r, *c), self.params.dim)
         self.raw_serving += raw.serving
         self.raw_movement += raw.movement
         hat = list(self.positions)
-        if self.anchor is None:
-            # First request opens the first phase; outside servers are
-            # pulled to the boundary immediately so containment holds
-            # from the start.
+        last = self._last
+        if last is not None and r == last[0] and c == last[1]:
+            # Last step's inputs by value: the anchor is that r or within inner of
+            # it, so no phase ends; the same servers are inside, and nothing moves.
+            for i in last[2]:
+                hat[i] = c[i]
+            self.positions = tuple(hat)
+            self.proj_serving += last[3]
+            return SimStep(self.positions, last[3], 0.0)
+        # The first request opens the first phase; outside servers are pulled
+        # to the boundary at once, so containment holds from the start.
+        first = self.anchor is None
+        phase_end = first or math.dist(self.anchor, r) >= self.inner
+        inside = self._place(hat, c, r, phase_end)
+        if phase_end:
             self.anchor = r
-            hat = self._place(hat, raw.positions, r, phase_end=True)
-        else:
-            phase_end = math.dist(self.anchor, r) >= self.inner
-            hat = self._place(hat, raw.positions, r, phase_end)
-            if phase_end:
-                self.anchor = r
-                self.phase_ends += 1
+            self.phase_ends += not first
         movement = sum(map(math.dist, self.positions, hat))
         self.positions = tuple(hat)
         dists = [math.dist(p, r) for p in hat]
@@ -88,6 +99,7 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_serving += serving
         self.proj_movement += movement
         self.max_request_distance = max(self.max_request_distance, max(dists))
+        self._last = (r, c, inside, serving)
         return SimStep(self.positions, serving, movement)
 
     def raw_cost(self) -> float:

@@ -1,13 +1,22 @@
 import pytest
 
 from kmobile.adversary import (
+    _max_jump,
     gen_local_walk,
     gen_simple_counterexample,
     gen_thm3,
     gen_thm4,
     local_walk_requests,
 )
-from kmobile.core import InputError, ProblemParams, certificate_cost, distance, validate_trace
+from kmobile.core import (
+    InputError,
+    ProblemParams,
+    Trace,
+    certificate_cost,
+    distance,
+    move_toward,
+    validate_trace,
+)
 
 
 class TestThm3:
@@ -155,3 +164,57 @@ class TestLocalWalk:
     def test_step_scale_bounds(self):
         with pytest.raises(InputError):
             local_walk_requests(5, 1, 1.0, 1.5, seed=0)
+
+
+def reference_certificate(start, targets, ms, n):
+    """The certificate follower with move_toward called for every server."""
+    confs, cur = [], list(start)
+    for _ in range(n):
+        cur = [move_toward(p, tgt, ms) for p, tgt in zip(cur, targets)]
+        confs.append(tuple(cur))
+    return confs
+
+
+class TestCheckedOnce:
+    """The generators and certificate_cost check dimensions once, then use math.dist."""
+
+    def instances(self):
+        for k in (2, 3, 4, 8):
+            for seed in (0, 1):
+                yield gen_thm3(k, 16, ms=0.75, seed=seed)
+                yield gen_thm4(k, 16, ms=0.75, mc=2.0, seed=seed)
+
+    def test_certificates_equal_the_move_toward_reference(self):
+        for inst in self.instances():
+            cert = inst.trace.certificate
+            targets = [(0.0,)] + [(z,) for z in inst.choices["Z"]]
+            want = reference_certificate(inst.trace.start_config, targets, 0.75, len(cert))
+            assert repr(cert) == repr(want)
+
+    def test_a_negative_speed_keeps_its_message(self):
+        for gen in (lambda k: gen_thm3(k, 16, ms=-1.0), lambda k: gen_thm4(k, 16, -1.0, 2.0)):
+            for k in (2, 4):
+                with pytest.raises(InputError, match="^movement cap must be nonnegative$"):
+                    gen(k)
+
+    def test_jumps_and_certificate_costs_equal_the_checked_distance(self):
+        for inst in self.instances():
+            req, cert, p = inst.trace.requests, inst.trace.certificate, inst.params
+            jump = max(distance(a, b) for a, b in zip(req, req[1:]))
+            assert _max_jump(req).hex() == jump.hex()
+            total, prev = 0.0, inst.trace.start_config
+            for conf, r in zip(cert, req):
+                total += p.D * sum(distance(prev[i], conf[i]) for i in range(p.k))
+                total += min(distance(q, r) for q in conf)
+                prev = conf
+            assert certificate_cost(inst.trace, p).hex() == total.hex()
+
+    def test_a_dimension_mismatch_is_an_input_error(self):
+        with pytest.raises(InputError, match="dimension"):
+            _max_jump([(0.0,), (1.0, 2.0)])
+        p = ProblemParams(k=1, ms=1.0, mc=1.0, delta=0.0)
+        for trace in (Trace([(0.0,)], ((0.0,),), [((0.0, 1.0),)]),
+                      Trace([(0.0, 1.0)], ((0.0,),), [((0.0,),)]),
+                      Trace([(0.0,)], ((0.0, 1.0),), [((0.0,),)])):
+            with pytest.raises(InputError, match="dimension"):
+                certificate_cost(trace, p)

@@ -15,8 +15,16 @@ same factor: on UMS/dc-line and WMS/pm-counter walks and on 1-D thm3
 (k=2, 4, slow mode with the projection).  It is asserted within 1e-12
 relative; for the factors 2 and 0.5 every total came out exact, as
 expected where multiplying by a power of two adds no rounding.
+
+Reordering a start configuration in which servers share points leaves
+the total unchanged: on UMS/dc-line and WMS/pm-counter walks and on
+thm3 at k=4, every distinct order gave the same total bit for bit.  It
+is asserted within 1e-12 relative, which a different tie-break would
+exceed by far.  On thm3 the origin is also spelled (0.0,) and (-0.0,),
+and reordering those spellings leaves the total unchanged as well.
 """
 import dataclasses
+import itertools
 
 import pytest
 
@@ -92,3 +100,45 @@ def test_scaling_scales_the_total(inst, algo, sim, factor):
     base = run(inst.trace, inst.params, algo, sim=sim).grand_total
     assert base > 0.0
     assert scaled_total(inst, factor, algo, sim) == pytest.approx(factor * base, rel=1e-12)
+
+
+def orders(start):
+    """Every distinct order of the start configuration's servers, by spelling (-0.0 is not 0.0)."""
+    return list({repr(order): order for order in itertools.permutations(start)}.values())
+
+
+def clustered_walk(algo, k, start_offsets):
+    """A walk whose servers start in clusters at the given offsets from its first request."""
+    if algo == "wms":
+        params = ProblemParams(k=k, ms=1.0, mc=1.2, delta=0.5, D=2.5)
+    else:
+        params = ProblemParams(k=k, ms=1.0, mc=1.5, delta=0.2)
+    requests = gen_local_walk(200, params, 1.0, seed=20 + k).trace.requests
+    x0 = requests[0][0]
+    return Trace(requests, tuple((x0 + off,) for off in start_offsets)), params
+
+
+def thm3_starts():
+    inst = gen_thm3(4, 16, seed=4)
+    requests, certificate = inst.trace.requests, inst.trace.certificate
+    yield Trace(requests, ((0.0,), (0.0,), (5.0,), (5.0,))), inst.params
+    yield Trace(requests, ((0.0,), (0.0,), (-0.0,), (-0.0,)), certificate), inst.params
+
+
+REORDERED = ([pytest.param(*clustered_walk(algo, len(offsets), offsets), algo, sim,
+                           id=f"{algo}-{sim}-{offsets}")
+              for algo, sim in (("ums", "dc-line"), ("wms", "pm-counter"))
+              for offsets in ((0.0, 0.0, 2.0), (0.0, 0.0, -3.0, -3.0), (0.0, 1.0, 1.0, 1.0))]
+             + [pytest.param(trace, params, "ums", "dc-line", id=f"thm3-k4-{i}")
+                for i, (trace, params) in enumerate(thm3_starts())])
+
+
+@pytest.mark.parametrize("trace,params,algo,sim", REORDERED)
+def test_reordering_co_located_start_servers_keeps_the_total(trace, params, algo, sim):
+    starts = orders(trace.start_config)
+    assert len(starts) > 1
+    base = run(trace, params, algo, sim=sim).grand_total
+    assert base > 0.0
+    for start in starts:
+        reordered = dataclasses.replace(trace, start_config=start)
+        assert run(reordered, params, algo, sim=sim).grand_total == pytest.approx(base, rel=1e-12)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from kmobile.adversary import gen_local_walk
+from kmobile.adversary import gen_local_walk, gen_thm3, gen_thm4
 from kmobile.checks import audit_speed_caps, default_y, potential_factors
 from kmobile.cli import _steps_csv
 from kmobile.core import (
@@ -16,6 +16,7 @@ from kmobile.core import (
     ProblemParams,
     Trace,
     distance,
+    min_weight_matching,
     move_toward,
 )
 from kmobile.experiment import fmt
@@ -407,3 +408,132 @@ class TestStepMove:
         for t, positions in moves.items():
             assert bits(res.reports[t - 1].positions) == bits(positions)
 
+
+def reused_steps(reports):
+    """How many steps repeated the last step's numbers, read from the reports alone.
+
+    A step repeats the last one when that step settled (it did not move,
+    and every server ended on its target: its matched guidance point, or
+    the request for the mover) and the request and the guidance are the
+    same by value.
+    """
+    count = 0
+    for prev, rep in zip(reports, reports[1:]):
+        targets = [prev.sim_positions[j] for j in prev.perm]
+        if prev.mover is not None:
+            targets[prev.mover] = prev.request
+        count += (prev.movement == 0.0 and list(prev.positions) == targets
+                  and rep.request == prev.request and rep.sim_positions == prev.sim_positions)
+    return count
+
+
+def measured_steps(step, attr):
+    """``step`` with the last step's outcome, held in ``attr``, forgotten first."""
+    def full_step(self, r):
+        setattr(self, attr, None)
+        return step(self, r)
+    return full_step
+
+
+def run_and_reference(make, **kw):
+    """A run, and the same run with every step measured in full.
+
+    ``make`` gives run's leading arguments (trace and parameters, maybe
+    algorithm and simulator); it is called once per run, so that a
+    simulator instance is never shared.
+    """
+    res = run(*make(), **kw)
+    with mock.patch.object(MobileRun, "step", measured_steps(MobileRun.step, "_settled")), \
+            mock.patch.object(ProjectionWrapper, "step",
+                              measured_steps(ProjectionWrapper.step, "_last")):
+        ref = run(*make(), **kw)
+    return res, ref
+
+
+def repeated(points, times):
+    """Each point ``times`` times in a row."""
+    return [p for p in points for _ in range(times)]
+
+
+def signed_zero_trace():
+    """A 1-D trace whose repeated request alternates (0.0,) and (-0.0,)."""
+    requests = repeated([(0.0,), (-0.0,)] * 3 + [(0.5,), (0.0,)] + [(-0.0,), (0.0,)] * 3, 3)
+    return Trace(requests, ((-0.0,), (0.0,), (1.0,))), params(k=3, ms=1.0, mc=1.0, delta=0.5)
+
+
+def reuse_cases():
+    def instance(gen, *args, **kw):
+        def make():
+            inst = gen(*args, **kw)
+            return inst.trace, inst.params
+        return make
+
+    for k in (2, 4, 8):
+        yield pytest.param(instance(gen_thm3, k, 16, seed=k), dict(algo="ums", project="on"),
+                           id=f"thm3-k{k}")
+    yield pytest.param(instance(gen_thm4, 3, 16, ms=1.0, mc=4.0, D=2.0, seed=1),
+                       dict(algo="wms"), id="thm4-wms")
+
+    def repeated_walk(p, seed, times, far):
+        walk = gen_local_walk(40, p, 1.0, seed=seed).trace.requests
+        return lambda: (Trace(repeated(walk, times), (walk[0],) * (p.k - 1) + (far,)), p)
+
+    yield pytest.param(repeated_walk(params(k=2, ms=1.0, mc=1.2, delta=0.5, D=3.0), 8, 4, (2.0,)),
+                       dict(algo="wms", sim="pm-counter"), id="pm-counter-walk")
+    yield pytest.param(repeated_walk(params(k=3, ms=1.0, mc=1.0, delta=0.5, dim=2), 9, 3,
+                                     (3.0, 0.0)),
+                       dict(algo="ums", sim="greedy", project="off"), id="planar-greedy")
+
+    def moving_guidance():
+        # The request stays while the guidance moves a server now and then.
+        script = repeated([((0.0,), (x,)) for x in (5.0, 5.5, 6.0, 5.0)], 3)
+        return (Trace([(0.0,)] * len(script), script[0]), params(k=2, mc=1.0), "ums",
+                ScriptedSimulator(script[0], script))
+
+    yield pytest.param(moving_guidance, dict(project="off"), id="moving-guidance")
+    for algo, sim in (("ums", "dc-line"), ("ums", "greedy"), ("wms", "pm-counter")):
+        for project in ("on", "off"):
+            yield pytest.param(signed_zero_trace, dict(algo=algo, sim=sim, project=project),
+                               id=f"signed-zero-{algo}-{sim}-{project}")
+
+
+class TestReuse:
+    @pytest.mark.parametrize("make,kw", reuse_cases())
+    def test_reused_steps_equal_measured_ones(self, make, kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res, ref = run_and_reference(make, **kw)
+        assert res.to_json({}) == ref.to_json({})
+        assert res.reports == ref.reports
+        assert list(map(report_bits, res.reports)) == list(map(report_bits, ref.reports))
+        assert res.projection_audit == ref.projection_audit
+        assert reused_steps(res.reports) > 0
+
+    def test_record_spells_each_zero_as_its_step_inputs(self):
+        res, ref = run_and_reference(signed_zero_trace, algo="ums", sim="greedy")
+        text = res.to_json({})
+        assert text == ref.to_json({}) and "-0.0" in text
+        flips = 0
+        for prev, rep in zip(res.reports, res.reports[1:]):
+            if reused_steps([prev, rep]):
+                targets = [rep.sim_positions[j] for j in rep.perm]
+                if rep.mover is not None:
+                    targets[rep.mover] = rep.request
+                assert bits(rep.positions) == bits(tuple(targets)), rep.t
+                flips += bits(rep.request) != bits(prev.request)
+        assert flips > 0
+
+    def test_a_repeat_skips_the_matching(self):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return min_weight_matching(a, b)
+
+        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
+        trace = Trace(repeated([(0.0,), (1.0,), (2.0,)], 5), ((0.0,), (0.0,)))
+        with mock.patch("kmobile.mobile.min_weight_matching", counted):
+            res = run(trace, p, algo="ums", sim="dc-line")
+        # Each block's first repeat follows a move, so only the later ones reuse.
+        assert reused_steps(res.reports) == 4 + 3 + 3
+        assert len(calls) == len(trace) - 10 + 1

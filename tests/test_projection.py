@@ -108,3 +108,45 @@ def test_reentering_server_snaps_back():
     assert wrap.step((0.0,)).positions == ((0.0,),)
     assert wrap.step((0.0,)).positions == ((0.0,),)   # left inner: shadow stays
     assert wrap.step((0.0,)).positions == ((2.0,),)   # back inside: copied
+
+
+def projection_state(wrap):
+    """Everything a projection step leaves behind, floats spelled by float.hex."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        return value
+
+    return bits((wrap.positions, wrap.anchor, wrap.raw_serving, wrap.raw_movement,
+                 wrap.proj_serving, wrap.proj_movement, wrap.max_request_distance,
+                 float(wrap.phase_ends)))
+
+
+def test_repeated_steps_equal_measured_ones():
+    # Requests and guidance repeat in blocks, with servers inside and outside
+    # the inner radius, phase ends, and zeros of both signs.
+    rng = random.Random(5)
+    pr = params(k=3, mc=1.0)  # inner radius 12
+    requests, script = [], []
+    r = (0.0,)
+    for _ in range(30):
+        r = (0.0,) if rng.random() < 0.15 else (r[0] + rng.uniform(1.0, 8.0),)
+        offset, far = rng.choice((-0.0, 3.0, 60.0)), (rng.uniform(-80.0, 80.0),)
+        for _ in range(rng.randrange(1, 5)):
+            q = rng.choice(((-0.0,), (0.0,))) if r[0] == 0.0 else r
+            requests.append(q)
+            script.append([q, (q[0] + offset,), (far[0] * 1.0,)])
+    start = [(0.0,), (50.0,), (-50.0,)]
+    wrap = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
+    ref = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
+    reused = 0
+    for r in requests:
+        ref._last = None
+        reused += wrap._last is not None and r == wrap._last[0]
+        got, want = wrap.step(r), ref.step(r)
+        assert projection_state(wrap) == projection_state(ref)
+        assert (got.serving.hex(), got.movement.hex()) == (want.serving.hex(), want.movement.hex())
+    assert reused > len(requests) / 3
+    assert wrap.phase_ends > 0

@@ -265,6 +265,21 @@ class TestWorkFunction:
             start = [requests[0]] * k if trial % 2 == 0 else requests[:k]
             assert_same_walk(start, requests, trial)
 
+    def test_neighbour_ids_rise_with_the_point(self):
+        # The first relaxation pass reads, for a slot holding point x, only
+        # the neighbours before x; that is exact only if the ids rise, so
+        # that those are the ones created before the configuration.
+        rng = random.Random(31)
+        for trial in range(12):
+            k, dim = 1 + trial % 3, 1 + trial // 3 % 2
+            draw = lambda: tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+            start = [draw()] * k if trial % 2 else [draw() for _ in range(k)]
+            wfa = WorkFunctionServer(start)
+            for _ in range(12 - 2 * k):
+                wfa.step(draw())
+                for keys in wfa.neighbours:
+                    assert all(a < b for a, b in zip(keys, keys[1:])), trial
+
     def test_values_monotone_in_time(self):
         rng = random.Random(9)
         start = [(0.0,), (5.0,)]
