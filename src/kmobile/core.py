@@ -259,22 +259,52 @@ class Matching(NamedTuple):
 def _assignment(cost: list[list[float]]) -> tuple[float, list[int]]:
     """Optimal value and one optimal column per row of a square cost matrix.
 
-    1x1 and 2x2 problems are settled by one comparison, so runs with
-    k <= 2 never import scipy; larger ones use the Hungarian method.
+    The Hungarian method with row and column potentials u, v, in the
+    shortest-augmenting-path form of Jonker & Volgenant (1987).  A row
+    reduction starts it: u_i is row i's minimum, v = 0, and each row in
+    turn takes its first free column of reduced cost zero.  Each row left
+    over is then matched along a shortest path of reduced costs from the
+    virtual column n.  The value is the cost summed in row order.
     """
     n = len(cost)
-    if n == 0:
-        return 0.0, []
-    if n == 1:
-        return cost[0][0], [0]
-    if n == 2:
-        straight = cost[0][0] + cost[1][1]
-        crossed = cost[0][1] + cost[1][0]
-        return (straight, [0, 1]) if straight <= crossed else (crossed, [1, 0])
-    from scipy.optimize import linear_sum_assignment
-
-    cols = linear_sum_assignment(cost)[1].tolist()
-    return sum(cost[i][j] for i, j in enumerate(cols)), cols
+    u = [min(row) for row in cost]
+    v = [0.0] * (n + 1)
+    row_of = [-1] * (n + 1)          # column -> its row; -1 while free
+    left = []
+    for i, row in enumerate(cost):
+        j = row.index(u[i])
+        while j < n and (row_of[j] >= 0 or row[j] != u[i]):
+            j += 1
+        if j < n:
+            row_of[j] = i
+        else:
+            left.append(i)
+    for i in left:
+        row_of[n], j0 = i, n
+        dist = [math.inf] * n        # reduced length of the shortest path to each column
+        via = [n] * n                # the column before it on that path
+        unseen, seen = list(range(n)), [n]
+        while row_of[j0] >= 0:
+            row, base = cost[row_of[j0]], u[row_of[j0]]
+            delta = math.inf
+            for j in unseen:
+                d = row[j] - base - v[j]
+                if d < dist[j]:
+                    dist[j], via[j] = d, j0
+                if dist[j] < delta:
+                    delta, j1 = dist[j], j
+            for j in seen:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            for j in unseen:
+                dist[j] -= delta
+            unseen.remove(j1)
+            seen.append(j1)
+            j0 = j1
+        while j0 != n:               # flip the path's matched and unmatched edges
+            row_of[j0], j0 = row_of[via[j0]], via[j0]
+    cols = sorted(range(n), key=row_of.__getitem__)
+    return sum([cost[i][j] for i, j in enumerate(cols)], 0.0), cols
 
 
 def _non_decreasing(conf: Sequence[Point]) -> bool:

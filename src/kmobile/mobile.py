@@ -150,12 +150,14 @@ class RunResult:
         }
 
     def to_dict(self) -> dict:
-        steps = [{key: _json_value(shape, getattr(r, field))
-                  for key, (field, shape) in STEP_FIELDS.items()} for r in self.reports]
-        return dict(self._head(), steps=steps)
+        """The run record as ``json.loads`` reads it back; ``from_dict`` inverts it."""
+        return json.loads(self.to_json({}))
 
     def to_json(self, extra: dict) -> str:
-        """``json.dumps(dict(self.to_dict(), **extra), sort_keys=True, indent=2)``, byte for byte."""
+        """``json.dumps(dict(record_dict(self), **extra), sort_keys=True, indent=2)``, byte for byte.
+
+        ``record_dict``, in tests/test_mobile.py, builds the record field by field.
+        """
         head = json.dumps(dict(self._head(), **extra, steps=None), sort_keys=True, indent=2)
         # A raw newline and two spaces only ever precede a top-level key:
         # json escapes every newline inside a string.
@@ -289,15 +291,6 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
 def _chunks(values, size: int) -> zip:
     """Consecutive tuples of ``size`` items of ``values``."""
     return zip(*[iter(values)] * size)
-
-
-def _json_value(shape: str, value):
-    """A step field as to_dict holds it: a list for each sequence."""
-    if shape == "config":
-        return [list(p) for p in value]
-    if shape in ("list", "point"):
-        return list(value)
-    return value
 
 
 def _json_list(items: list[str], depth: int) -> str:

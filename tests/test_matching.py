@@ -96,18 +96,70 @@ def test_empty_matching():
     assert min_weight_matching([], []) == Matching((), 0.0)
 
 
-def test_k2_simulate_leaves_scipy_unimported(tmp_path):
-    # Matchings of k <= 2 are settled without scipy, whose import would
-    # cost more than a whole short k=2 run.
-    trace = str(tmp_path / "t.jsonl")
+def assert_optimal_assignment(cost, opt):
+    """A permutation whose row-order sum is the returned value and an optimum."""
+    value, cols = _assignment(cost)
+    assert sorted(cols) == list(range(len(cost))), cols
+    assert value.hex() == sum([cost[i][j] for i, j in enumerate(cols)], 0.0).hex()
+    assert abs(value - opt) <= 1e-12 * (1.0 + opt), (cost, cols, opt)
+
+
+def test_assignment_matches_enumeration_on_ties():
+    rng = random.Random(17)
+    for n in range(8):
+        for _ in range(30 if n < 7 else 4):
+            row = [float(rng.randint(0, 4)) for _ in range(n)]
+            for cost in ([[float(rng.randint(0, 3)) for _ in range(n)] for _ in range(n)],
+                         [list(row) for _ in range(n)],
+                         [[rng.choice((0.0, 0.5, 2.5))] * n for _ in range(n)],
+                         [[2.5] * n for _ in range(n)]):
+                opt = min(sum([cost[i][j] for i, j in enumerate(perm)], 0.0)
+                          for perm in itertools.permutations(range(n)))
+                assert_optimal_assignment(cost, opt)
+
+
+def test_assignment_matches_scipy_on_geometric_costs():
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = random.Random(19)
+    for n in (3, 8, 16, 64):
+        for trial in range(12):
+            dim = rng.choice((1, 2))
+            draw = lambda: tuple(rng.uniform(-5.0, 5.0) for _ in range(dim))
+            if trial % 2:               # co-located servers: many optimal matchings
+                sites = [draw() for _ in range(3)]
+                draw = lambda: rng.choice(sites)
+            a, b = [draw() for _ in range(n)], [draw() for _ in range(n)]
+            cost = [[distance(p, q) for q in b] for p in a]
+            rows, cols = linear_sum_assignment(cost)
+            assert_optimal_assignment(cost, sum([cost[i][j] for i, j in zip(rows, cols)], 0.0))
+
+
+def test_cli_commands_leave_scipy_unimported(tmp_path):
+    # The assignment solver is in the package: a fresh process running every
+    # command, with k=3, 4 and 8 matchings that reach the solver, never
+    # imports scipy, whose import alone costs more than such a run.
     script = (
         "import sys\n"
+        "from kmobile import core\n"
         "from kmobile.cli import main\n"
-        f"trace = {trace!r}\n"
+        "sizes = []\n"
+        "solve = core._assignment\n"
+        "core._assignment = lambda cost: sizes.append(len(cost)) or solve(cost)\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "walk, thm3, spec = tmp + '/walk.jsonl', tmp + '/thm3.jsonl', tmp + '/thm3.spec'\n"
         "assert main(['generate', '--construction', 'walk', '--k', '2', '--dim', '2',\n"
-        "             '--n', '12', '--mc', '0.8', '--D', '2', '--out', trace]) == 0\n"
+        "             '--n', '12', '--mc', '0.8', '--D', '2', '--out', walk]) == 0\n"
         "for algo in ('ums', 'wms', 'simple'):\n"
-        "    assert main(['simulate', '--algo', algo, '--trace', trace]) == 0\n"
+        "    assert main(['simulate', '--algo', algo, '--trace', walk]) == 0\n"
+        "assert main(['generate', '--construction', 'thm3', '--k', '4', '--x', '32',\n"
+        "             '--out', thm3]) == 0\n"
+        "assert main(['simulate', '--trace', thm3, '--out', tmp + '/run.json']) == 0\n"
+        "assert main(['verify', '--property', 'slow-potential', '--run', tmp + '/run.json',\n"
+        "             '--trace', thm3]) == 0\n"
+        "with open(spec, 'w') as fh:\n"
+        "    fh.write('construction=thm3\\nx=16\\nseeds=0\\nsweep.k=3,4,8\\n')\n"
+        "assert main(['sweep', '--spec', spec, '--out', tmp + '/agg.json']) == 0\n"
+        "assert {3, 4, 8} <= set(sizes), sorted(set(sizes))\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     env = dict(os.environ, PYTHONPATH=str(Path(kmobile.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -21,7 +21,7 @@ from kmobile.core import (
 )
 from kmobile.experiment import fmt
 from kmobile.kserver import GreedyServer, PageMigrationCounter, ScriptedSimulator, SimStep
-from kmobile.mobile import ALGO_TAGS, MobileRun, RunResult, derive_mode, run
+from kmobile.mobile import ALGO_TAGS, STEP_FIELDS, MobileRun, RunResult, derive_mode, run
 from kmobile.projection import ProjectionWrapper
 
 
@@ -185,7 +185,7 @@ class TestRun:
         r2 = run(inst.trace, p, algo="ums")
         assert [rep.serving for rep in r1.reports] == [rep.serving for rep in r2.reports]
         assert [rep.movement for rep in r1.reports] == [rep.movement for rep in r2.reports]
-        assert r1.to_dict() == r2.to_dict()
+        assert record_dict(r1) == record_dict(r2)
 
     def test_invalid_trace_rejected(self):
         p = params(k=1, mc=0.5)
@@ -197,13 +197,14 @@ class TestRun:
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
         inst = gen_local_walk(20, p, 1.0, seed=9)
         res = run(inst.trace, p, algo="ums")
+        assert res.to_dict() == record_dict(res)
         clone = RunResult.from_dict(res.to_dict())
-        assert clone.to_dict() == res.to_dict()
+        assert record_dict(clone) == record_dict(res)
         assert clone.grand_total == res.grand_total
 
     def test_run_result_rejects_negative_step_cost(self):
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
-        record = run(gen_local_walk(5, p, 1.0, seed=9).trace, p, algo="ums").to_dict()
+        record = record_dict(run(gen_local_walk(5, p, 1.0, seed=9).trace, p, algo="ums"))
         for key in ("serving", "movement"):
             bad = json.loads(json.dumps(record))
             bad["steps"][2][key] = -0.5
@@ -246,9 +247,25 @@ class TestRun:
                 prev = list(rep.positions)
 
 
+def json_value(shape, value):
+    """A step field as the record holds it: a list for each sequence."""
+    if shape == "config":
+        return [list(p) for p in value]
+    if shape in ("list", "point"):
+        return list(value)
+    return value
+
+
+def record_dict(res):
+    """The run record built field by field from STEP_FIELDS, the reference for to_json."""
+    steps = [{key: json_value(shape, getattr(r, field))
+              for key, (field, shape) in STEP_FIELDS.items()} for r in res.reports]
+    return dict(res._head(), steps=steps)
+
+
 def stdlib_record(res, extra):
     """The record text as the stdlib's indenting encoder writes it."""
-    return json.dumps(dict(res.to_dict(), **extra), sort_keys=True, indent=2)
+    return json.dumps(dict(record_dict(res), **extra), sort_keys=True, indent=2)
 
 
 def fmt_steps_csv(result):
@@ -347,7 +364,7 @@ class TestRecordWriter:
     def test_record_without_steps(self):
         p = params(k=2, mc=0.6)
         res = run(gen_local_walk(3, p, 1.0, seed=3).trace, p, algo="ums")
-        res = RunResult.from_dict(dict(res.to_dict(), steps=[]))
+        res = RunResult.from_dict(dict(record_dict(res), steps=[]))
         assert res.to_json({}) == stdlib_record(res, {})
 
     def test_reader_gives_back_every_report_field(self):

@@ -13,6 +13,7 @@ from kmobile.core import (
     write_trace,
 )
 from kmobile.mobile import run
+from test_mobile import record_dict
 
 
 def params1(**kw):
@@ -129,5 +130,5 @@ def test_run_totals_are_step_sums():
     assert movement > 0.0
     assert (res.serving_total, res.movement_total) == (serving, movement)
     assert res.grand_total == serving + 2.0 * movement
-    assert res.to_dict()["ledger"] == {"serving_total": serving, "movement_total": movement,
-                                       "grand_total": res.grand_total}
+    assert record_dict(res)["ledger"] == {"serving_total": serving, "movement_total": movement,
+                                          "grand_total": res.grand_total}
