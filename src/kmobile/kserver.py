@@ -118,8 +118,9 @@ class WorkFunctionServer(GuidanceSimulator):
 
     A configuration (a sorted tuple of point indices) and a base (k - 1
     of them) each get an id in creation order: ``ids``, ``base_ids``.
-    ``values[id]`` is a configuration's work-function value.  _intern
-    grows, by one point, ``dmat[a][b] == math.dist(points[a], points[b])``,
+    ``values[id]`` is a configuration's work-function value, and
+    ``_values`` its numpy twin, equal bit for bit after every step.
+    _intern grows, by one point, ``dmat[a][b] == math.dist(points[a], points[b])``,
     ``neighbours[base][p]``, the id of base plus point p, their numpy
     copies ``_dist`` and ``_nbr``, and per configuration and slot the
     base left when the slot is emptied (``_slot_base``) and its point
@@ -147,6 +148,7 @@ class WorkFunctionServer(GuidanceSimulator):
         self.values: list[float] = [
             min_weight_matching(start, tuple(self.points[i] for i in conf)).weight
             for conf in self.ids]
+        self._values = np.array(self.values)
 
     def _intern(self, p: Point) -> None:
         """Add point p: its distances, and the configurations and bases holding it."""
@@ -201,6 +203,8 @@ class WorkFunctionServer(GuidanceSimulator):
         configuration's value at the start of the pass, so one numpy test
         of every candidate against those values tells whether the next
         pass would change anything; the relaxation stops where it would not.
+        Old values never change here, so the test reads them from
+        ``_values`` and converts only the new ones.
         The first pass reads only points p before x: neighbour ids rise
         with p to conf's own at p = x, and ids from there on read inf.
         """
@@ -224,8 +228,9 @@ class WorkFunctionServer(GuidanceSimulator):
                             best = cand
                             bar = cand - 1e-15
                 values[cid] = best
-            now = np.array(values)
+            now = np.concatenate((self._values, values[lo:]))
             if not (now[others] + dists < (now[lo:] - 1e-15)[:, None, None]).any():
+                self._values = now
                 return
             first = False
 
@@ -239,8 +244,9 @@ class WorkFunctionServer(GuidanceSimulator):
         # over its slots x of value(conf - x + r) + d(x, r).  The numpy
         # minimum is exact: a repeated slot repeats its sum, and no sum is
         # NaN or -0.0.
-        via = np.array(self.values)[self._nbr[:, ri]]
-        self.values = (via[self._slot_base] + self._dist[ri][self._slot_point]).min(axis=1).tolist()
+        via = self._values[self._nbr[:, ri]]
+        self._values = (via[self._slot_base] + self._dist[ri][self._slot_point]).min(axis=1)
+        self.values = self._values.tolist()
         # Move rule: relocate onto r the server that minimizes work-function
         # value plus movement, then the resulting configuration, then its index.
         cur = self.positions

@@ -68,6 +68,12 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     server's distance, and per-server moves are capped at ms.  Returns
     the optimal cost and an optimal trajectory (one configuration per
     request), which is a valid offline certificate.
+
+    KMOB_BUDGET is checked against the (n^k)^2 transitions of a step,
+    but no table of them is held: the sweep costs one block of states at
+    a time from two (n, n^k) arrays of per-server move costs, over the
+    predecessors in reach only.  Memory is O(n * n^k) plus one parent
+    array of n^k entries per step.
     """
     if params.dim != 1:
         raise InputError("the DP oracle is restricted to dimension 1")
@@ -79,10 +85,10 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     if grid.n > DP_MAX_POINTS:
         raise ResourceBudgetError(
             f"DP oracle supports up to {DP_MAX_POINTS} grid points, got {grid.n}")
-    cells = (grid.n ** params.k) ** 2
+    transitions = (grid.n ** params.k) ** 2
     budget = read_budget()
-    if budget is not None and cells > budget:
-        raise ResourceBudgetError(f"DP transition table needs {cells} cells (budget {budget})")
+    if budget is not None and transitions > budget:
+        raise ResourceBudgetError(f"DP needs {transitions} transitions per step (budget {budget})")
 
     pos = grid.positions()
     n = grid.n
@@ -91,17 +97,21 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     step = np.abs(pos[:, None] - pos[None, :])
     step_cost = np.where(step <= cap, step, np.inf)
 
-    # move[s, s'] is the cost between states s and s'.  It is symmetric
-    # bit for bit (|x-y| and |y-x| are the same float), so row s also
-    # holds the cost of reaching s from every s'.
+    # State s = i*n + j puts the first server at i and the second at j.
+    # Moving from s' = i'*n + j' to s costs D * (step_cost[i, i'] +
+    # step_cost[j, j']): rep[i, s'] holds the first term and tiled[j, s']
+    # the second.  With k = 1 the server is at j in the one block i = 0,
+    # whose rep row is zeros; adding 0.0 to a cost keeps its bits.
     if k == 1:
-        move = step_cost
+        tiled, rep = step_cost, np.zeros((1, n))
         state_pos = pos[:, None]
     else:
-        move = (step_cost[:, None, :, None] + step_cost[None, :, None, :]).reshape(n * n, n * n)
+        tiled, rep = np.tile(step_cost, n), np.repeat(step_cost, n, axis=1)
         ii, jj = np.meshgrid(pos, pos, indexing="ij")
         state_pos = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    move *= params.D
+    # Positions are sorted, so the predecessors whose first server is in
+    # reach of block i are one contiguous run of states [lo, hi).
+    windows = [(r[0], r[-1] + 1) for r in map(np.flatnonzero, np.isfinite(rep))]
 
     requests = np.array([r[0] for r in trace.requests])
     serve = np.min(np.abs(state_pos[:, :, None] - requests[None, None, :]), axis=1)
@@ -112,21 +122,29 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     dp = init + serve[:, 0]
     if not np.isfinite(dp).any():
         raise InputError("start configuration cannot reach the grid within ms")
-    # Sweep the table in blocks of n rows (one block per grid position
-    # of the first server) so only one (n^k)^2 table is ever held.
-    # argmin keeps the first minimal predecessor, as a dense column
-    # argmin over dp[:, None] + move would.
+    # Block i is costed over its window as fl(fl(D * fl(c_j + c_i)) + dp),
+    # the sum a dense table gives; multiplying by D = 1.0 is exact and
+    # skipped.  argmin keeps the first minimal predecessor.  Outside the
+    # window every cost is inf, so a finite row minimum lies inside; rows
+    # that reach nothing stay inf and are never traced back.  The buffer
+    # is contiguous and filled in place: numpy's loops are slower on
+    # strided or broadcast outputs.
     rows = np.arange(n)
-    buf = np.empty((n, len(dp)))
+    scratch = np.empty(n * max(hi - lo for lo, hi in windows))
     parents = []
     for t in range(1, len(trace.requests)):
         parent = np.empty(len(dp), dtype=np.intp)
         reached = np.empty(len(dp))
-        for lo in range(0, len(dp), n):
-            np.add(move[lo:lo + n], dp, out=buf)
+        for i, (lo, hi) in enumerate(windows):
+            buf = scratch[:n * (hi - lo)].reshape(n, hi - lo)
+            np.copyto(buf, tiled[:, lo:hi])
+            buf += rep[i, lo:hi]
+            if params.D != 1.0:
+                buf *= params.D
+            buf += dp[lo:hi]
             choice = buf.argmin(axis=1)
-            parent[lo:lo + n] = choice
-            reached[lo:lo + n] = buf[rows, choice]
+            parent[i * n:i * n + n] = choice + lo
+            reached[i * n:i * n + n] = buf[rows, choice]
         parents.append(parent)
         dp = reached + serve[:, t]
     best = int(np.argmin(dp))

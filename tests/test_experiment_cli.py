@@ -330,6 +330,22 @@ class TestCli:
               "--out", trace])
         assert main(["optimum", "--trace", trace, "--grid", "0.5"]) == 3
 
+    def test_dp_budget_counts_transitions_per_step(self, tmp_path, capsys, monkeypatch):
+        # k=2 on a 5-point grid: (5^2)^2 = 625 transitions per step.  The DP
+        # holds no such table, but the budget still counts them.
+        trace = tmp_path / "line.jsonl"
+        header = {"dim": 1, "k": 2, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+                  "start": [[0.0], [2.0]]}
+        trace.write_text("\n".join([json.dumps(header)] + [
+            json.dumps({"t": t, "r": [x]}) for t, x in enumerate((0.5, 1.5, 2.0, 1.0), 1)]) + "\n")
+        argv = ["optimum", "--trace", str(trace), "--grid", "0.5"]
+        monkeypatch.setenv("KMOB_BUDGET", "624")
+        assert main(argv) == 3
+        assert "625" in capsys.readouterr().err
+        monkeypatch.setenv("KMOB_BUDGET", "625")
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["grid"]["points"] == 5
+
     def test_lemma_geo_cli(self):
         assert main(["verify", "--property", "lemma-geo", "--samples", "500",
                      "--delta-geo", "0.3", "--seed", "2"]) == 0

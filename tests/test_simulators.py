@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kmobile.core import (
@@ -184,12 +185,16 @@ def hex_table(wfa):
 
 def assert_same_walk(start, requests, trial):
     """WorkFunctionServer and the reference agree on every step and, bit
-    for bit, on every configuration's value after every step."""
+    for bit, on every configuration's value after every step; the numpy
+    twin of the values equals them bit for bit, whether or not the step
+    added a point."""
     fast, ref = WorkFunctionServer(list(start)), FixedPointWFA(list(start))
     assert hex_table(fast) == hex_table(ref), trial
     for r in requests:
         assert fast.step(r) == ref.step(r), trial
         assert hex_table(fast) == hex_table(ref), trial
+        assert fast._values.dtype == np.float64, trial
+        assert [v.hex() for v in fast._values.tolist()] == [v.hex() for v in fast.values], trial
 
 
 def planar_walk(rng, n, mc):
