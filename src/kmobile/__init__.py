@@ -18,7 +18,6 @@ from kmobile.core import (
     ProblemParams,
     ResourceBudgetError,
     Trace,
-    distance,
     min_weight_matching,
     move_toward,
     read_trace,
@@ -34,7 +33,6 @@ __all__ = [
     "ProblemParams",
     "ResourceBudgetError",
     "Trace",
-    "distance",
     "min_weight_matching",
     "move_toward",
     "read_trace",

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
-from kmobile.core import InputError, Point, ProblemParams, distance, move_toward
+from kmobile.core import InputError, Point, ProblemParams, check_dims, move_toward
 from kmobile.mobile import RunResult
 from kmobile.offline import PHI_FACTOR, HelperTrajectory
 
@@ -132,6 +133,8 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     params = result.params
     if params.delta <= 0.0:
         raise InputError("the slow-mode potential checker needs delta > 0")
+    check_dims(chain(start_config, (helper.start, *helper.positions),
+                     (g.o_star_pos for g in helper.geometry)), params.dim)
     weighted = result.weighted
     threshold = PHI_FACTOR * sigma * params.k * params.mc / params.delta ** 2
     if weighted:
@@ -146,7 +149,7 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     bound_f = y * params.mc / (params.delta * params.ms)
 
     def phi_of(a_conf, o_hat):
-        d = min(distance(a, o_hat) for a in a_conf)
+        d = min(math.dist(a, o_hat) for a in a_conf)
         return _phi(d, threshold, params, weighted)
 
     margins: list[tuple[int, float]] = []
@@ -158,7 +161,7 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
         psi = psi_f * rep.matched_sum
         phi = phi_of(rep.positions, o_hat)
         if geo.in_inner:
-            bound = bound_f * rep.sim_cost + 2.0 * distance(geo.o_star_pos, rep.request)
+            bound = bound_f * rep.sim_cost + 2.0 * math.dist(geo.o_star_pos, rep.request)
             margin = bound - (rep.cost + (phi - phi_prev) + (psi - psi_prev))
             margins.append((rep.t, margin))
             scale = max(1.0, bound, rep.cost, phi, phi_prev, psi, psi_prev)
@@ -196,14 +199,14 @@ def check_lemma_geo(samples: int, delta: float, seed: int = 0) -> GeoSampleRepor
     for _ in range(samples):
         a = (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
         r = (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
-        mu = rng.uniform(0.0, distance(a, r))
+        mu = rng.uniform(0.0, math.dist(a, r))
         a2 = move_toward(a, r, mu)
-        rad = math.sqrt(delta) / 2.0 * distance(a2, r)
+        rad = math.sqrt(delta) / 2.0 * math.dist(a2, r)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         rho = rng.uniform(0.0, rad)
         s = (r[0] + rho * math.cos(ang), r[1] + rho * math.sin(ang))
-        lhs = distance(a, s) - distance(a2, s)
-        rhs = factor * distance(a, a2)
+        lhs = math.dist(a, s) - math.dist(a2, s)
+        rhs = factor * math.dist(a, a2)
         margin = lhs - rhs
         min_margin = min(min_margin, margin)
         if margin < -1e-12 * max(1.0, rhs):

@@ -17,7 +17,6 @@ from kmobile.core import (
     ContractViolationError,
     InputError,
     KMobileError,
-    ProblemParams,
     ResourceBudgetError,
     certificate_cost,
     read_trace,
@@ -56,13 +55,8 @@ def _dump_json(obj, path=None, extra=None):
         sys.stdout.write(text)
 
 
-def _override_params(params: ProblemParams, args) -> ProblemParams:
-    if getattr(args, "k", None) is not None and args.k != params.k:
-        raise InputError(f"--k {args.k} conflicts with the trace header (k={params.k}); "
-                         "regenerate the trace instead")
-    changes = {name: getattr(args, name) for name in ("ms", "mc", "delta", "D")
-               if getattr(args, name, None) is not None}
-    return dataclasses.replace(params, **changes)
+# The trace-header parameters simulate may override; k and dim come only from the header.
+OVERRIDES = ("ms", "mc", "delta", "D")
 
 
 def _steps_csv(result: RunResult) -> str:
@@ -75,7 +69,8 @@ def _steps_csv(result: RunResult) -> str:
 
 def cmd_simulate(args) -> int:
     trace, params = read_trace(args.trace)
-    params = _override_params(params, args)
+    params = dataclasses.replace(params, **{key: getattr(args, key) for key in OVERRIDES
+                                            if getattr(args, key) is not None})
     result = run_mobile(trace, params, algo=args.algo, sim=args.sim,
                         project=args.project)
     speed = checks.audit_speed_caps(result)
@@ -178,8 +173,14 @@ def cmd_verify(args) -> int:
             raise InputError("the trace carries no offline certificate")
         online = [rep.positions for rep in result.reports]
         requests = [rep.request for rep in result.reports]
+        if result.params.k != params.k:
+            raise InputError(f"run record k={result.params.k} is not the trace's k={params.k}")
         if len(online) != len(trace.certificate):
             raise InputError("run length and certificate length differ")
+        t = next((t for t, (r, q) in enumerate(zip(requests, trace.requests), 1) if r != q), None)
+        if t is not None:
+            raise InputError(f"run record step {t}: request {list(requests[t - 1])} differs "
+                             f"from the trace's {list(trace.requests[t - 1])}")
         helper = compute_helper(trace.certificate, online, requests, params,
                                 sigma=args.sigma, offline_start=trace.start_config)
         if args.property == "helper-invariants":
@@ -237,30 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--csv", help="write a per-step CSV (t, serving, movement, psi)")
     p_sim.add_argument("--project", choices=("auto", "on", "off"), default="auto")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--ms", type=float)
-    p_sim.add_argument("--mc", type=float)
-    p_sim.add_argument("--delta", type=float)
-    p_sim.add_argument("--D", type=float)
+    for key in OVERRIDES:
+        p_sim.add_argument("--" + key, type=PARAM_TYPES[key])
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("generate", help="emit an adversarial trace plus metadata")
     p_gen.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
     p_gen.add_argument("--out", required=True)
-    # Unset parameters take build_instance's defaults.
-    p_gen.add_argument("--x", type=int)
-    p_gen.add_argument("--y", type=int)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--dim", type=int)
-    p_gen.add_argument("--ms", type=float)
-    p_gen.add_argument("--mc", type=float)
-    p_gen.add_argument("--D", type=float)
-    p_gen.add_argument("--delta", type=float)
-    p_gen.add_argument("--step-scale", dest="step_scale", type=float)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--z-choice", dest="z_choice", type=int,
-                       help="enumerated target index (two-server constructions)")
+    # Unset parameters take build_instance's defaults.
+    for key, conv in PARAM_TYPES.items():
+        p_gen.add_argument("--" + key.replace("_", "-"), dest=key, type=conv)
     p_gen.set_defaults(func=cmd_generate)
 
     p_opt = sub.add_parser("optimum", help="discretized offline optimum of a trace")

@@ -67,19 +67,11 @@ def as_point(coords) -> Point:
     return p
 
 
-def distance(p: Point, q: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if len(p) != len(q):
-        raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    return math.dist(p, q)
-
-
 def check_dims(points: Iterable[Point], dim: int) -> None:
     """Raise InputError unless every point has ``dim`` coordinates.
 
-    Code that has checked its points once measures them with
-    ``math.dist``, which is what ``distance`` returns, without the
-    per-call check.
+    Code checks its points once with this and then measures them with
+    ``math.dist``, which would raise ValueError on a mismatch.
     """
     for p in points:
         if len(p) != dim:

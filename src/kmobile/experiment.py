@@ -203,56 +203,51 @@ def _run_checks(result) -> dict:
     return out
 
 
+def _fold(key: str, old, new):
+    """One check's value over two runs: the worst of them."""
+    if key.endswith("_ok"):
+        return old and new
+    return (min if key.endswith("_min_margin") else max)(old, new)
+
+
 def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
     """One sweep point under one seed.
 
     Two-server jump/walk constructions enumerate all target choices and
     report the mean cost, mirroring the expectation the constructions
-    bound; other constructions use the seed directly.
+    bound; other constructions use the seed directly.  Each check folds
+    to its worst value over the runs.
     """
-    enumerate_targets = (spec.construction in ("thm3", "thm4")
-                         and int(point.get("k", 2)) == 2
-                         and "z_choice" not in point)
-    costs = []
-    serving = movement = 0.0
-    reference: Optional[float] = None
-    all_checks: dict = {}
-    ok = True
     if spec.trace_path is not None:
         trace, params = read_trace(spec.trace_path)
-        result = run_mobile(trace, params, algo=spec.algo, sim=spec.sim,
-                            project=spec.project)
-        costs.append(result.grand_total)
-        serving, movement = result.serving_total, result.movement_total
-        if trace.certificate is not None:
-            reference = certificate_cost(trace, params)
-        all_checks = _run_checks(result)
+        runs = [(trace, params)]
+        reference = certificate_cost(trace, params) if trace.certificate is not None else None
     else:
+        enumerate_targets = (spec.construction in ("thm3", "thm4") and "z_choice" not in point
+                             and int(point.get("k", 2)) == 2)
         z_choices = range(TWO_SERVER_CHOICES) if enumerate_targets else [point.get("z_choice")]
-        for zc in z_choices:
-            inst = build_instance(spec.construction, point, seed,
-                                  None if zc is None else int(zc))
-            result = run_mobile(inst.trace, inst.params, algo=spec.algo,
-                                sim=spec.sim, project=spec.project)
-            costs.append(result.grand_total)
-            serving += result.serving_total
-            movement += result.movement_total
-            for key, val in _run_checks(result).items():
-                if key.endswith("_ok"):
-                    all_checks[key] = all_checks.get(key, True) and val
-                else:
-                    all_checks[key] = max(all_checks.get(key, 0.0), val)
-            if inst.offline_cost_bound is not None:
-                reference = inst.offline_cost_bound
+        insts = [build_instance(spec.construction, point, seed, None if zc is None else int(zc))
+                 for zc in z_choices]
+        runs = [(inst.trace, inst.params) for inst in insts]
+        # Every choice shares the construction's bound.
+        reference = insts[-1].offline_cost_bound
         if reference is None:
-            reference = _dp_reference(inst)
-        serving /= len(costs)
-        movement /= len(costs)
+            reference = _dp_reference(insts[-1])
+    costs = []
+    serving = movement = 0.0
+    all_checks: dict = {}
+    for trace, params in runs:
+        result = run_mobile(trace, params, algo=spec.algo, sim=spec.sim, project=spec.project)
+        costs.append(result.grand_total)
+        serving += result.serving_total
+        movement += result.movement_total
+        for key, val in _run_checks(result).items():
+            all_checks[key] = _fold(key, all_checks[key], val) if key in all_checks else val
     mean_cost = sum(costs) / len(costs)
     ratio = mean_cost / reference if reference else None
     ok = all(v for k, v in all_checks.items() if k.endswith("_ok"))
-    return RunRecord(point=point, seed=seed, cost=mean_cost, serving=serving,
-                     movement=movement, reference=reference, ratio=ratio,
+    return RunRecord(point=point, seed=seed, cost=mean_cost, serving=serving / len(costs),
+                     movement=movement / len(costs), reference=reference, ratio=ratio,
                      checks=all_checks, ok=ok)
 
 

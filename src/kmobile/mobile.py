@@ -109,13 +109,16 @@ class RunResult:
     algo: str
     sim_tag: str
     params: ProblemParams
-    mode: str
-    epsilon: Optional[float]
-    project: bool
-    weighted: bool
     reports: list[StepReport]
     psi0_matched_sum: float
     projection_audit: Optional[dict] = None
+
+    # Read-only settings with one source each: the parameters and algorithm
+    # give the mode and epsilon, the algorithm the weighting, the audit the projection.
+    mode = property(lambda self: derive_mode(self.params, self.algo)[0])
+    epsilon = property(lambda self: derive_mode(self.params, self.algo)[1])
+    weighted = property(lambda self: self.algo == "wms")
+    project = property(lambda self: self.projection_audit is not None)
 
     # The run's totals, summed over the steps in order.
     @property
@@ -199,28 +202,24 @@ class RunResult:
             algo = obj["algo"]
             if algo not in ALGO_TAGS:
                 raise InputError(f"run record algorithm {algo!r} is not one of {ALGO_TAGS}")
-            mode, epsilon = derive_mode(params, algo)
-            if (obj["mode"], obj["epsilon"]) != (mode, epsilon):
-                raise InputError(f"run record mode {obj['mode']!r} and epsilon "
-                                 f"{obj['epsilon']!r} are not those its parameters give, "
-                                 f"{mode!r} and {epsilon!r}")
             audit = obj.get("projection")
             if audit is not None and not (isinstance(audit, dict) and all(
                     type(audit.get(key)) in NUMBER_TYPES for key in AUDIT_KEYS)):
                 raise InputError(f"run record projection audit needs the numbers {AUDIT_KEYS}")
-            # JSON booleans, as the algorithm and the audit's presence give them.
-            flags = {"weighted": algo == "wms", "project": audit is not None}
-            for key, want in flags.items():
-                if obj[key] is not want:
-                    raise InputError(f"run record {key} must be {json.dumps(want)} "
-                                     f"(algorithm {algo!r}, {'a' if flags['project'] else 'no'} "
-                                     f"projection audit), got {obj[key]!r}")
-            return cls(algo=algo, sim_tag=obj["sim"], params=params, mode=mode,
-                       epsilon=epsilon, project=flags["project"],
-                       weighted=flags["weighted"], reports=reports,
-                       psi0_matched_sum=as_number(obj["psi0_matched_sum"],
-                                                  "run record psi0_matched_sum"),
-                       projection_audit=audit)
+            result = cls(algo=algo, sim_tag=obj["sim"], params=params, reports=reports,
+                         psi0_matched_sum=as_number(obj["psi0_matched_sum"],
+                                                    "run record psi0_matched_sum"),
+                         projection_audit=audit)
+            # The stored settings must be those the algorithm, the parameters and
+            # the audit's presence give, as the same JSON types.
+            for key in ("mode", "epsilon", "weighted", "project"):
+                want = getattr(result, key)
+                if obj[key] != want or type(obj[key]) is not type(want):
+                    raise InputError(f"run record {key} must be {json.dumps(want)} (algorithm "
+                                     f"{algo!r}, its parameters and "
+                                     f"{'a' if result.project else 'no'} projection audit), "
+                                     f"got {obj[key]!r}")
+            return result
         except KeyError as exc:
             raise InputError(f"run record misses field {exc}") from exc
         except (OverflowError, TypeError, ValueError) as exc:
@@ -315,16 +314,14 @@ def _value_template(shape: str, k: int, dim: int) -> str:
 class MobileRun:
     """Owns the state of one online run; steps are strictly sequential."""
 
-    def __init__(self, params: ProblemParams, algo: str, sim: GuidanceSimulator,
-                 start: Config, mode: str, epsilon: Optional[float]):
+    def __init__(self, params: ProblemParams, algo: str, sim: GuidanceSimulator, start: Config):
         if algo not in ALGO_TAGS:
             raise InputError(f"unknown algorithm {algo!r} (expected one of {ALGO_TAGS})")
         self.params = params
         self.algo = algo
         self.sim = sim
         self.positions: Config = tuple(start)
-        self.mode = mode
-        self.epsilon = epsilon
+        self.mode, self.epsilon = derive_mode(params, algo)
         self.reports: list[StepReport] = []
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
@@ -469,7 +466,6 @@ def run(trace: Trace, params: ProblemParams, algo: str = "ums",
         raise InputError(f"invalid trace: {violation}")
     if project not in ("auto", "on", "off"):
         raise InputError(f"project must be auto/on/off, not {project!r}")
-    mode, epsilon = derive_mode(params, algo)
     if algo == "wms" and params.D < 2.0:
         warnings.warn("WMS is intended for D >= 2; for smaller D the unweighted "
                       "algorithm (ums) costs at most a factor 2 more", stacklevel=2)
@@ -479,24 +475,20 @@ def run(trace: Trace, params: ProblemParams, algo: str = "ums",
     else:
         sim_tag = sim if sim != "auto" else default_sim_tag(algo, params, len(trace))
         simulator = make_simulator(sim_tag, trace.start_config, params)
-    weighted = algo == "wms"
-    project_on = (mode == "slow") if project == "auto" else (project == "on")
+    project_on = project == "on" or project == "auto" and derive_mode(params, algo)[0] == "slow"
     if project_on:
-        simulator = ProjectionWrapper(simulator, params, weighted)
-    mrun = MobileRun(params, algo, simulator, trace.start_config, mode, epsilon)
+        simulator = ProjectionWrapper(simulator, params, algo == "wms")
+    mrun = MobileRun(params, algo, simulator, trace.start_config)
     for r in trace.requests:
         mrun.step(r)
     audit = None
     if project_on:
         audit = {
             "max_hat_request_distance": simulator.max_request_distance,
-            "radius_bound": outer_radius(params, weighted),
+            "radius_bound": outer_radius(params, algo == "wms"),
             "raw_cost": simulator.raw_cost(),
             "projected_cost": simulator.projected_cost(),
             "phase_ends": simulator.phase_ends,
         }
-    return RunResult(algo=algo, sim_tag=sim_tag, params=params, mode=mode,
-                     epsilon=epsilon, project=project_on, weighted=weighted,
-                     reports=mrun.reports,
-                     psi0_matched_sum=mrun.psi0_matched_sum,
-                     projection_audit=audit)
+    return RunResult(algo=algo, sim_tag=sim_tag, params=params, reports=mrun.reports,
+                     psi0_matched_sum=mrun.psi0_matched_sum, projection_audit=audit)

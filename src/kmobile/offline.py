@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from kmobile.core import (
     ProblemParams,
     ResourceBudgetError,
     Trace,
-    distance,
+    check_dims,
     move_toward,
     read_budget,
 )
@@ -205,10 +206,10 @@ class StepGeometry:
 def step_geometry(offline_conf: Config, online_conf: Config, r: Point,
                   params: ProblemParams, sigma: float) -> StepGeometry:
     _require_delta(params)
-    dists = [distance(p, r) for p in offline_conf]
+    dists = [math.dist(p, r) for p in offline_conf]
     i = dists.index(min(dists))
     o_pos = offline_conf[i]
-    d_oa = min(distance(o_pos, a) for a in online_conf)
+    d_oa = min(math.dist(o_pos, a) for a in online_conf)
     inner = params.delta ** 2 / (INNER_DIVISOR * sigma * params.k) * d_oa
     outer = params.delta / OUTER_DIVISOR * d_oa
     return StepGeometry(o_star=i, o_star_pos=o_pos, d_oa=d_oa, inner=inner,
@@ -268,7 +269,7 @@ class _HelperContext:
             for s in range(updated_to + 1, until + 1):
                 g = self.geo[s - 1]
                 for j, p in enumerate(self.offline[s - 1]):
-                    if distance(p, g.o_star_pos) > g.outer / 3.0:
+                    if math.dist(p, g.o_star_pos) > g.outer / 3.0:
                         seen_far.add(j)
             updated_to = until
 
@@ -323,7 +324,7 @@ class _HelperContext:
         for s in range(t, t3 + 1):
             p = move_toward(p, target, self.follow)
             g = self.geo[s - 1]
-            if distance(p, g.o_star_pos) > g.outer * (1.0 + 1e-9):
+            if math.dist(p, g.o_star_pos) > g.outer * (1.0 + 1e-9):
                 direct = False
                 break
 
@@ -332,7 +333,7 @@ class _HelperContext:
                 return target, self.follow, "circle-direct"
             center = self.offline[s - 1][o_ell]
             radius = 2.0 * self.params.delta / HOLD_CIRCLE_DIVISOR * min(
-                distance(center, a) for a in self.online[s - 1])
+                math.dist(center, a) for a in self.online[s - 1])
             hold = move_toward(center, target, radius)
             # move_toward gives back the target itself when it is within the radius.
             return hold, self.follow, "circle-inside" if hold is target else "circle-hold"
@@ -348,9 +349,10 @@ def compute_helper(offline: Sequence[Config], online: Sequence[Config],
     ``offline``/``online`` hold the end-of-step configurations; the
     helper starts on the offline server nearest the first request.
     """
+    check_dims(chain(requests, *offline, *online, offline_start or ()), params.dim)
     ctx = _HelperContext(list(offline), list(online), list(requests), params, sigma)
     start_conf = offline_start if offline_start is not None else offline[0]
-    d0 = [distance(p, requests[0]) for p in start_conf]
+    d0 = [math.dist(p, requests[0]) for p in start_conf]
     o_hat: Point = start_conf[d0.index(min(d0))]
     start = o_hat
     positions: list[Point] = []
@@ -367,9 +369,9 @@ def compute_helper(offline: Sequence[Config], online: Sequence[Config],
             if target is not None:
                 moved = move_toward(o_hat, target, cap)
                 if tag in ("long-skip", "chase", "step3") and t == last - 1 \
-                        and distance(moved, target) > 1e-9 * max(1.0, params.mc):
+                        and math.dist(moved, target) > 1e-9 * max(1.0, params.mc):
                     diagnostics.append(f"t={t}: landing target missed by "
-                                       f"{distance(moved, target):.6g}")
+                                       f"{math.dist(moved, target):.6g}")
                 o_hat = moved
             positions.append(o_hat)
             modes.append(tag)
@@ -401,6 +403,8 @@ def audit_helper(helper: HelperTrajectory, online: Sequence[Config],
                  requests: Sequence[Point], params: ProblemParams,
                  sigma: float = 1.0) -> HelperAudit:
     """Audit the helper's speed cap and guarded containment guarantees."""
+    check_dims(chain((helper.start, *helper.positions), (g.o_star_pos for g in helper.geometry),
+                     requests, *online), params.dim)
     cap = helper_speed_cap(params, sigma)
     follow = follow_speed(params)
     engage2 = 2.0 * engage_threshold(params, sigma)
@@ -410,7 +414,7 @@ def audit_helper(helper: HelperTrajectory, online: Sequence[Config],
     max_speed = 0.0
     prev = helper.start
     for t, (pos, geo) in enumerate(zip(helper.positions, helper.geometry), start=1):
-        moved = distance(prev, pos)
+        moved = math.dist(prev, pos)
         max_speed = max(max_speed, moved)
         if moved > cap * (1.0 + tol) + tol:
             speed_v += 1
@@ -419,15 +423,15 @@ def audit_helper(helper: HelperTrajectory, online: Sequence[Config],
             fired += 1
             if moved > follow * (1.0 + tol) + tol:
                 guard_speed_v += 1
-            if distance(pos, geo.o_star_pos) > geo.outer * (1.0 + tol) + tol:
+            if math.dist(pos, geo.o_star_pos) > geo.outer * (1.0 + tol) + tol:
                 contain_v += 1
         else:
             vacuous += 1
         conf = online[t - 1]
-        a_hat = min(conf, key=lambda a: distance(a, pos))
-        a_star = min(conf, key=lambda a: distance(a, requests[t - 1]))
-        bound = 2.0 * geo.d_oa + distance(a_star, requests[t - 1])
-        if distance(a_hat, pos) > bound * (1.0 + tol) + tol:
+        a_hat = min(conf, key=lambda a: math.dist(a, pos))
+        a_star = min(conf, key=lambda a: math.dist(a, requests[t - 1]))
+        bound = 2.0 * geo.d_oa + math.dist(a_star, requests[t - 1])
+        if math.dist(a_hat, pos) > bound * (1.0 + tol) + tol:
             dist_v += 1
         prev = pos
     return HelperAudit(steps=len(helper.positions), guard_fired=fired,

@@ -26,7 +26,6 @@ from kmobile.core import (
     ProblemParams,
     Trace,
     certificate_cost,
-    distance,
     min_weight_matching,
 )
 from kmobile.mobile import run
@@ -186,7 +185,7 @@ def test_criterion_08_oracle_equivalence():
             a = [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(k)]
             b = [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(k)]
             m = min_weight_matching(a, b)
-            best = min(sum(distance(a[i], b[j]) for i, j in enumerate(p))
+            best = min(sum(math.dist(a[i], b[j]) for i, j in enumerate(p))
                        for p in itertools.permutations(range(k)))
             assert abs(m.weight - best) <= 1e-9
             checked += 1

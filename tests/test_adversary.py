@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kmobile.adversary import (
@@ -13,7 +15,6 @@ from kmobile.core import (
     ProblemParams,
     Trace,
     certificate_cost,
-    distance,
     move_toward,
     validate_trace,
 )
@@ -200,12 +201,12 @@ class TestCheckedOnce:
     def test_jumps_and_certificate_costs_equal_the_checked_distance(self):
         for inst in self.instances():
             req, cert, p = inst.trace.requests, inst.trace.certificate, inst.params
-            jump = max(distance(a, b) for a, b in zip(req, req[1:]))
+            jump = max(math.dist(a, b) for a, b in zip(req, req[1:]))
             assert _max_jump(req).hex() == jump.hex()
             total, prev = 0.0, inst.trace.start_config
             for conf, r in zip(cert, req):
-                total += p.D * sum(distance(prev[i], conf[i]) for i in range(p.k))
-                total += min(distance(q, r) for q in conf)
+                total += p.D * sum(math.dist(prev[i], conf[i]) for i in range(p.k))
+                total += min(math.dist(q, r) for q in conf)
                 prev = conf
             assert certificate_cost(inst.trace, p).hex() == total.hex()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -93,15 +94,15 @@ class TestLemmaGeo:
     def test_colinear_observer_on_request(self):
         # s' = r': the distance shrink equals the full moved distance,
         # which dominates the sub-one factor
-        from kmobile.core import distance, move_toward
+        from kmobile.core import move_toward
 
         for delta in (0.1, 0.5, 0.9):
             factor = (1 + delta / 4) / (1 + delta / 2)
             a, r = (0.0, 0.0), (10.0, 0.0)
             a2 = move_toward(a, r, 3.0)
-            lhs = distance(a, r) - distance(a2, r)
+            lhs = math.dist(a, r) - math.dist(a2, r)
             assert lhs == 3.0
-            assert lhs >= factor * distance(a, a2)
+            assert lhs >= factor * math.dist(a, a2)
 
     def test_delta_validation(self):
         with pytest.raises(InputError):
@@ -153,10 +154,16 @@ class TestSlowPotential:
         res, helper, trace = self._slow_run(1e-4)
         unw = check_slow_potential(res, helper, trace.start_config, sigma=1e-4)
         assert unw.boundary_gap <= 1e-6
-        res.weighted = True  # evaluate the weighted offset variant as printed
+        # the weighted offset variant as printed; slow mode does not depend on the algorithm
+        res = dataclasses.replace(res, algo="wms")
         wgt = check_slow_potential(res, helper, trace.start_config, sigma=1e-4)
         assert wgt.boundary_gap <= 1e-6
         assert wgt.phi_threshold == unw.phi_threshold * res.params.D
+
+    def test_planar_start_on_a_line_run_is_an_input_error(self):
+        res, helper, _ = self._slow_run(1e-4)
+        with pytest.raises(InputError, match="dimension 2, expected 1"):
+            check_slow_potential(res, helper, ((0.0,), (0.0, 0.0)), sigma=1e-4)
 
     def test_weighted_run_real_path(self):
         # WMS slow run + helper from the trace certificate, end to end

@@ -2,20 +2,26 @@ import contextlib
 import copy
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kmobile.cli import main
+from kmobile.checks import check_fast_potential
+from kmobile.cli import build_parser, main
 from kmobile.core import InputError
 from kmobile.experiment import (
+    PARAM_TYPES,
     ExperimentSpec,
     RunRecord,
+    build_instance,
     emit_ratio_table,
     parse_spec_file,
     run_experiment,
+    run_point,
 )
+from kmobile.mobile import run as run_mobile
 
 
 def write_spec(tmp_path, text):
@@ -90,6 +96,26 @@ class TestRunExperiment:
                  for line in table.strip().splitlines()[1:]]
         assert means == sorted(means)
         assert means[0] < means[-1]
+
+
+    def test_run_point_folds_each_check_to_its_worst_run(self):
+        # thm4 at mc < (1+delta)*ms is fast mode; k=2 enumerates four targets.
+        spec = ExperimentSpec(construction="thm4", algo="ums", sim="dc-line",
+                              base={"k": 2, "ms": 1.0, "mc": 1.2, "x": 16})
+        record = run_point(spec, spec.base, 0)
+        runs = [run_mobile(inst.trace, inst.params, sim="dc-line")
+                for inst in (build_instance("thm4", spec.base, 0, zc) for zc in range(4))]
+        margins = [check_fast_potential(res).min_margin for res in runs]
+        assert record.checks["fast_potential_min_margin"] == min(margins)
+        # ok folds with all, a min margin with min (a negative one stays), the rest with max
+        checks = [{"speed_ok": True, "fast_potential_ok": True, "fast_potential_min_margin": m,
+                   "max_displacement": d} for m, d in ((0.0, 1.0), (-1e-12, 3.0), (0.5, 2.0))]
+        checks.append(dict(checks[0], fast_potential_ok=False))
+        with mock.patch("kmobile.experiment._run_checks", side_effect=checks):
+            record = run_point(spec, spec.base, 0)
+        assert record.checks == {"speed_ok": True, "fast_potential_ok": False,
+                                 "fast_potential_min_margin": -1e-12, "max_displacement": 3.0}
+        assert not record.ok
 
 
 class TestRatioTable:
@@ -371,6 +397,45 @@ sweep.x=16,32
         assert main(["sweep", "--spec", spec, "--out", agg, "--seeds", "4,5"]) == 0
         agg_data = json.loads((tmp_path / "agg.json").read_text())
         assert agg_data["spec"]["seeds"] == [4, 5]
+
+    def test_generate_flags_are_typed_from_param_types(self):
+        parser = build_parser()
+        for key, conv in PARAM_TYPES.items():
+            args = parser.parse_args(["generate", "--construction", "walk", "--out", "w.jsonl",
+                                      "--" + key.replace("_", "-"), "3"])
+            assert type(getattr(args, key)) is conv and getattr(args, key) == 3, key
+        args = parser.parse_args(["simulate", "--trace", "w.jsonl", "--ms", "3", "--D", "2"])
+        assert (args.ms, args.D, args.mc, args.delta) == (3.0, 2.0, None, None)
+        assert type(args.ms) is float
+
+    def test_simulate_takes_k_only_from_the_trace_header(self, tmp_path, capsys):
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "8",
+                     "--out", trace]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trace", trace, "--k", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+
+    def test_helper_properties_refuse_a_record_of_another_trace(self, tmp_path, capsys):
+        traces = {}
+        for name, k, zc in (("z0", "2", ["--z-choice", "0"]), ("z3", "2", ["--z-choice", "3"]),
+                            ("k4", "4", [])):
+            traces[name] = str(tmp_path / f"{name}.jsonl")
+            assert main(["generate", "--construction", "thm3", "--k", k, "--x", "16",
+                         "--seed", "1", *zc, "--out", traces[name]]) == 0
+        record = str(tmp_path / "z0.run.json")
+        assert main(["simulate", "--trace", traces["z0"], "--out", record]) == 0
+        capsys.readouterr()
+        for prop in ("helper-invariants", "slow-potential"):
+            argv = ["verify", "--property", prop, "--run", record, "--trace"]
+            assert main(argv + [traces["z0"]]) == 0
+            capsys.readouterr()
+            for name, err in (("z3", "run record step 17: request [-12.0] differs "
+                                     "from the trace's [12.0]"),
+                              ("k4", "run record k=2 is not the trace's k=4")):
+                assert main(argv + [traces[name]]) == 2, (prop, name)
+                assert capsys.readouterr().err == f"input error: {err}\n", (prop, name)
 
     def test_helper_invariants_cli(self, tmp_path):
         trace = str(tmp_path / "t4.jsonl")

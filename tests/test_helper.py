@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 import pytest
 
 from kmobile.adversary import gen_thm3, gen_thm4
-from kmobile.core import Config, InputError, Point, ProblemParams, distance, move_toward
+from kmobile.core import Config, InputError, Point, ProblemParams, move_toward
 from kmobile.mobile import run
 from kmobile.offline import (
     HOLD_CIRCLE_DIVISOR,
@@ -105,6 +105,19 @@ class TestClassify:
 
 
 class TestHelperBehavior:
+    def test_planar_online_configuration_on_a_line_run_is_an_input_error(self):
+        # Each entry point checks its points' dimension once, then measures
+        # with math.dist, which would raise ValueError on a mismatch.
+        p = params(k=1)
+        offline, reqs = static(((0.0,),), 3), [(0.0,)] * 3
+        online = static(((5000.0,),), 3)
+        planar = online[:2] + [((5000.0, 0.0),)]
+        h = compute_helper(offline, online, reqs, p, SIGMA, offline_start=offline[0])
+        with pytest.raises(InputError, match="dimension 2, expected 1"):
+            compute_helper(offline, planar, reqs, p, SIGMA, offline_start=offline[0])
+        with pytest.raises(InputError, match="dimension 2, expected 1"):
+            audit_helper(h, planar, reqs, p, SIGMA)
+
     def test_stationary_tracking(self):
         p = params(k=1)
         n = 50
@@ -261,7 +274,7 @@ class _SequencePlan(_Plan):
         for t in range(s0, self.t3 + 1):
             tmp = move_toward(tmp, self.target_point, ctx.follow)
             g = ctx.geo[t - 1]
-            if distance(tmp, g.o_star_pos) > g.outer * (1.0 + 1e-9):
+            if math.dist(tmp, g.o_star_pos) > g.outer * (1.0 + 1e-9):
                 return False
         return True
 
@@ -283,9 +296,9 @@ class _SequencePlan(_Plan):
             return self.target_point, ctx.follow, "circle-direct"
         center = ctx.offline[t - 1][self.o_ell]
         radius = 2.0 * ctx.params.delta / HOLD_CIRCLE_DIVISOR * ctx.d_to_online(t, self.o_ell)
-        if distance(center, self.target_point) <= radius:
+        if math.dist(center, self.target_point) <= radius:
             return self.target_point, ctx.follow, "circle-inside"
-        f = radius / distance(center, self.target_point)
+        f = radius / math.dist(center, self.target_point)
         p = tuple(c + f * (tp - c) for c, tp in zip(center, self.target_point))
         return p, ctx.follow, "circle-hold"
 
@@ -314,7 +327,7 @@ class _HelperContext:
 
     def d_to_online(self, t: int, server: int) -> float:
         pos = self.offline[t - 1][server]
-        return min(distance(pos, a) for a in self.online[t - 1])
+        return min(math.dist(pos, a) for a in self.online[t - 1])
 
     def next_anchor(self, t: int) -> Optional[int]:
         return next((a for a in self.anchors if a >= t), None)
@@ -336,7 +349,7 @@ class _HelperContext:
             for s in range(updated_to + 1, until + 1):
                 g = self.geo[s - 1]
                 for j, p in enumerate(self.offline[s - 1]):
-                    if distance(p, g.o_star_pos) > g.outer / 3.0:
+                    if math.dist(p, g.o_star_pos) > g.outer / 3.0:
                         seen_far.add(j)
             updated_to = until
 
@@ -363,7 +376,7 @@ def reference_compute_helper(offline: Sequence[Config], online: Sequence[Config]
     """
     ctx = _HelperContext(list(offline), list(online), list(requests), params, sigma)
     start_conf = offline_start if offline_start is not None else offline[0]
-    d0 = [distance(p, requests[0]) for p in start_conf]
+    d0 = [math.dist(p, requests[0]) for p in start_conf]
     o_hat: Point = start_conf[d0.index(min(d0))]
     start = o_hat
     positions: list[Point] = []
@@ -392,9 +405,9 @@ def reference_compute_helper(offline: Sequence[Config], online: Sequence[Config]
         if target is not None:
             moved = move_toward(o_hat, target, cap)
             if tag in ("long-skip", "chase", "step3") and t == plan.last - 1 \
-                    and distance(moved, target) > 1e-9 * max(1.0, params.mc):
+                    and math.dist(moved, target) > 1e-9 * max(1.0, params.mc):
                 diagnostics.append(f"t={t}: landing target missed by "
-                                   f"{distance(moved, target):.6g}")
+                                   f"{math.dist(moved, target):.6g}")
             o_hat = moved
         positions.append(o_hat)
         modes.append(tag)

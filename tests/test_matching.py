@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import kmobile
 from kmobile import core, mobile
 from kmobile.adversary import gen_thm3
-from kmobile.core import InputError, Matching, _assignment, distance, min_weight_matching
+from kmobile.core import InputError, Matching, _assignment, min_weight_matching
 from test_mobile import reused_steps
 
 
@@ -19,7 +20,7 @@ def brute_force(a, b):
     best_w = None
     best_perm = None
     for perm in itertools.permutations(range(len(a))):
-        w = sum(distance(a[i], b[j]) for i, j in enumerate(perm))
+        w = sum(math.dist(a[i], b[j]) for i, j in enumerate(perm))
         if best_w is None or w < best_w - 1e-12:
             best_w, best_perm = w, perm
     return best_perm, best_w
@@ -52,7 +53,7 @@ def test_matches_brute_force_small():
             m = min_weight_matching(a, b)
             _, w = brute_force(a, b)
             assert abs(m.weight - w) < 1e-9
-            assert abs(sum(distance(a[i], b[j]) for i, j in enumerate(m.perm))
+            assert abs(sum(math.dist(a[i], b[j]) for i, j in enumerate(m.perm))
                        - m.weight) < 1e-12
 
 
@@ -129,7 +130,7 @@ def test_assignment_matches_scipy_on_geometric_costs():
                 sites = [draw() for _ in range(3)]
                 draw = lambda: rng.choice(sites)
             a, b = [draw() for _ in range(n)], [draw() for _ in range(n)]
-            cost = [[distance(p, q) for q in b] for p in a]
+            cost = [[math.dist(p, q) for q in b] for p in a]
             rows, cols = linear_sum_assignment(cost)
             assert_optimal_assignment(cost, sum([cost[i][j] for i, j in zip(rows, cols)], 0.0))
 
@@ -170,7 +171,7 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
 def reference_matching(a, b):
     """The matching without the sorted-line shortcut: one solve, then row fixing."""
     k = len(a)
-    cost = [[distance(p, q) for q in b] for p in a]
+    cost = [[math.dist(p, q) for q in b] for p in a]
     best, completion = _assignment(cost)
     tol = 1e-12 * (1.0 + best)
     free = list(range(k))
@@ -269,8 +270,9 @@ def test_two_server_matching_matches_reference_without_a_solve(monkeypatch):
     for a, b in cases:
         assert_same_as_reference(a, b)
     crossed_within_tol = sum(
-        distance(a[0], b[0]) + distance(a[1], b[1]) > distance(a[0], b[1]) + distance(a[1], b[0])
-        and perm == (0, 1) for (a, b), perm in zip(cases, perms))
+        math.dist(a[0], b[0]) + math.dist(a[1], b[1])
+        > math.dist(a[0], b[1]) + math.dist(a[1], b[0]) and perm == (0, 1)
+        for (a, b), perm in zip(cases, perms))
     assert perms.count((1, 0)) > 300 and crossed_within_tol > 100
 
 

@@ -15,7 +15,6 @@ from kmobile.core import (
     InputError,
     ProblemParams,
     Trace,
-    distance,
     min_weight_matching,
     move_toward,
 )
@@ -54,7 +53,7 @@ class TestUmsStep:
     def test_greedy_branch_when_matched_cannot_reach(self):
         p = params(k=1, delta=0.5, ms=1.0, mc=10.0)
         sim = GreedyServer([(0.0,)])
-        m = MobileRun(p, "ums", sim, ((0.0,),), "slow", None)
+        m = MobileRun(p, "ums", sim, ((0.0,),))
         rep = m.step((5.0,))
         assert rep.branch == "greedy"
         assert rep.positions == ((1.25,),)
@@ -64,7 +63,7 @@ class TestUmsStep:
     def test_zero_cost_when_already_served(self):
         p = params(k=1, mc=10.0)
         sim = GreedyServer([(3.0,)])
-        m = MobileRun(p, "ums", sim, ((3.0,),), "slow", None)
+        m = MobileRun(p, "ums", sim, ((3.0,),))
         rep = m.step((3.0,))
         assert rep.branch == "matched"
         assert rep.cost == 0.0
@@ -73,7 +72,7 @@ class TestUmsStep:
         p = params(k=2, delta=0.0, ms=2.0, mc=10.0)
         script = [[(1.0,), (10.0,)]]
         sim = ScriptedSimulator([(0.0,), (10.0,)], script)
-        m = MobileRun(p, "ums", sim, ((0.0,), (6.0,)), "slow", None)
+        m = MobileRun(p, "ums", sim, ((0.0,), (6.0,)))
         rep = m.step((1.0,))
         assert rep.branch == "matched"
         assert rep.positions == ((1.0,), (8.0,))
@@ -82,7 +81,7 @@ class TestUmsStep:
     def test_contract_violation_when_no_sim_server_on_request(self):
         p = params(k=1, mc=10.0)
         sim = ScriptedSimulator([(0.0,)], [[(0.0,)]])
-        m = MobileRun(p, "ums", sim, ((0.0,),), "slow", None)
+        m = MobileRun(p, "ums", sim, ((0.0,),))
         with pytest.raises(ContractViolationError):
             m.step((5.0,))
 
@@ -103,7 +102,7 @@ class TestUmsStep:
         sim = (ScriptedSimulator if sim_measures else UnmeasuredScript)(start, script)
         if project:
             sim = ProjectionWrapper(sim, p, weighted=False)
-        m = MobileRun(p, "ums", sim, start, "slow", None)
+        m = MobileRun(p, "ums", sim, start)
         with pytest.raises(InputError):
             m.step((1.0,))
 
@@ -118,7 +117,7 @@ class TestWmsStep:
     def test_slow_mode_scaled_move(self):
         p = params(k=1, ms=1.0, mc=2.0, delta=0.5, D=2.0)
         sim = PageMigrationCounter([(0.0,)], D=2.0)
-        m = MobileRun(p, "wms", sim, ((0.0,),), "slow", None)
+        m = MobileRun(p, "wms", sim, ((0.0,),))
         rep = m.step((10.0,))
         assert rep.branch == "tentative"
         assert rep.positions == ((1.25,),)
@@ -129,7 +128,7 @@ class TestWmsStep:
         p = params(k=2, ms=1.0, mc=2.0, delta=0.5, D=2.0)
         script = [[(40.0,), (80.0,)]]
         sim = ScriptedSimulator([(40.0,), (80.0,)], script)
-        m = MobileRun(p, "wms", sim, ((5.0,), (9.0,)), "slow", None)
+        m = MobileRun(p, "wms", sim, ((5.0,), (9.0,)))
         rep = m.step((5.0,))
         assert rep.movement == 0.0
         assert rep.serving == 0.0
@@ -138,7 +137,7 @@ class TestWmsStep:
         p = params(k=2, ms=1.0, mc=0.75, delta=0.5, D=2.0)
         script = [[(10.0,), (20.0,)]]
         sim = ScriptedSimulator([(10.0,), (20.0,)], script)
-        m = MobileRun(p, "wms", sim, ((9.0,), (8.9,)), "fast", 0.5)
+        m = MobileRun(p, "wms", sim, ((9.0,), (8.9,)))
         rep = m.step((10.0,))
         assert rep.branch == "fallback"
         assert rep.positions == ((10.0,), (9.9,))
@@ -160,6 +159,16 @@ class TestRun:
         trace = Trace(requests=[(0.0,)] * 10, start_config=((0.0,), (0.0,)))
         res = run(trace, p, algo="ums")
         assert res.grand_total == 0.0
+
+    def test_settings_are_derived_and_read_only(self):
+        assert [f.name for f in dataclasses.fields(RunResult)] == [
+            "algo", "sim_tag", "params", "reports", "psi0_matched_sum", "projection_audit"]
+        p = params(k=1, mc=0.5, ms=1.0, delta=0.0, D=2.0)
+        res = run(gen_local_walk(10, p, 1.0, seed=1).trace, p, algo="wms", sim="pm-counter")
+        assert (res.mode, res.epsilon, res.weighted, res.project) == ("fast", 0.5, True, False)
+        for key in ("mode", "epsilon", "weighted", "project"):
+            with pytest.raises(AttributeError):
+                setattr(res, key, getattr(res, key))
 
     def test_projection_auto_matches_mode(self):
         p_fast = params(k=1, mc=0.5, ms=1.0, delta=0.0)
@@ -238,10 +247,10 @@ class TestRun:
             res = run(inst.trace, p, algo="ums", sim="greedy")
             prev = list(inst.trace.start_config)
             for rep in res.reports:
-                best = min(sum(distance(prev[i], rep.sim_positions[j])
+                best = min(sum(math.dist(prev[i], rep.sim_positions[j])
                                for i, j in enumerate(perm))
                            for perm in itertools.permutations(range(k)))
-                used = sum(distance(prev[i], rep.sim_positions[rep.perm[i]])
+                used = sum(math.dist(prev[i], rep.sim_positions[rep.perm[i]])
                            for i in range(k))
                 assert abs(used - best) <= 1e-9
                 prev = list(rep.positions)
@@ -393,15 +402,14 @@ class TestStepMove:
                         caps.append({"zero": 0.0, "exact": d, "above": d + rng.random(),
                                      "below": d * rng.random()}[kind])
                         seen.add(kind if d > 0.0 else "at-target")
-                    mrun = MobileRun(p, "ums", GreedyServer(pos), pos, "fast", 0.5)
+                    mrun = MobileRun(p, "ums", GreedyServer(pos), pos)
                     got = mrun._apply(targets, caps)
                     want = reference_apply(tuple(pos), targets, caps)
                     assert bits(got) == bits(want), (k, dim, pos, targets, caps)
         assert seen == {"zero", "exact", "above", "below", "at-target"}
 
     def test_apply_rejects_a_negative_cap(self):
-        mrun = MobileRun(params(k=2), "ums", GreedyServer([(0.0,), (1.0,)]),
-                         [(0.0,), (1.0,)], "fast", 0.5)
+        mrun = MobileRun(params(k=2), "ums", GreedyServer([(0.0,), (1.0,)]), [(0.0,), (1.0,)])
         with pytest.raises(InputError, match="nonnegative"):
             mrun._apply([(1.0,), (2.0,)], [1.0, -0.5])
 

@@ -1,6 +1,7 @@
+import math
 import random
 
-from kmobile.core import ProblemParams, distance, move_toward
+from kmobile.core import ProblemParams, move_toward
 from kmobile.kserver import DoubleCoverageLine, GreedyServer, ScriptedSimulator
 from kmobile.projection import ProjectionWrapper, inner_radius, outer_radius
 
@@ -38,7 +39,7 @@ def test_shadow_copies_inside_servers_exactly():
         r = (r[0] + rng.uniform(-1, 1),)
         step = wrap.step(r)
         for hat, c in zip(step.positions, sim.positions):
-            if distance(c, r) <= wrap.inner:
+            if math.dist(c, r) <= wrap.inner:
                 assert hat == c
 
 

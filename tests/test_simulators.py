@@ -9,7 +9,6 @@ from kmobile.core import (
     InputError,
     ProblemParams,
     ResourceBudgetError,
-    distance,
     min_weight_matching,
 )
 from kmobile.kserver import (
@@ -77,7 +76,7 @@ class TestDoubleCoverage:
         for _ in range(100):
             r = (rng.uniform(-20, 20),)
             step = dc.step(r)
-            assert min(distance(p, r) for p in step.positions) == 0.0
+            assert min(math.dist(p, r) for p in step.positions) == 0.0
 
 
 def brute_wfa_tables(start, requests):
@@ -89,7 +88,7 @@ def brute_wfa_tables(start, requests):
     tables = []
     for r in requests:
         ri = pts.index(r)
-        w = {c: min(w[tuple(sorted(c[:s] + c[s + 1:] + (ri,)))] + distance(r, pts[c[s]])
+        w = {c: min(w[tuple(sorted(c[:s] + c[s + 1:] + (ri,)))] + math.dist(r, pts[c[s]])
                     for s in range(k)) for c in confs}
         tables.append(dict(w))
     return pts, tables
@@ -125,7 +124,7 @@ class FixedPointWFA:
                    if q in conf]
         for conf in pending:
             self.values[conf] = math.inf
-        dmat = [[distance(a, b) for b in self.points] for a in self.points]
+        dmat = [[math.dist(a, b) for b in self.points] for a in self.points]
         changed = True
         while changed:
             changed = False
@@ -148,7 +147,7 @@ class FixedPointWFA:
         if r not in self.index:
             self._extend_table(self._intern(r))
         ri = self.index[r]
-        dist_r = [distance(r, p) for p in self.points]
+        dist_r = [math.dist(r, p) for p in self.points]
         new_values = {}
         for conf in self.values:
             best = math.inf
@@ -166,11 +165,11 @@ class FixedPointWFA:
         for i, p in enumerate(cur):
             conf = tuple(sorted(self.index[x] for j, x in enumerate(cur) if j != i))
             conf = tuple(sorted(conf + (ri,)))
-            val = self.values[conf] + distance(p, r)
+            val = self.values[conf] + math.dist(p, r)
             result = tuple(sorted(r if j == i else x for j, x in enumerate(cur)))
             candidates.append((val, result, i))
         val, _, i = min(candidates, key=lambda c: (c[0], c[1]))
-        moved = distance(cur[i], r)
+        moved = math.dist(cur[i], r)
         cur[i] = r
         self.positions = tuple(cur)
         return SimStep(self.positions, 0.0, moved)
@@ -389,7 +388,7 @@ def test_kserver_steps_end_on_request():
         for _ in range(50):
             r = (rng.uniform(-8, 8),)
             step = sim.step(r)
-            assert min(distance(p, r) for p in step.positions) <= 1e-12
+            assert min(math.dist(p, r) for p in step.positions) <= 1e-12
 
 
 def test_determinism_identical_outputs():
