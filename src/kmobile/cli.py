@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -152,6 +153,21 @@ def cmd_verify(args) -> int:
     if not args.run:
         raise InputError(f"--run is required for property {args.property}")
     result = _load_run(args.run)
+    if args.trace:
+        # Any record property given a trace checks that the record is a run of it.
+        trace, params = read_trace(args.trace)
+        requests = [rep.request for rep in result.reports]
+        if result.params.k != params.k:
+            raise InputError(f"run record k={result.params.k} is not the trace's k={params.k}")
+        t = next((t for t, (r, q) in enumerate(zip(requests, trace.requests), 1) if r != q), None)
+        if t is not None:
+            raise InputError(f"run record step {t}: request {list(requests[t - 1])} differs "
+                             f"from the trace's {list(trace.requests[t - 1])}")
+        if len(requests) != len(trace.requests):
+            raise InputError(f"run record has {len(requests)} steps, "
+                             f"the trace {len(trace.requests)} requests")
+    elif args.property in ("slow-potential", "helper-invariants"):
+        raise InputError(f"--trace with a certificate is required for {args.property}")
     if args.property == "fast-potential":
         rep = checks.check_fast_potential(result)
         _dump_json({"steps": len(rep.margins), "violations": rep.violations,
@@ -163,24 +179,13 @@ def cmd_verify(args) -> int:
                     "ratio": rep.ratio, "ok": rep.ok})
         return EXIT_OK if rep.ok else EXIT_VIOLATION
     if args.property in ("slow-potential", "helper-invariants"):
-        if not args.trace:
-            raise InputError(f"--trace with a certificate is required for {args.property}")
-        trace, params = read_trace(args.trace)
         violation = validate_trace(trace, params)
         if violation is not None:
             raise InputError(f"invalid trace: {violation}")
         if trace.certificate is None:
             raise InputError("the trace carries no offline certificate")
+        # validate_trace holds the certificate to one configuration per request.
         online = [rep.positions for rep in result.reports]
-        requests = [rep.request for rep in result.reports]
-        if result.params.k != params.k:
-            raise InputError(f"run record k={result.params.k} is not the trace's k={params.k}")
-        if len(online) != len(trace.certificate):
-            raise InputError("run length and certificate length differ")
-        t = next((t for t, (r, q) in enumerate(zip(requests, trace.requests), 1) if r != q), None)
-        if t is not None:
-            raise InputError(f"run record step {t}: request {list(requests[t - 1])} differs "
-                             f"from the trace's {list(trace.requests[t - 1])}")
         helper = compute_helper(trace.certificate, online, requests, params,
                                 sigma=args.sigma, offline_start=trace.start_config)
         if args.property == "helper-invariants":
@@ -224,7 +229,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if aggregate["all_ok"] else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kmobile",
         description="k-mobile-server simulator, generators, oracle and verifiers")
@@ -285,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -8,7 +8,7 @@ byte-stable across reruns.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from kmobile import checks
@@ -265,8 +265,12 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], dict]:
     spec.validate()
     records = []
     for point in sweep_points(spec):
-        for seed in spec.seeds:
-            records.append(run_point(spec, point, seed))
+        if spec.trace_path is not None:
+            # The seed does not enter a trace run: run it once, record it per seed.
+            record = run_point(spec, point, spec.seeds[0])
+            records.extend(replace(record, seed=seed) for seed in spec.seeds)
+        else:
+            records.extend(run_point(spec, point, seed) for seed in spec.seeds)
     aggregate = {
         "spec": {
             "construction": spec.construction,

@@ -12,8 +12,6 @@ import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from kmobile.core import (
     Config,
     InputError,
@@ -124,10 +122,12 @@ class WorkFunctionServer(GuidanceSimulator):
     ``neighbours[base][p]``, the id of base plus point p, their numpy
     copies ``_dist`` and ``_nbr``, and per configuration and slot the
     base left when the slot is emptied (``_slot_base``) and its point
-    (``_slot_point``).
+    (``_slot_point``).  numpy is imported by the methods that call it, so
+    runs under other guidance never load it.
     """
 
     def __init__(self, start: Sequence[Point], max_configs: Optional[int] = None):
+        import numpy as np
         self.k = len(start)
         self.max_configs = max_configs if max_configs is not None else wfa_config_budget()
         self.dim = len(start[0])
@@ -152,6 +152,7 @@ class WorkFunctionServer(GuidanceSimulator):
 
     def _intern(self, p: Point) -> None:
         """Add point p: its distances, and the configurations and bases holding it."""
+        import numpy as np
         q = len(self.points)
         n = q + 1
         table = math.comb(n + self.k - 1, self.k)
@@ -208,6 +209,7 @@ class WorkFunctionServer(GuidanceSimulator):
         The first pass reads only points p before x: neighbour ids rise
         with p to conf's own at p = x, and ids from there on read inf.
         """
+        import numpy as np
         values = self.values
         lo = len(values)
         confs, bases = self._slot_point[lo:], self._slot_base[lo:]

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from kmobile.core import (
     Config,
@@ -26,6 +24,9 @@ from kmobile.core import (
     move_toward,
     read_budget,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DP_MAX_POINTS = 41
 DP_MAX_STEPS = 30
@@ -49,6 +50,7 @@ class GridSpec:
         return (self.hi - self.lo) / (self.n - 1) if self.n > 1 else 0.0
 
     def positions(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.lo, self.hi, self.n)
 
     @classmethod
@@ -74,7 +76,8 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     but no table of them is held: the sweep costs one block of states at
     a time from two (n, n^k) arrays of per-server move costs, over the
     predecessors in reach only.  Memory is O(n * n^k) plus one parent
-    array of n^k entries per step.
+    array of n^k entries per step.  numpy is imported here, not by the
+    module, so runs that never reach the DP never load it.
     """
     if params.dim != 1:
         raise InputError("the DP oracle is restricted to dimension 1")
@@ -91,6 +94,7 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     if budget is not None and transitions > budget:
         raise ResourceBudgetError(f"DP needs {transitions} transitions per step (budget {budget})")
 
+    import numpy as np
     pos = grid.positions()
     n = grid.n
     k = params.k

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import asdict, replace
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from kmobile.checks import check_fast_potential
 from kmobile.cli import build_parser, main
-from kmobile.core import InputError
+from kmobile.core import InputError, read_trace, write_trace
 from kmobile.experiment import (
     PARAM_TYPES,
     ExperimentSpec,
@@ -97,6 +98,19 @@ class TestRunExperiment:
         assert means == sorted(means)
         assert means[0] < means[-1]
 
+
+    def test_trace_spec_runs_once_for_all_seeds(self, tmp_path):
+        trace = str(tmp_path / "t.jsonl")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "8",
+                         "--out", trace]) == 0
+        spec = ExperimentSpec(trace_path=trace, seeds=[0, 1, 2])
+        with mock.patch("kmobile.experiment.read_trace", wraps=read_trace) as reads, \
+                mock.patch("kmobile.experiment.run_mobile", wraps=run_mobile) as runs:
+            records, aggregate = run_experiment(spec)
+        assert (reads.call_count, runs.call_count) == (1, 1)
+        assert [r.seed for r in records] == [0, 1, 2]
+        assert aggregate["records"] == [asdict(run_point(spec, {}, seed)) for seed in (0, 1, 2)]
 
     def test_run_point_folds_each_check_to_its_worst_run(self):
         # thm4 at mc < (1+delta)*ms is fast mode; k=2 enumerates four targets.
@@ -408,6 +422,17 @@ sweep.x=16,32
         assert (args.ms, args.D, args.mc, args.delta) == (3.0, 2.0, None, None)
         assert type(args.ms) is float
 
+    def test_one_parser_serves_every_call_with_its_own_defaults(self, tmp_path, capsys):
+        trace = str(tmp_path / "w.jsonl")
+        assert main(["generate", "--construction", "walk", "--k", "1", "--n", "10",
+                     "--mc", "0.5", "--out", trace]) == 0
+        assert build_parser() is build_parser()
+        with mock.patch("kmobile.cli.run_mobile", wraps=run_mobile) as runs:
+            assert main(["simulate", "--ms", "3", "--trace", trace]) == 0
+            assert main(["simulate", "--trace", trace]) == 0
+        # The second call reads the trace header's ms, not the first call's --ms.
+        assert [call.args[1].ms for call in runs.call_args_list] == [3.0, 1.0]
+
     def test_simulate_takes_k_only_from_the_trace_header(self, tmp_path, capsys):
         trace = str(tmp_path / "t.jsonl")
         assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "8",
@@ -417,25 +442,44 @@ sweep.x=16,32
         assert exc.value.code == 2
         assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
-    def test_helper_properties_refuse_a_record_of_another_trace(self, tmp_path, capsys):
+    def test_record_properties_refuse_a_record_of_another_trace(self, tmp_path, capsys):
+        # Every record property given a trace checks that the record is a run of
+        # it; fast-potential and projection-bound read nothing else from it.
         traces = {}
-        for name, k, zc in (("z0", "2", ["--z-choice", "0"]), ("z3", "2", ["--z-choice", "3"]),
-                            ("k4", "4", [])):
+        for name, extra in (("z0", ["--z-choice", "0"]), ("z3", ["--z-choice", "3"]),
+                            ("k4", ["--k", "4"])):
             traces[name] = str(tmp_path / f"{name}.jsonl")
-            assert main(["generate", "--construction", "thm3", "--k", k, "--x", "16",
-                         "--seed", "1", *zc, "--out", traces[name]]) == 0
-        record = str(tmp_path / "z0.run.json")
-        assert main(["simulate", "--trace", traces["z0"], "--out", record]) == 0
+            assert main(["generate", "--construction", "thm3", "--x", "16", "--seed", "1",
+                         *extra, "--out", traces[name]]) == 0
+        trace, params = read_trace(traces["z0"])
+        n = len(trace)
+        traces["short"] = str(tmp_path / "short.jsonl")
+        write_trace(traces["short"], replace(trace, requests=trace.requests[:-1],
+                                             certificate=None), params)
+        # At ms 16 > mc the run is in fast mode; at the header's ms it is slow, with the projection.
+        fast, slow = str(tmp_path / "fast.run.json"), str(tmp_path / "slow.run.json")
+        assert main(["simulate", "--trace", traces["z0"], "--ms", "16", "--out", fast]) == 0
+        assert main(["simulate", "--trace", traces["z0"], "--out", slow]) == 0
         capsys.readouterr()
-        for prop in ("helper-invariants", "slow-potential"):
-            argv = ["verify", "--property", prop, "--run", record, "--trace"]
-            assert main(argv + [traces["z0"]]) == 0
-            capsys.readouterr()
+        for prop, record in (("fast-potential", fast), ("projection-bound", slow),
+                             ("helper-invariants", slow), ("slow-potential", slow)):
+            argv = ["verify", "--property", prop, "--run", record]
+            alone = None
+            if prop in ("fast-potential", "projection-bound"):
+                assert main(argv) == 0, prop
+                alone = capsys.readouterr()
+            assert main(argv + ["--trace", traces["z0"]]) == 0, prop
+            assert alone in (None, capsys.readouterr()), prop
             for name, err in (("z3", "run record step 17: request [-12.0] differs "
                                      "from the trace's [12.0]"),
-                              ("k4", "run record k=2 is not the trace's k=4")):
-                assert main(argv + [traces[name]]) == 2, (prop, name)
+                              ("k4", "run record k=2 is not the trace's k=4"),
+                              ("short", f"run record has {n} steps, the trace {n - 1} requests")):
+                assert main(argv + ["--trace", traces[name]]) == 2, (prop, name)
                 assert capsys.readouterr().err == f"input error: {err}\n", (prop, name)
+            assert main(argv + ["--trace", str(tmp_path / "nonexistent.jsonl")]) == 2, prop
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1, (prop, err)
+            assert "nonexistent.jsonl" in err, (prop, err)
 
     def test_helper_invariants_cli(self, tmp_path):
         trace = str(tmp_path / "t4.jsonl")

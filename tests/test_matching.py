@@ -168,6 +168,52 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_only_the_wfa_and_the_dp_import_numpy(tmp_path):
+    # numpy is imported inside the work-function guidance and the DP oracle
+    # only: a fresh process running the other commands never loads it.
+    prelude = (
+        "import sys\n"
+        "from kmobile.cli import main\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "walk, thm3, spec = tmp + '/walk.jsonl', tmp + '/thm3.jsonl', tmp + '/thm3.spec'\n")
+    without = prelude + (
+        "assert main(['generate', '--construction', 'walk', '--k', '2', '--dim', '1',\n"
+        "             '--n', '20', '--mc', '0.5', '--D', '2', '--out', walk]) == 0\n"
+        "for algo, sim in (('ums', 'dc-line'), ('wms', 'pm-counter'), ('ums', 'greedy')):\n"
+        "    run = f'{tmp}/{sim}.run.json'\n"
+        "    assert main(['simulate', '--algo', algo, '--sim', sim, '--trace', walk,\n"
+        "                 '--out', run, '--csv', f'{tmp}/{sim}.csv']) == 0\n"
+        "    assert main(['verify', '--property', 'fast-potential', '--run', run,\n"
+        "                 '--trace', walk]) == 0\n"
+        "assert main(['generate', '--construction', 'thm3', '--k', '2', '--x', '16',\n"
+        "             '--out', thm3]) == 0\n"
+        "assert main(['simulate', '--trace', thm3, '--out', tmp + '/thm3.run.json']) == 0\n"
+        "for prop in ('projection-bound', 'slow-potential', 'helper-invariants'):\n"
+        "    assert main(['verify', '--property', prop, '--run', tmp + '/thm3.run.json',\n"
+        "                 '--trace', thm3, '--sigma', '1e-3']) == 0, prop\n"
+        "with open(spec, 'w') as fh:\n"
+        "    fh.write('construction=thm3\\nx=16\\nseeds=0,1\\nsweep.k=2,4\\n')\n"
+        "assert main(['sweep', '--spec', spec, '--out', tmp + '/agg.json']) == 0\n"
+        # A line walk beyond the DP's 30 steps gets no DP reference.
+        "with open(spec, 'w') as fh:\n"
+        "    fh.write('construction=walk\\nn=40\\nmc=0.5\\nseeds=0\\n')\n"
+        "assert main(['sweep', '--spec', spec]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    # Each positive control runs in its own process, after the numpy-free one
+    # wrote its trace, so that neither can pass on the other's import.
+    controls = [
+        "assert main(['optimum', '--trace', walk, '--grid', '0.5']) == 0\n",
+        "assert main(['simulate', '--sim', 'wfa', '--trace', walk]) == 0\n",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(kmobile.__file__).resolve().parents[1]))
+    for script in [without] + [prelude + "assert 'numpy' not in sys.modules\n" + tail +
+                               "assert 'numpy' in sys.modules, 'numpy was not imported'\n"
+                               for tail in controls]:
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 def reference_matching(a, b):
     """The matching without the sorted-line shortcut: one solve, then row fixing."""
     k = len(a)
