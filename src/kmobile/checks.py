@@ -192,6 +192,8 @@ def check_lemma_geo(samples: int, delta: float, seed: int = 0) -> GeoSampleRepor
     """
     if not 0.0 < delta < 1.0:
         raise InputError("delta must lie in (0, 1)")
+    if samples < 1:
+        raise InputError(f"lemma-geo needs at least one sample, got {samples}")
     rng = random.Random(seed)
     factor = (1.0 + delta / 4.0) / (1.0 + delta / 2.0)
     violations = 0
@@ -211,8 +213,7 @@ def check_lemma_geo(samples: int, delta: float, seed: int = 0) -> GeoSampleRepor
         min_margin = min(min_margin, margin)
         if margin < -1e-12 * max(1.0, rhs):
             violations += 1
-    return GeoSampleReport(samples=samples, violations=violations,
-                           min_margin=min_margin if samples else 0.0)
+    return GeoSampleReport(samples=samples, violations=violations, min_margin=min_margin)
 
 
 @dataclass

@@ -79,10 +79,19 @@ class DoubleCoverageLine(GuidanceSimulator):
         if any(len(p) != 1 for p in start):
             raise InputError("double coverage requires dimension 1")
         self.positions = tuple(sorted(start))
+        self._request: Optional[Point] = None
 
     def step(self, r: Point) -> SimStep:
+        # The very request of the last step moves nothing, as the full step
+        # would, bit for bit.  That step left a server equal to x (g <= 0 moved
+        # nothing, so its repeat is again a no-op).  Inside the hull that server
+        # makes g a zero; at a hull end it is x itself or a nonzero float (a
+        # float sum is zero only when exact), so it moves by +0.0 onto x's bits.
+        if r is self._request:
+            return SimStep(self.positions, 0.0, 0.0)
         if len(r) != 1:
             raise InputError("double coverage requires dimension 1")
+        self._request = r
         x = r[0]
         pos = [p[0] for p in self.positions]
         moved = 0.0

@@ -326,14 +326,15 @@ class MobileRun:
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
         self.on_request_tol = 1e-9 * max(1.0, params.mc)
-        # The last report if its step settled: no server moved or missed its target.
-        self._settled: Optional[StepReport] = None
+        # Whether the last step settled: no server moved or missed its target.
+        self._settled = False
 
     def step(self, r: Point) -> StepReport:
         """Guidance step, matching to it, then the algorithm's caps and targets.
 
         The request and the guidance are checked against the dimension
-        once here; the step then measures them with ``math.dist``.
+        here, unless they equal the last step's, which were; the step then
+        measures them with ``math.dist``.
 
         A step is a function of the positions, request and guidance by
         value (a zero's sign changes no distance), and a settled step left
@@ -342,17 +343,26 @@ class MobileRun:
         """
         self.t += 1
         dim = self.params.dim
-        check_dims((r,), dim)
+        last = self.reports[-1] if self.reports else None
+        same_r = last is not None and r == last.request
+        if not same_r:
+            check_dims((r,), dim)
         sim_step = self.sim.step(r)
         c = sim_step.positions
-        check_dims(c, dim)
-        last = self._settled
-        if last is not None and r == last.request and c == last.sim_positions:
+        same_c = last is not None and c == last.sim_positions
+        if not same_c:
+            check_dims(c, dim)
+        if same_r and same_c and self._settled:
             perm, branch, mover = last.perm, last.branch, last.mover
-            targets = [c[j] for j in perm]
-            if mover is not None:  # greedy and tentative move it onto r
-                targets[mover] = r
-            new_pos, caps, disps = tuple(targets), list(last.caps), list(last.displacements)
+            if r is last.request and c is last.sim_positions:
+                # The settled step's positions are its targets, object for object.
+                targets = new_pos = last.positions
+            else:
+                targets = [c[j] for j in perm]
+                if mover is not None:  # greedy and tentative move it onto r
+                    targets[mover] = r
+                new_pos = tuple(targets)
+            caps, disps = list(last.caps), list(last.displacements)
             serving, matched_sum = last.serving, last.matched_sum
         else:
             perm = min_weight_matching(self.positions, c).perm
@@ -373,8 +383,7 @@ class MobileRun:
             sim_cost=sim_step.serving + D * sim_step.movement,
             matched_sum=matched_sum, positions=new_pos, sim_positions=c)
         self.reports.append(rep)
-        settled = movement == 0.0 and all(map(is_, new_pos, targets))
-        self._settled = rep if settled else None
+        self._settled = movement == 0.0 and all(map(is_, new_pos, targets))
         return rep
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:

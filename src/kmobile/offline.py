@@ -55,6 +55,8 @@ class GridSpec:
 
     @classmethod
     def from_resolution(cls, trace: Trace, h: float) -> "GridSpec":
+        if not 0.0 < h < math.inf:
+            raise InputError(f"grid resolution must be positive and finite, got {h!r}")
         coords = [p[0] for p in trace.requests] + [p[0] for p in trace.start_config]
         lo, hi = min(coords), max(coords)
         if hi == lo:

@@ -53,7 +53,8 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_movement = 0.0
         self.max_request_distance = 0.0
         self.phase_ends = 0
-        # The last full step's request, guidance, inside servers and serving.
+        # The last step's request and guidance, and the last full step's inside
+        # servers and serving.
         self._last: Optional[tuple] = None
 
     def _place(self, hat: list[Point], inner_pos: Config, r: Point, phase_end: bool) -> list[int]:
@@ -70,20 +71,25 @@ class ProjectionWrapper(GuidanceSimulator):
     def step(self, r: Point) -> SimStep:
         raw = self.sim.step(r)
         c = raw.positions
-        # Checked once here, then measured with math.dist.
-        check_dims((r, *c), self.params.dim)
         self.raw_serving += raw.serving
         self.raw_movement += raw.movement
-        hat = list(self.positions)
         last = self._last
         if last is not None and r == last[0] and c == last[1]:
-            # Last step's inputs by value: the anchor is that r or within inner of
-            # it, so no phase ends; the same servers are inside, and nothing moves.
-            for i in last[2]:
-                hat[i] = c[i]
-            self.positions = tuple(hat)
+            # Last step's inputs by value, so their lengths were checked: the
+            # anchor is that r or within inner of it, so no phase ends; the same
+            # servers are inside, and nothing moves.  They hold that step's
+            # guidance points, so the very same guidance changes nothing.
+            if c is not last[1]:
+                hat = list(self.positions)
+                for i in last[2]:
+                    hat[i] = c[i]
+                self.positions = tuple(hat)
+                self._last = (r, c, last[2], last[3])
             self.proj_serving += last[3]
             return SimStep(self.positions, last[3], 0.0)
+        # Checked once here, then measured with math.dist.
+        check_dims((r, *c), self.params.dim)
+        hat = list(self.positions)
         # The first request opens the first phase; outside servers are pulled
         # to the boundary at once, so containment holds from the start.
         first = self.anchor is None

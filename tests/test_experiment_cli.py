@@ -390,6 +390,37 @@ class TestCli:
         assert main(["verify", "--property", "lemma-geo", "--samples", "500",
                      "--delta-geo", "0.3", "--seed", "2"]) == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_lemma_geo_refuses_fewer_than_one_sample(self, capsys, samples):
+        # No sample would pass vacuously, with an infinite minimum margin.
+        assert main(["verify", "--property", "lemma-geo", "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "nan", "inf"])
+    def test_optimum_refuses_a_resolution_not_positive_and_finite(self, tmp_path, capsys, grid):
+        trace = tmp_path / "line.jsonl"
+        header = {"dim": 1, "k": 2, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+                  "start": [[0.0], [2.0]]}
+        trace.write_text("\n".join([json.dumps(header)] + [
+            json.dumps({"t": t, "r": [x]}) for t, x in enumerate((0.5, 1.5, 2.0), 1)]) + "\n")
+        assert main(["optimum", "--trace", str(trace), "--grid", grid]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("input error: grid resolution must be positive and finite"), err
+
+    def test_a_wrong_dimension_request_after_settled_steps_exits_2(self, tmp_path, capsys):
+        # The first steps settle, so the later ones may skip their dimension checks.
+        trace = tmp_path / "line.jsonl"
+        header = {"dim": 1, "k": 2, "ms": 1.0, "mc": 1.0, "delta": 0.5, "D": 1.0,
+                  "start": [[0.0], [0.0]]}
+        requests = [[0.0]] * 3 + [[0.0, 0.0]]
+        trace.write_text("\n".join([json.dumps(header)] + [
+            json.dumps({"t": t, "r": r}) for t, r in enumerate(requests, 1)]) + "\n")
+        assert main(["simulate", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+
     def test_sweep_cli(self, tmp_path):
         spec = write_spec(tmp_path, """
 construction=thm3

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import json
 import math
 import random
 import warnings
+from operator import is_
 from unittest import mock
 
 import pytest
@@ -15,11 +17,18 @@ from kmobile.core import (
     InputError,
     ProblemParams,
     Trace,
+    check_dims,
     min_weight_matching,
     move_toward,
 )
-from kmobile.experiment import fmt
-from kmobile.kserver import GreedyServer, PageMigrationCounter, ScriptedSimulator, SimStep
+from kmobile.experiment import ExperimentSpec, build_instance, fmt, run_experiment
+from kmobile.kserver import (
+    DoubleCoverageLine,
+    GreedyServer,
+    PageMigrationCounter,
+    ScriptedSimulator,
+    SimStep,
+)
 from kmobile.mobile import ALGO_TAGS, STEP_FIELDS, MobileRun, RunResult, derive_mode, run
 from kmobile.projection import ProjectionWrapper
 
@@ -28,6 +37,15 @@ def params(**kw):
     base = dict(k=1, ms=1.0, mc=1.0, delta=0.5, D=1.0, dim=1)
     base.update(kw)
     return ProblemParams(**base)
+
+
+class UnmeasuredScript(ScriptedSimulator):
+    """Emits its configurations without measuring or checking them."""
+
+    def step(self, r):
+        self.positions = self.script[self.t]
+        self.t += 1
+        return SimStep(self.positions, 0.0, 0.0)
 
 
 class TestModeDerivation:
@@ -88,14 +106,6 @@ class TestUmsStep:
     @pytest.mark.parametrize("project", [False, True])
     @pytest.mark.parametrize("sim_measures", [True, False])
     def test_wrong_dimension_guidance_is_an_input_error(self, project, sim_measures):
-        class UnmeasuredScript(ScriptedSimulator):
-            """Emits its configurations without measuring them."""
-
-            def step(self, r):
-                self.positions = self.script[self.t]
-                self.t += 1
-                return SimStep(self.positions, 0.0, 0.0)
-
         p = params(k=2, mc=10.0)
         start = ((0.0,), (4.0,))
         script = [[(1.0,), (4.0, 0.0)]]
@@ -105,6 +115,39 @@ class TestUmsStep:
         m = MobileRun(p, "ums", sim, start)
         with pytest.raises(InputError):
             m.step((1.0,))
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("sim_measures", [True, False])
+    def test_wrong_dimension_guidance_after_repeats_is_an_input_error(self, project,
+                                                                      sim_measures):
+        # Repeats skip the checks of values already checked; a new
+        # configuration of the wrong dimension is checked all the same.
+        p = params(k=2, mc=10.0)
+        conf, r = ((1.0,), (4.0,)), (1.0,)
+        script = [conf] * 3 + [((1.0,), (4.0, 0.0))]
+        sim = (ScriptedSimulator if sim_measures else UnmeasuredScript)(conf, script)
+        if project:
+            sim = ProjectionWrapper(sim, p, weighted=False)
+        m = MobileRun(p, "ums", sim, conf)
+        for _ in range(3):
+            m.step(r)
+        assert m._settled
+        with pytest.raises(InputError):
+            m.step(r)
+
+    @pytest.mark.parametrize("project", [False, True])
+    def test_wrong_dimension_request_after_repeats_is_an_input_error(self, project):
+        p = params(k=2, mc=10.0)
+        conf, r = ((1.0,), (4.0,)), (1.0,)
+        sim = UnmeasuredScript(conf, [conf] * 4)
+        if project:
+            sim = ProjectionWrapper(sim, p, weighted=False)
+        m = MobileRun(p, "ums", sim, conf)
+        for _ in range(3):
+            m.step(r)
+        assert m._settled
+        with pytest.raises(InputError):
+            m.step((1.0, 0.0))
 
     def test_fast_mode_serves_every_request_from_start(self):
         p = params(k=2, ms=1.0, mc=0.5, delta=0.0)
@@ -470,7 +513,9 @@ def run_and_reference(make, **kw):
     res = run(*make(), **kw)
     with mock.patch.object(MobileRun, "step", measured_steps(MobileRun.step, "_settled")), \
             mock.patch.object(ProjectionWrapper, "step",
-                              measured_steps(ProjectionWrapper.step, "_last")):
+                              measured_steps(ProjectionWrapper.step, "_last")), \
+            mock.patch.object(DoubleCoverageLine, "step",
+                              measured_steps(DoubleCoverageLine.step, "_request")):
         ref = run(*make(), **kw)
     return res, ref
 
@@ -486,13 +531,15 @@ def signed_zero_trace():
     return Trace(requests, ((-0.0,), (0.0,), (1.0,))), params(k=3, ms=1.0, mc=1.0, delta=0.5)
 
 
-def reuse_cases():
-    def instance(gen, *args, **kw):
-        def make():
-            inst = gen(*args, **kw)
-            return inst.trace, inst.params
-        return make
+def instance(gen, *args, **kw):
+    """A maker of the trace and parameters of a generated instance."""
+    def make():
+        inst = gen(*args, **kw)
+        return inst.trace, inst.params
+    return make
 
+
+def reuse_cases():
     for k in (2, 4, 8):
         yield pytest.param(instance(gen_thm3, k, 16, seed=k), dict(algo="ums", project="on"),
                            id=f"thm3-k{k}")
@@ -516,10 +563,59 @@ def reuse_cases():
                 ScriptedSimulator(script[0], script))
 
     yield pytest.param(moving_guidance, dict(project="off"), id="moving-guidance")
+
+    def fixed_guidance():
+        # One guidance object throughout, while equal requests of both zero signs
+        # alternate: the settled mover must take each step's own request.
+        conf = ((0.0,), (5.0,))
+        requests = repeated([(0.0,), (-0.0,)] * 4, 2)
+        return (Trace(requests, conf), params(k=2, mc=1.0, D=2.0), "wms",
+                ScriptedSimulator(conf, [conf] * len(requests)))
+
+    yield pytest.param(fixed_guidance, dict(project="off"), id="fixed-guidance-signed-zero")
+    for project in ("on", "off"):
+        yield pytest.param(dc_signed_zero_trace, dict(project=project),
+                           id=f"dc-signed-zero-{project}")
     for algo, sim in (("ums", "dc-line"), ("ums", "greedy"), ("wms", "pm-counter")):
         for project in ("on", "off"):
             yield pytest.param(signed_zero_trace, dict(algo=algo, sim=sim, project=project),
                                id=f"signed-zero-{algo}-{sim}-{project}")
+
+
+def fresh_copy(trace):
+    """The trace with every point in a new tuple, as a trace read from a file has them."""
+    def point(p):
+        return tuple(list(p))
+
+    def config(conf):
+        return tuple(map(point, conf))
+
+    cert = trace.certificate
+    return Trace([point(r) for r in trace.requests], config(trace.start_config),
+                 None if cert is None else [config(conf) for conf in cert])
+
+
+def fresh_copy_cases():
+    slow = dict(algo="ums", sim="dc-line", project="on")
+    for k in (2, 4, 8):
+        yield pytest.param(instance(gen_thm3, k, 16, seed=k), slow, True, id=f"thm3-k{k}")
+        yield pytest.param(instance(gen_thm4, k, 16, ms=1.0, mc=2.0, seed=k), slow, True,
+                           id=f"thm4-k{k}")
+    p = params(k=2, ms=1.0, mc=1.2, delta=0.5)
+    walk = gen_local_walk(300, p, 1.0, seed=4).trace
+    fast = dict(algo="ums", sim="dc-line")
+    yield pytest.param(lambda: (walk, p), fast, False, id="walk")
+    yield pytest.param(lambda: (Trace(repeated(walk.requests, 3), walk.start_config), p), fast,
+                       True, id="repeated-walk")
+
+
+def dc_signed_zero_trace():
+    """A dc-line trace that repeats request objects, with zeros of both signs throughout."""
+    zero, neg = (0.0,), (-0.0,)
+    requests = repeated([neg, zero, neg, (2.0,), (1.0,), zero, (3.0,), neg, (-1.0,), zero,
+                         (0.5,), neg, zero], 3)
+    return (Trace(requests, ((0.0,), (-0.0,), (3.0,), (-0.0,))),
+            params(k=4, ms=1.0, mc=4.0, delta=0.5), "ums", "dc-line")
 
 
 class TestReuse:
@@ -547,6 +643,62 @@ class TestReuse:
                 assert bits(rep.positions) == bits(tuple(targets)), rep.t
                 flips += bits(rep.request) != bits(prev.request)
         assert flips > 0
+
+    @pytest.mark.parametrize("make,kw,repeats", fresh_copy_cases())
+    def test_fresh_point_objects_give_the_same_bytes(self, make, kw, repeats):
+        # Generated traces repeat one tuple object and take the identity path;
+        # a trace read from a file has a new tuple per line and compares values.
+        trace, p = make()
+        copy = fresh_copy(trace)
+        assert not any(map(is_, copy.requests, trace.requests))
+        res, ref = run(trace, p, **kw), run(copy, p, **kw)
+        assert res.to_json({}) == ref.to_json({})
+        assert _steps_csv(res) == _steps_csv(ref)
+        if repeats:
+            assert sum(map(is_, trace.requests, trace.requests[1:])) > len(trace) / 3
+            assert reused_steps(res.reports) > len(trace) / 4
+
+    @pytest.mark.parametrize("construction", ["thm3", "thm4"])
+    def test_sweep_aggregate_is_the_same_with_fresh_point_objects(self, construction):
+        def spec():
+            base = dict(x=16, ms=1.0, delta=0.5, **({"mc": 2.0} if construction == "thm4" else {}))
+            return ExperimentSpec(construction=construction, algo="ums", sim="dc-line",
+                                  project="auto", base=base, seeds=[1, 2],
+                                  sweep={"k": [2, 4, 8]})
+
+        def fresh_instance(*args):
+            inst = build_instance(*args)
+            return dataclasses.replace(inst, trace=fresh_copy(inst.trace))
+
+        _, aggregate = run_experiment(spec())
+        with mock.patch("kmobile.experiment.build_instance", fresh_instance):
+            _, fresh = run_experiment(spec())
+        assert json.dumps(aggregate, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+
+    def test_dimension_checks_follow_new_objects_not_steps(self):
+        inst = gen_thm3(8, 32, seed=3)
+        calls = dict.fromkeys(("mobile", "projection", "kserver"), 0)
+
+        def counting(module):
+            def counted(points, dim):
+                calls[module] += 1
+                return check_dims(points, dim)
+            return counted
+
+        with contextlib.ExitStack() as stack:
+            for module in calls:
+                stack.enter_context(mock.patch(f"kmobile.{module}.check_dims", counting(module)))
+            res = run(inst.trace, inst.params, algo="ums", sim="dc-line", project="on")
+        reps = res.reports
+        new_requests = 1 + sum(rep.request is not prev.request
+                               for prev, rep in zip(reps, reps[1:]))
+        new_guidance = 1 + sum(rep.sim_positions is not prev.sim_positions
+                               for prev, rep in zip(reps, reps[1:]))
+        assert new_requests == 8 and new_guidance < len(reps) / 20
+        # The run checks each new request and guidance object once; the projection
+        # its start and each new request; double coverage reads its one coordinate.
+        assert calls == {"mobile": new_requests + new_guidance,
+                         "projection": 1 + new_requests, "kserver": 0}
 
     def test_a_repeat_skips_the_matching(self):
         calls = []

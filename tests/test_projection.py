@@ -151,3 +151,31 @@ def test_repeated_steps_equal_measured_ones():
         assert (got.serving.hex(), got.movement.hex()) == (want.serving.hex(), want.movement.hex())
     assert reused > len(requests) / 3
     assert wrap.phase_ends > 0
+
+
+def test_recurring_guidance_objects_equal_measured_steps():
+    # Equal guidance configurations in distinct tuples, with zeros of both signs,
+    # recur as objects in any order, so a step may hand on its last positions
+    # only when its guidance is the very object of the step before.
+    rng = random.Random(3)
+    pr = params(k=3, mc=1.0)  # inner radius 12
+    far = (40.0,)
+    pool = [((0.0,), (-0.0,), far), ((-0.0,), (0.0,), far), ((0.0,), (0.0,), far)]
+    requests, script = [], []
+    for _ in range(60):
+        r, conf = rng.choice(((0.0,), (-0.0,))), rng.choice(pool)
+        for _ in range(rng.randrange(1, 4)):
+            requests.append(r)
+            script.append(conf)
+    start = [(0.0,), (0.0,), (0.0,)]
+    wrap = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
+    ref = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
+    handed_on = 0
+    for r, conf in zip(requests, script):
+        ref._last = None
+        before = wrap.positions
+        got, want = wrap.step(r), ref.step(r)
+        handed_on += got.positions is before
+        assert projection_state(wrap) == projection_state(ref)
+        assert (got.serving.hex(), got.movement.hex()) == (want.serving.hex(), want.movement.hex())
+    assert handed_on > len(requests) / 4

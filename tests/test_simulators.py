@@ -78,6 +78,37 @@ class TestDoubleCoverage:
             step = dc.step(r)
             assert min(math.dist(p, r) for p in step.positions) == 0.0
 
+    def test_repeated_request_object_hands_on_the_same_positions(self):
+        dc = DoubleCoverageLine([(0.0,), (10.0,)])
+        r = (4.0,)
+        first = dc.step(r)
+        again = dc.step(r)
+        assert again.positions is first.positions
+        assert (again.serving.hex(), again.movement.hex()) == ("0x0.0p+0", "0x0.0p+0")
+        # An equal request in a new tuple takes the full step, with the same values.
+        assert dc.step((4.0,)).positions == first.positions
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeats_equal_full_steps_bit_for_bit(self, seed):
+        # Request objects recur, in runs and apart, with zeros of both signs,
+        # values at hull ends, inside with a zero gap and inside with rounding.
+        rng = random.Random(seed)
+        pool = [(0.0,), (-0.0,), (0.0,), (1.0,), (-1.0,), (0.1,), (0.3,), (0.7,),
+                (2.5,), (-2.5,), (1e-300,), (-1e-300,)]
+        start = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+        dc, ref = DoubleCoverageLine(start), DoubleCoverageLine(start)
+        repeats = 0
+        for _ in range(300):
+            r = rng.choice(pool)
+            for _ in range(rng.randrange(1, 4)):
+                repeats += r is dc._request
+                ref._request = None
+                got, want = dc.step(r), ref.step(r)
+                assert [p[0].hex() for p in got.positions] == [p[0].hex() for p in want.positions]
+                assert (got.serving.hex(), got.movement.hex()) == (
+                    want.serving.hex(), want.movement.hex())
+        assert repeats > 100
+
 
 def brute_wfa_tables(start, requests):
     """Full-recomputation work-function reference over all observed points."""
