@@ -18,6 +18,7 @@ from kmobile.core import (
     Point,
     ProblemParams,
     Trace,
+    certificate_cost,
     check_dims,
     move_toward,
 )
@@ -189,8 +190,6 @@ def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
     params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)
     trace = Trace(requests=requests, start_config=start, certificate=cert)
     if bound is None:
-        from kmobile.core import certificate_cost
-
         bound = certificate_cost(trace, params)
     return GeneratedInstance("thm4", trace, params, bound, None, choices)
 

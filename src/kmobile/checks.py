@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
-from kmobile.core import InputError, Point, ProblemParams, check_dims, move_toward
+from kmobile.core import InputError, Point, ProblemParams, check_dims, move_toward, positive
 from kmobile.mobile import RunResult
 from kmobile.offline import PHI_FACTOR, HelperTrajectory
 
@@ -79,7 +79,7 @@ def check_fast_potential(result: RunResult) -> PotentialReport:
         margin = bound - (rep.cost + psi - psi_prev)
         scale = max(1.0, bound, rep.cost, psi, psi_prev)
         margins.append(margin)
-        if margin < -REL_SLACK * scale:
+        if not -REL_SLACK * scale <= margin:  # a NaN margin included
             violations.append(rep.t)
         psi_prev = psi
     return PotentialReport(margins, violations)
@@ -133,6 +133,7 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     params = result.params
     if params.delta <= 0.0:
         raise InputError("the slow-mode potential checker needs delta > 0")
+    positive(sigma, "sigma")
     check_dims(chain(start_config, (helper.start, *helper.positions),
                      (g.o_star_pos for g in helper.geometry)), params.dim)
     weighted = result.weighted
@@ -143,8 +144,7 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     high = _phi_quadratic(threshold, threshold, params, weighted)
     boundary_gap = abs(high - low) / max(1.0, abs(low))
 
-    if y is None:
-        y = default_y(params)
+    y = default_y(params) if y is None else positive(y, "Y")
     psi_f = psi_factor(result, y)
     bound_f = y * params.mc / (params.delta * params.ms)
 

@@ -141,7 +141,10 @@ def _load_run(path: str) -> RunResult:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return RunResult.from_dict(obj)
+    result = RunResult.from_dict(obj)
+    if not result.reports:  # every run has a step: validate_trace refuses an empty trace
+        raise InputError(f"{path}: the run record has no steps")
+    return result
 
 
 def cmd_verify(args) -> int:

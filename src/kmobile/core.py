@@ -67,6 +67,13 @@ def as_point(coords) -> Point:
     return p
 
 
+def positive(value: float, what: str) -> float:
+    """``value``, unless it is not a positive finite number: then InputError."""
+    if not 0.0 < value < math.inf:
+        raise InputError(f"{what} must be positive and finite, got {value!r}")
+    return value
+
+
 def check_dims(points: Iterable[Point], dim: int) -> None:
     """Raise InputError unless every point has ``dim`` coordinates.
 
@@ -116,14 +123,12 @@ class ProblemParams:
     def __post_init__(self):
         if self.k < 1:
             raise InputError("k must be a positive integer")
-        if not all(math.isfinite(v) for v in (self.ms, self.mc, self.delta, self.D)):
-            raise InputError("ms, mc, delta and D must be finite")
-        if self.ms <= 0 or self.mc <= 0:
-            raise InputError("ms and mc must be positive")
+        positive(self.ms, "ms")
+        positive(self.mc, "mc")
         if not 0.0 <= self.delta < 1.0:
             raise InputError("delta must lie in [0, 1)")
-        if self.D < 1.0:
-            raise InputError("D must be at least 1")
+        if not 1.0 <= self.D < math.inf:
+            raise InputError(f"D must be finite and at least 1, got {self.D!r}")
         if self.dim < 1:
             raise InputError("dim must be a positive integer")
 
@@ -430,6 +435,11 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     if sorted(requests) != list(range(1, n + 1)):
         raise InputError(f"{path}: request steps are not contiguous 1..{n}")
     req_list = [requests[t] for t in range(1, n + 1)]
+    # A request bit for bit the one before it (equal, and equal in repr, which tells
+    # 0.0 from -0.0) becomes that very tuple, as a generated repeat is.
+    for t in range(1, n):
+        if req_list[t] == req_list[t - 1] and repr(req_list[t]) == repr(req_list[t - 1]):
+            req_list[t] = req_list[t - 1]
     certificate = None
     if cert:
         if sorted(cert) != list(range(1, n + 1)):

@@ -303,12 +303,9 @@ def emit_ratio_table(records: list[RunRecord]) -> str:
     axis = varying[0] if varying else (sorted(keys)[0] if keys else "value")
     groups: dict[float, list[float]] = {}
     for r in records:
-        if axis not in r.point:
-            if r.point:
-                raise InputError(f"record point {r.point} lacks the sweep axis {axis!r}")
-            groups.setdefault(0.0, []).append(r.ratio)
-            continue
-        groups.setdefault(r.point[axis], []).append(r.ratio)
+        if r.point and axis not in r.point:
+            raise InputError(f"record point {r.point} lacks the sweep axis {axis!r}")
+        groups.setdefault(r.point.get(axis, 0.0), []).append(r.ratio)
     lines = [header]
     for value in sorted(groups):
         ratios = [x for x in groups[value] if x is not None]

@@ -46,6 +46,12 @@ class GuidanceSimulator:
 
     positions: Config
 
+    def _start(self, start: Sequence[Point]) -> None:
+        """Take the start positions; the first one's length is the dimension of all."""
+        self.positions = tuple(start)
+        self.dim = len(self.positions[0])
+        check_dims(self.positions, self.dim)
+
     def step(self, r: Point) -> SimStep:
         raise NotImplementedError
 
@@ -54,15 +60,14 @@ class GreedyServer(GuidanceSimulator):
     """The nearest server (lowest index on ties) jumps onto the request."""
 
     def __init__(self, start: Sequence[Point]):
-        self.positions = tuple(start)
-        self.dim = len(self.positions[0])
-        check_dims(self.positions, self.dim)
+        self._start(start)
 
     def step(self, r: Point) -> SimStep:
         check_dims((r,), self.dim)
         dists = [math.dist(p, r) for p in self.positions]
         i = dists.index(min(dists))
-        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
+        if self.positions[i] is not r:  # else the positions already hold r
+            self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
         return SimStep(self.positions, 0.0, dists[i])
 
 
@@ -135,12 +140,11 @@ class WorkFunctionServer(GuidanceSimulator):
     runs under other guidance never load it.
     """
 
-    def __init__(self, start: Sequence[Point], max_configs: Optional[int] = None):
+    def __init__(self, start: Sequence[Point]):
         import numpy as np
         self.k = len(start)
-        self.max_configs = max_configs if max_configs is not None else wfa_config_budget()
-        self.dim = len(start[0])
-        check_dims(start, self.dim)
+        self.max_configs = wfa_config_budget()
+        self._start(start)
         self.points: list[Point] = []
         self.index: dict[Point, int] = {}
         self.ids: dict[tuple[int, ...], int] = {}
@@ -153,7 +157,6 @@ class WorkFunctionServer(GuidanceSimulator):
         self._slot_base = self._slot_point = np.empty((0, self.k), dtype=np.intp)
         for p in dict.fromkeys(start):
             self._intern(p)
-        self.positions = tuple(start)
         self.values: list[float] = [
             min_weight_matching(start, tuple(self.points[i] for i in conf)).weight
             for conf in self.ids]
@@ -268,7 +271,8 @@ class WorkFunctionServer(GuidanceSimulator):
             return self.values[self.ids[conf]] + math.dist(cur[i], r), tuple(sorted(rest + [r]))
 
         i = min(range(self.k), key=move_cost)
-        self.positions = cur[:i] + (r,) + cur[i + 1:]
+        if cur[i] is not r:  # else the positions already hold r
+            self.positions = cur[:i] + (r,) + cur[i + 1:]
         return SimStep(self.positions, 0.0, math.dist(cur[i], r))
 
 
@@ -284,9 +288,7 @@ class PageMigrationCounter(GuidanceSimulator):
     def __init__(self, start: Sequence[Point], D: float):
         if D < 1.0:
             raise InputError("page migration needs D >= 1")
-        self.positions = tuple(start)
-        self.dim = len(self.positions[0])
-        check_dims(self.positions, self.dim)
+        self._start(start)
         self.D = D
         self.credits = [0.0] * len(start)
 
@@ -328,7 +330,8 @@ class SplitServeLine(GuidanceSimulator):
             self.second_phase = True
         i = 1 if self.second_phase else 0
         moved = math.dist(self.positions[i], r)
-        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
+        if self.positions[i] is not r:  # else the positions already hold r
+            self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
         self.prev_request = r
         return SimStep(self.positions, 0.0, moved)
 
@@ -337,9 +340,7 @@ class ScriptedSimulator(GuidanceSimulator):
     """Replays a fixed list of configurations (testing hook)."""
 
     def __init__(self, start: Sequence[Point], script: Sequence[Sequence[Point]]):
-        self.positions = tuple(start)
-        self.dim = len(self.positions[0])
-        check_dims(self.positions, self.dim)
+        self._start(start)
         self.script = [tuple(conf) for conf in script]
         self.t = 0
 

@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from operator import is_
 from typing import Optional, Sequence, Union
 
@@ -264,25 +264,34 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
               lambda x: not math.isfinite(x), "a coordinate must be finite")
         return _chunks(coords, dim)
 
-    def per_server(key: str, integral=False) -> zip:
-        return _chunks(numbers(items(column(key), k, 1, key), k, key, integral), k)
+    def per_server(key: str, integral=False) -> list:
+        return numbers(items(column(key), k, 1, key), k, key, integral)
 
     check(set(map(type, steps)) <= {dict}, steps, 1, lambda s: type(s) is not dict,
           "a step must be an object")
+    t = numbers(column("t"), 1, "t", integral=True)
+    check(t == list(range(1, len(t) + 1)), t, 1, lambda v, step=count(1): v != next(step),
+          "t must count the steps from 1")
+    perm, servers = list(_chunks(per_server("perm", integral=True), k)), list(range(k))
+    check(all(sorted(p) == servers for p in set(perm)), perm, 1,
+          lambda p: sorted(p) != servers, f"perm must be a permutation of 0..{k - 1}")
     branch, mover = column("branch"), column("mover")
     check(all(map(BRANCH_TAGS.__contains__, branch)), branch, 1,
           lambda b: b not in BRANCH_TAGS, f"the branch must be one of {BRANCH_TAGS}")
-    check(set(map(type, mover)) <= {int, type(None)}, mover, 1,
-          lambda m: m is not None and type(m) is not int, "the mover must be an integer or null")
+    movers = {None, *servers}
+    check(set(map(type, mover)) <= {int, type(None)} and set(mover) <= movers, mover, 1,
+          lambda m: m is not None and type(m) is not int or m not in movers,
+          f"the mover must be null or a server 0..{k - 1}")
+    caps, disp = per_server("caps"), per_server("disp")
     costs = [numbers(column(key), 1, key) for key in (
         "serving", "movement", "cost", "sim_serving", "sim_movement", "sim_cost", "matched_sum")]
-    for key, values in zip(("serving", "movement"), costs):
-        check(not any(map((0.0).__gt__, values)), values, 1, (0.0).__gt__,
-              f"{key} is a negative cost")
+    for key, values, width in (("caps", caps, k), ("disp", disp, k), ("serving", costs[0], 1),
+                               ("movement", costs[1], 1)):
+        check(not any(map((0.0).__gt__, values)), values, width, (0.0).__gt__,
+              f"{key} holds a negative {'entry' if key in ('caps', 'disp') else 'cost'}")
     return list(map(
-        StepReport, numbers(column("t"), 1, "t", integral=True), points(column("r"), 1, "r"),
-        per_server("perm", integral=True), branch, mover, map(list, per_server("caps")),
-        map(list, per_server("disp")), *costs,
+        StepReport, t, points(column("r"), 1, "r"), perm, branch, mover,
+        map(list, _chunks(caps, k)), map(list, _chunks(disp, k)), *costs,
         *(_chunks(points(items(column(key), k, 1, key), k, f"a point of {key}"), k)
           for key in ("a", "c"))))
 
@@ -333,35 +342,26 @@ class MobileRun:
         """Guidance step, matching to it, then the algorithm's caps and targets.
 
         The request and the guidance are checked against the dimension
-        here, unless they equal the last step's, which were; the step then
-        measures them with ``math.dist``.
+        here, unless they are the very objects of the last step, which
+        were; the step then measures them with ``math.dist``.
 
-        A step is a function of the positions, request and guidance by
-        value (a zero's sign changes no distance), and a settled step left
-        the positions it started from.  So a step that repeats its request
-        and guidance repeats its numbers, placing this step's own points.
+        A step is a function of the positions, request and guidance, and a
+        settled step left the positions it started from, its targets
+        object for object.  So a step given the last step's request and
+        guidance objects repeats that step's numbers and positions.
         """
         self.t += 1
         dim = self.params.dim
         last = self.reports[-1] if self.reports else None
-        same_r = last is not None and r == last.request
-        if not same_r:
+        if last is None or r is not last.request:
             check_dims((r,), dim)
         sim_step = self.sim.step(r)
         c = sim_step.positions
-        same_c = last is not None and c == last.sim_positions
-        if not same_c:
+        if last is None or c is not last.sim_positions:
             check_dims(c, dim)
-        if same_r and same_c and self._settled:
+        if self._settled and r is last.request and c is last.sim_positions:
             perm, branch, mover = last.perm, last.branch, last.mover
-            if r is last.request and c is last.sim_positions:
-                # The settled step's positions are its targets, object for object.
-                targets = new_pos = last.positions
-            else:
-                targets = [c[j] for j in perm]
-                if mover is not None:  # greedy and tentative move it onto r
-                    targets[mover] = r
-                new_pos = tuple(targets)
+            targets = new_pos = last.positions
             caps, disps = list(last.caps), list(last.displacements)
             serving, matched_sum = last.serving, last.matched_sum
         else:

@@ -22,6 +22,7 @@ from kmobile.core import (
     Trace,
     check_dims,
     move_toward,
+    positive,
     read_budget,
 )
 
@@ -55,13 +56,16 @@ class GridSpec:
 
     @classmethod
     def from_resolution(cls, trace: Trace, h: float) -> "GridSpec":
-        if not 0.0 < h < math.inf:
-            raise InputError(f"grid resolution must be positive and finite, got {h!r}")
+        positive(h, "grid resolution")
         coords = [p[0] for p in trace.requests] + [p[0] for p in trace.start_config]
         lo, hi = min(coords), max(coords)
         if hi == lo:
             return cls(lo, hi, 1)
-        n = math.ceil((hi - lo) / h - 1e-12) + 1
+        spans = (hi - lo) / h
+        if spans == math.inf:
+            raise ResourceBudgetError(f"a grid of resolution {h!r} on [{lo!r}, {hi!r}] "
+                                      "has more points than a float counts")
+        n = math.ceil(spans - 1e-12) + 1
         return cls(lo, lo + (n - 1) * h, n)
 
 
@@ -179,12 +183,12 @@ HOLD_CIRCLE_DIVISOR = 145.0  # not scaled: must stay between inner and outer
 
 
 def helper_speed_cap(params: ProblemParams, sigma: float = 1.0) -> float:
-    _require_delta(params)
+    _require_scales(params, sigma)
     return (2.0 + SPEED_FACTOR * sigma * params.k / params.delta) * params.mc
 
 
 def engage_threshold(params: ProblemParams, sigma: float = 1.0) -> float:
-    _require_delta(params)
+    _require_scales(params, sigma)
     return ENGAGE_FACTOR * sigma * params.k * params.mc / params.delta ** 2
 
 
@@ -192,9 +196,10 @@ def follow_speed(params: ProblemParams) -> float:
     return (1.0 + params.delta / 8.0) * params.ms
 
 
-def _require_delta(params: ProblemParams) -> None:
+def _require_scales(params: ProblemParams, sigma: float) -> None:
     if params.delta <= 0.0:
         raise InputError("the offline helper needs delta > 0")
+    positive(sigma, "sigma")
 
 
 @dataclass
@@ -211,7 +216,7 @@ class StepGeometry:
 
 def step_geometry(offline_conf: Config, online_conf: Config, r: Point,
                   params: ProblemParams, sigma: float) -> StepGeometry:
-    _require_delta(params)
+    _require_scales(params, sigma)
     dists = [math.dist(p, r) for p in offline_conf]
     i = dists.index(min(dists))
     o_pos = offline_conf[i]
@@ -348,18 +353,17 @@ class _HelperContext:
 
 def compute_helper(offline: Sequence[Config], online: Sequence[Config],
                    requests: Sequence[Point], params: ProblemParams,
-                   sigma: float = 1.0,
-                   offline_start: Optional[Config] = None) -> HelperTrajectory:
+                   sigma: float = 1.0, *, offline_start: Config) -> HelperTrajectory:
     """Offline helper trajectory for a full run.
 
     ``offline``/``online`` hold the end-of-step configurations; the
-    helper starts on the offline server nearest the first request.
+    helper starts on the server of ``offline_start`` nearest the first
+    request.
     """
-    check_dims(chain(requests, *offline, *online, offline_start or ()), params.dim)
+    check_dims(chain(requests, *offline, *online, offline_start), params.dim)
     ctx = _HelperContext(list(offline), list(online), list(requests), params, sigma)
-    start_conf = offline_start if offline_start is not None else offline[0]
-    d0 = [math.dist(p, requests[0]) for p in start_conf]
-    o_hat: Point = start_conf[d0.index(min(d0))]
+    d0 = [math.dist(p, requests[0]) for p in offline_start]
+    o_hat: Point = offline_start[d0.index(min(d0))]
     start = o_hat
     positions: list[Point] = []
     modes: list[str] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from kmobile.core import Config, Point, ProblemParams, check_dims, move_toward
+from kmobile.core import Point, ProblemParams, check_dims, move_toward
 from kmobile.kserver import GuidanceSimulator, SimStep
 
 
@@ -41,7 +41,6 @@ class ProjectionWrapper(GuidanceSimulator):
     def __init__(self, sim: GuidanceSimulator, params: ProblemParams, weighted: bool):
         self.sim = sim
         self.params = params
-        self.weighted = weighted
         self.inner = inner_radius(params, weighted)
         self.outer = outer_radius(params, weighted)
         self.anchor: Optional[Point] = None
@@ -53,20 +52,8 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_movement = 0.0
         self.max_request_distance = 0.0
         self.phase_ends = 0
-        # The last step's request and guidance, and the last full step's inside
-        # servers and serving.
+        # The last step's request, guidance and serving.
         self._last: Optional[tuple] = None
-
-    def _place(self, hat: list[Point], inner_pos: Config, r: Point, phase_end: bool) -> list[int]:
-        """Place the shadows in ``hat``; returns the servers inside the inner circle."""
-        inside = []
-        for i, c in enumerate(inner_pos):
-            if math.dist(c, r) <= self.inner:
-                hat[i] = c
-                inside.append(i)
-            elif phase_end:
-                hat[i] = move_toward(r, c, self.inner)
-        return inside
 
     def step(self, r: Point) -> SimStep:
         raw = self.sim.step(r)
@@ -74,19 +61,13 @@ class ProjectionWrapper(GuidanceSimulator):
         self.raw_serving += raw.serving
         self.raw_movement += raw.movement
         last = self._last
-        if last is not None and r == last[0] and c == last[1]:
-            # Last step's inputs by value, so their lengths were checked: the
-            # anchor is that r or within inner of it, so no phase ends; the same
-            # servers are inside, and nothing moves.  They hold that step's
-            # guidance points, so the very same guidance changes nothing.
-            if c is not last[1]:
-                hat = list(self.positions)
-                for i in last[2]:
-                    hat[i] = c[i]
-                self.positions = tuple(hat)
-                self._last = (r, c, last[2], last[3])
-            self.proj_serving += last[3]
-            return SimStep(self.positions, last[3], 0.0)
+        if last is not None and r is last[0] and c is last[1]:
+            # The last step's very request and guidance, so their lengths were
+            # checked: the anchor is that r or within inner of it, so no phase
+            # ends; the servers inside already hold these guidance points, and
+            # nothing moves.
+            self.proj_serving += last[2]
+            return SimStep(self.positions, last[2], 0.0)
         # Checked once here, then measured with math.dist.
         check_dims((r, *c), self.params.dim)
         hat = list(self.positions)
@@ -94,7 +75,11 @@ class ProjectionWrapper(GuidanceSimulator):
         # to the boundary at once, so containment holds from the start.
         first = self.anchor is None
         phase_end = first or math.dist(self.anchor, r) >= self.inner
-        inside = self._place(hat, c, r, phase_end)
+        for i, p in enumerate(c):
+            if math.dist(p, r) <= self.inner:
+                hat[i] = p
+            elif phase_end:
+                hat[i] = move_toward(r, p, self.inner)
         if phase_end:
             self.anchor = r
             self.phase_ends += not first
@@ -105,7 +90,7 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_serving += serving
         self.proj_movement += movement
         self.max_request_distance = max(self.max_request_distance, max(dists))
-        self._last = (r, c, inside, serving)
+        self._last = (r, c, serving)
         return SimStep(self.positions, serving, movement)
 
     def raw_cost(self) -> float:

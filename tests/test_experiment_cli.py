@@ -409,6 +409,68 @@ class TestCli:
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith("input error: grid resolution must be positive and finite"), err
 
+    def test_optimum_refuses_a_grid_of_more_points_than_a_float_counts(self, tmp_path, capsys):
+        # 1e-320 is positive and finite, but the span over it overflows.
+        trace = tmp_path / "line.jsonl"
+        header = {"dim": 1, "k": 2, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+                  "start": [[0.0], [2.0]]}
+        trace.write_text("\n".join([json.dumps(header)] + [
+            json.dumps({"t": t, "r": [x]}) for t, x in enumerate((0.5, 1.5, 2.0), 1)]) + "\n")
+        assert main(["optimum", "--trace", str(trace), "--grid", "1e-320"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("resource budget exceeded: a grid of resolution 1e-320"), err
+
+    @pytest.mark.parametrize("flag,value,prop", [
+        *[("--sigma", value, prop) for value in ("0", "-1", "nan", "inf")
+          for prop in ("helper-invariants", "slow-potential")],
+        *[("--Y", value, "slow-potential") for value in ("0", "-1", "nan", "inf")]])
+    def test_verify_refuses_a_scale_not_positive_and_finite(self, valid_records, tmp_path,
+                                                            capsys, flag, value, prop):
+        records, trace, _ = valid_records
+        run_path = tmp_path / "slow.run.json"
+        run_path.write_text(json.dumps(records[0]))
+        assert main(["verify", "--property", prop, "--run", str(run_path), "--trace", trace,
+                     flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"input error: {flag[2:]} must be positive and finite"), err
+
+    @pytest.mark.parametrize("key,step,value,message", [
+        ("t", 3, 4, "t must count the steps from 1, got 4"),
+        ("t", 1, 0, "t must count the steps from 1, got 0"),
+        ("perm", 2, [0, 0], "perm must be a permutation of 0..1, got (0, 0)"),
+        ("perm", 5, [1, 2], "perm must be a permutation of 0..1, got (1, 2)"),
+        ("mover", 4, 2, "the mover must be null or a server 0..1, got 2"),
+        ("mover", 6, -1, "the mover must be null or a server 0..1, got -1"),
+        ("caps", 7, [1.5, -0.5], "caps holds a negative entry, got -0.5"),
+        ("disp", 8, [-1e-300, 0.0], "disp holds a negative entry, got -1e-300")])
+    def test_verify_refuses_structurally_impossible_steps(self, valid_records, tmp_path, capsys,
+                                                          key, step, value, message):
+        record = copy.deepcopy(valid_records[0][1])
+        record["steps"][step - 1][key] = value
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(record))
+        assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"input error: run record step {step}: {message}\n")
+
+    def test_verify_refuses_a_record_without_steps(self, valid_records, tmp_path, capsys):
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(dict(valid_records[0][1], steps=[])))
+        assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"input error: {run_path}: the run record has no steps\n")
+
+    def test_fast_potential_counts_a_nan_margin_as_a_violation(self, valid_records, tmp_path,
+                                                              capsys):
+        record = copy.deepcopy(valid_records[0][1])
+        record["steps"][4]["cost"] = float("nan")
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(record))
+        assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [5]
+
     def test_a_wrong_dimension_request_after_settled_steps_exits_2(self, tmp_path, capsys):
         # The first steps settle, so the later ones may skip their dimension checks.
         trace = tmp_path / "line.jsonl"

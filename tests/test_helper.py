@@ -462,7 +462,7 @@ def random_line_case(seed):
         offline.append(tuple((x,) for x in pos))
         online.append(tuple((x + d,) for x in pos))
         reqs.append((r,))
-    return f"random-{seed}", p, sigma, offline, online, reqs, None
+    return f"random-{seed}", p, sigma, offline, online, reqs, offline[0]
 
 
 def certificate_cases():

@@ -20,6 +20,8 @@ from kmobile.core import (
     check_dims,
     min_weight_matching,
     move_toward,
+    read_trace,
+    write_trace,
 )
 from kmobile.experiment import ExperimentSpec, build_instance, fmt, run_experiment
 from kmobile.kserver import (
@@ -714,3 +716,44 @@ class TestReuse:
         # Each block's first repeat follows a move, so only the later ones reuse.
         assert reused_steps(res.reports) == 4 + 3 + 3
         assert len(calls) == len(trace) - 10 + 1
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_a_thm3_trace_read_from_a_file_runs_as_the_generated_one(self, tmp_path, k):
+        # read_trace shares a repeated request's tuple, as the generator does.
+        inst = gen_thm3(k, 16, seed=k)
+        path = str(tmp_path / "thm3.jsonl")
+        write_trace(path, inst.trace, inst.params)
+        trace, p = read_trace(path)
+        assert not any(map(is_, trace.requests, inst.trace.requests))
+        kw = dict(algo="ums", sim="dc-line", project="on")
+        (gen, gen_calls), (read, read_calls) = (counted_run(t, p, **kw)
+                                                for t in (inst.trace, trace))
+        assert read.to_json({}) == gen.to_json({}) and _steps_csv(read) == _steps_csv(gen)
+        assert read_calls == gen_calls == len(trace) + 1 - reused_steps(gen.reports)
+        assert reused_steps(gen.reports) > len(trace) / 2
+
+    @pytest.mark.parametrize("project", ["on", "off"])
+    @pytest.mark.parametrize("sim,dim,k", [("greedy", 2, 3), ("wfa", 2, 2), ("split-serve", 1, 2)])
+    def test_repeated_walks_reuse_their_steps_under_k_server_guidance(self, sim, dim, k,
+                                                                      project):
+        # These simulators keep their positions tuple when the server they place
+        # on the request already is that request, so the run skips the matching.
+        p = params(k=k, ms=1.0, mc=1.0, delta=0.5, dim=dim)
+        walk = gen_local_walk(12, p, 1.0, seed=3).trace.requests
+        trace = Trace(repeated(walk, 4), (walk[0],) * k)
+        res, calls = counted_run(trace, p, algo="ums", sim=sim, project=project)
+        reused = reused_steps(res.reports)
+        assert calls == len(trace) + 1 - reused
+        assert reused >= len(walk)
+
+
+def counted_run(trace, p, **kw):
+    """A run, and how many matchings it computed."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return min_weight_matching(a, b)
+
+    with mock.patch("kmobile.mobile.min_weight_matching", counted):
+        return run(trace, p, **kw), len(calls)

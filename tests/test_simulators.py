@@ -327,8 +327,9 @@ class TestWorkFunction:
                     assert wfa.values[wfa.ids[conf]] >= val - 1e-9
             prev = {conf: wfa.values[i] for conf, i in wfa.ids.items()}
 
-    def test_budget_error(self):
-        w = WorkFunctionServer([(0.0,), (1.0,)], max_configs=10)
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setenv("KMOB_BUDGET", "10")
+        w = WorkFunctionServer([(0.0,), (1.0,)])
         with pytest.raises(ResourceBudgetError):
             for i in range(10):
                 w.step((float(i) + 2.0,))

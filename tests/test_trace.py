@@ -102,6 +102,21 @@ def test_trace_file_roundtrip(tmp_path):
                - certificate_cost(inst.trace, inst.params)) < 1e-12
 
 
+def test_read_trace_shares_a_repeated_request_but_not_across_zero_signs(tmp_path):
+    path = tmp_path / "repeats.jsonl"
+    header = {"dim": 2, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+              "start": [[0.0, 0.0]]}
+    points = [[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0, 1],
+              [0.5, 1.0], [0.5, 1.0], [0.5, 1.0], [0.0, 1.0]]
+    # Lines out of order: requests are shared in step order, not file order.
+    lines = [json.dumps({"t": t, "r": r}) for t, r in enumerate(points, 1)]
+    path.write_text("\n".join([json.dumps(header)] + lines[::-1]) + "\n")
+    requests = read_trace(str(path))[0].requests
+    shared = [b is a for a, b in zip(requests, requests[1:])]
+    assert shared == [True, False, True, False, True, False, True, True, False]
+    assert [repr(r) for r in requests] == [repr(tuple(map(float, p))) for p in points]
+
+
 def test_read_trace_rejects_gaps(tmp_path):
     path = tmp_path / "bad.jsonl"
     header = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
