@@ -42,14 +42,22 @@ class GeneratedInstance:
 
 def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
                         n: int) -> list[Config]:
-    """All offline servers head to their targets simultaneously at speed ms."""
-    confs = []
-    cur = list(start)
-    for _ in range(n):
-        # move_toward returns tgt itself to a server already on it.
-        cur = [p if p is tgt else move_toward(p, tgt, ms) for p, tgt in zip(cur, targets)]
-        confs.append(tuple(cur))
-    return confs
+    """All offline servers head to their targets on the line simultaneously at speed ms,
+    by ``core.move_toward``'s steps with its cap checked once.  The steps after the
+    last arrival hand on one configuration object."""
+    if ms < 0:
+        raise InputError("movement cap must be nonnegative")
+    paths = []
+    for p, tgt in zip(start, targets):
+        path = [p]
+        while p is not tgt and len(path) <= n:
+            d = math.dist(p, tgt)
+            p = tgt if d <= ms else (p[0] + ms / d * (tgt[0] - p[0]),)
+            path.append(p)
+        paths.append(path)
+    steps = max(map(len, paths))
+    confs = list(zip(*[path + path[-1:] * (steps - len(path)) for path in paths]))
+    return confs[1:] + confs[-1:] * (n + 1 - steps)
 
 
 def _max_jump(requests: Sequence[Point]) -> float:

@@ -32,7 +32,12 @@ class PotentialReport:
 
     @property
     def min_margin(self) -> float:
-        return min(self.margins) if self.margins else 0.0
+        return nan_min(self.margins) if self.margins else 0.0
+
+
+def nan_min(values: Sequence[float]) -> float:
+    """The least value, or NaN if any is NaN: min keeps a NaN only when it comes first."""
+    return math.nan if any(map(math.isnan, values)) else min(values)
 
 
 def potential_factors(result: RunResult) -> tuple[float, float]:
@@ -230,22 +235,30 @@ class SpeedAudit:
 
 def audit_speed_caps(result: RunResult) -> SpeedAudit:
     cap = result.params.online_speed
-    tol = REL_SLACK * max(1.0, cap)
+    limit = cap + REL_SLACK * max(1.0, cap)
     violations: list[int] = []
     cap_violations: list[int] = []
     max_disp = 0.0
+    disps = caps = own_cap = None
     # "not <=" so that a NaN displacement, which compares false with
     # everything, counts as a violation.  max() keeps its first argument
     # against a NaN, so a NaN is put first here and then stays.
     for rep in result.reports:
-        for disp, own_cap in zip(rep.displacements, rep.caps):
-            max_disp = max(max_disp, disp)
-            if not disp <= cap + tol:
-                violations.append(rep.t)
-                if disp != disp:
-                    max_disp = disp
-            if not disp <= own_cap + REL_SLACK * max(1.0, own_cap):
-                cap_violations.append(rep.t)
+        if rep.displacements != disps or rep.caps != caps:  # else the last verdicts repeat
+            disps, caps, over, own_over = rep.displacements, rep.caps, 0, 0
+            for disp, cap_i in zip(disps, caps):
+                max_disp = max(max_disp, disp)
+                if not disp <= limit:
+                    over += 1
+                    if disp != disp:
+                        max_disp = disp
+                if cap_i != own_cap:
+                    own_cap, own_limit = cap_i, cap_i + REL_SLACK * max(1.0, cap_i)
+                if not disp <= own_limit:
+                    own_over += 1
+        if over or own_over:
+            violations += [rep.t] * over
+            cap_violations += [rep.t] * own_over
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
                       cap_violations=cap_violations)
 

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_, is_not, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Point = tuple[float, ...]
@@ -196,35 +196,41 @@ def validate_trace(trace: Trace, params: ProblemParams) -> Optional[TraceViolati
 
     Returns None if the trace is valid, otherwise the first violation.
     Dimension mismatches raise InputError, and so do points so far apart
-    that their distances overflow.
+    that their distances overflow.  A request, configuration or server's
+    point that is the very object of the step before was checked there.
     """
-    if not trace.requests:
+    reqs, start, cert = trace.requests, trace.start_config, trace.certificate
+    if not reqs:
         raise InputError("empty trace")
-    if len(trace.start_config) != params.k:
-        raise InputError(f"start config has {len(trace.start_config)} servers, expected {params.k}")
-    check_dims(itertools.chain(trace.requests, trace.start_config), params.dim)
+    if len(start) != params.k:
+        raise InputError(f"start config has {len(start)} servers, expected {params.k}")
+    changes = list(itertools.compress(range(1, len(reqs)), map(is_not, reqs[1:], reqs)))
+    points = [reqs[0], *map(reqs.__getitem__, changes), *start]  # each new point once
+    check_dims(points, params.dim)
     slack = 1.0 + REL_TOL
-    for t in range(1, len(trace.requests)):
-        d = math.dist(trace.requests[t - 1], trace.requests[t])
+    for t in changes:
+        d = math.dist(reqs[t - 1], reqs[t])
         if d > params.mc * slack:
             return TraceViolation("request-locality", t, d, params.mc)
-    cert = trace.certificate
     if cert is not None:
-        if len(cert) != len(trace.requests):
+        if len(cert) != len(reqs):
             return TraceViolation("certificate-length", len(cert), float(len(cert)),
-                                  float(len(trace.requests)))
-        prev = trace.start_config
-        for t, conf in enumerate(cert):
+                                  float(len(reqs)))
+        prev = start
+        for t, conf in enumerate(cert, 1):
+            if conf is prev:
+                continue
             if len(conf) != params.k:
-                raise InputError(f"certificate step {t} has {len(conf)} servers")
-            check_dims(conf, params.dim)
-            for i in range(params.k):
-                d = math.dist(prev[i], conf[i])
-                if d > params.ms * slack:
-                    return TraceViolation("certificate-speed", t + 1, d, params.ms)
+                raise InputError(f"certificate step {t - 1} has {len(conf)} servers")
+            for p, q in zip(prev, conf):
+                if q is not p:
+                    points.append(q)
+                    d = math.dist(p, q) if len(q) == params.dim else math.inf  # p was checked
+                    if d > params.ms * slack:
+                        check_dims(conf, params.dim)  # a wrong dimension in conf comes first
+                        return TraceViolation("certificate-speed", t, d, params.ms)
             prev = conf
     # No distance between the points exceeds their bounding box's diagonal.
-    points = [*trace.requests, *trace.start_config, *itertools.chain.from_iterable(cert or ())]
     spans = [max(c) - min(c) for c in (list(map(itemgetter(i), points)) for i in range(params.dim))]
     if not math.isfinite(math.hypot(*spans)):
         raise InputError("the trace's points span a box whose diagonal overflows a float")
@@ -237,12 +243,14 @@ def certificate_cost(trace: Trace, params: ProblemParams) -> float:
         raise InputError("trace carries no certificate")
     check_dims(itertools.chain(trace.start_config, trace.requests, *trace.certificate),
                params.dim)
-    total = 0.0
-    prev = trace.start_config
+    total, prev, last_r = 0.0, trace.start_config, None
     for conf, r in zip(trace.certificate, trace.requests):
-        total += params.D * sum(math.dist(prev[i], conf[i]) for i in range(params.k))
-        total += min(math.dist(p, r) for p in conf)
-        prev = conf
+        if conf is not prev:  # else it moved nothing, and adding D * 0.0 keeps the total's bits
+            total += params.D * sum(math.dist(prev[i], conf[i]) for i in range(params.k))
+        if conf is not prev or r is not last_r:
+            serving = min(math.dist(p, r) for p in conf)
+        total += serving
+        prev, last_r = conf, r
     return total
 
 
@@ -398,6 +406,18 @@ def _put_step(steps: dict, t: int, value) -> None:
     steps[t] = value
 
 
+def _repeat(prev: Point, p: Point) -> Point:
+    """prev when p is bit for bit prev (equal, and equal in repr, which tells 0.0
+    from -0.0), as a generated repeat is that very object; else p."""
+    return prev if p == prev and repr(p) == repr(prev) else p
+
+
+def _repeat_config(prev: Config, conf: Config) -> Config:
+    """conf with each server's point shared by _repeat, and prev when every one was."""
+    shared = tuple(map(_repeat, prev, conf)) if len(conf) == len(prev) else conf
+    return prev if shared == prev and all(map(is_, shared, prev)) else shared
+
+
 def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     params = start = None
     requests: dict[int, Point] = {}
@@ -434,17 +454,13 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     n = max(requests)
     if sorted(requests) != list(range(1, n + 1)):
         raise InputError(f"{path}: request steps are not contiguous 1..{n}")
-    req_list = [requests[t] for t in range(1, n + 1)]
-    # A request bit for bit the one before it (equal, and equal in repr, which tells
-    # 0.0 from -0.0) becomes that very tuple, as a generated repeat is.
-    for t in range(1, n):
-        if req_list[t] == req_list[t - 1] and repr(req_list[t]) == repr(req_list[t - 1]):
-            req_list[t] = req_list[t - 1]
+    req_list = list(itertools.accumulate(map(requests.__getitem__, range(1, n + 1)), _repeat))
     certificate = None
     if cert:
         if sorted(cert) != list(range(1, n + 1)):
             raise InputError(f"{path}: certificate steps are not contiguous 1..{n}")
-        certificate = [cert[t] for t in range(1, n + 1)]
+        certificate = list(itertools.accumulate(map(cert.__getitem__, range(1, n + 1)),
+                                                _repeat_config, initial=start))[1:]
     trace = Trace(requests=req_list, start_config=start, certificate=certificate)
     for p in itertools.chain(req_list, start):
         if len(p) != params.dim:

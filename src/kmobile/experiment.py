@@ -207,7 +207,7 @@ def _fold(key: str, old, new):
     """One check's value over two runs: the worst of them."""
     if key.endswith("_ok"):
         return old and new
-    return (min if key.endswith("_min_margin") else max)(old, new)
+    return checks.nan_min((old, new)) if key.endswith("_min_margin") else max(old, new)
 
 
 def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:

@@ -1,4 +1,5 @@
 import math
+from operator import is_
 
 import pytest
 
@@ -179,18 +180,23 @@ def reference_certificate(start, targets, ms, n):
 class TestCheckedOnce:
     """The generators and certificate_cost check dimensions once, then use math.dist."""
 
-    def instances(self):
+    def instances(self, ms=0.75):
         for k in (2, 3, 4, 8):
             for seed in (0, 1):
-                yield gen_thm3(k, 16, ms=0.75, seed=seed)
-                yield gen_thm4(k, 16, ms=0.75, mc=2.0, seed=seed)
+                yield gen_thm3(k, 16, ms=ms, seed=seed)
+                yield gen_thm4(k, 16, ms=ms, mc=2.0, seed=seed)
 
     def test_certificates_equal_the_move_toward_reference(self):
-        for inst in self.instances():
-            cert = inst.trace.certificate
-            targets = [(0.0,)] + [(z,) for z in inst.choices["Z"]]
-            want = reference_certificate(inst.trace.start_config, targets, 0.75, len(cert))
-            assert repr(cert) == repr(want)
+        # 0.3 divides none of the distances, so the last step of each path is a short one.
+        for ms in (0.75, 0.3):
+            for inst in self.instances(ms):
+                cert = inst.trace.certificate
+                targets = [(0.0,)] + [(z,) for z in inst.choices["Z"]]
+                want = reference_certificate(inst.trace.start_config, targets, ms, len(cert))
+                assert repr(cert) == repr(want)
+                # A step in which no server moves is the last configuration object.
+                assert all((b is a) == all(map(is_, a, b)) for a, b in zip(cert, cert[1:]))
+                assert any(b is a for a, b in zip(cert, cert[1:]))
 
     def test_a_negative_speed_keeps_its_message(self):
         for gen in (lambda k: gen_thm3(k, 16, ms=-1.0), lambda k: gen_thm4(k, 16, -1.0, 2.0)):

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+from operator import is_
 
 import pytest
 
-from kmobile.adversary import gen_local_walk, gen_thm4
+from kmobile.adversary import gen_local_walk, gen_thm3, gen_thm4
 from kmobile.checks import (
+    REL_SLACK,
+    SpeedAudit,
     audit_speed_caps,
     check_fast_potential,
     check_lemma_geo,
@@ -192,6 +195,36 @@ class TestSlowPotential:
         assert default_y(params(k=2, delta=0.5)) == 8.0 * 2 / 0.25
 
 
+def reference_audit_speed_caps(result):
+    """audit_speed_caps walking every report: the reference for its skip of repeated reports."""
+    cap = result.params.online_speed
+    tol = REL_SLACK * max(1.0, cap)
+    violations, cap_violations = [], []
+    max_disp = 0.0
+    for rep in result.reports:
+        for disp, own_cap in zip(rep.displacements, rep.caps):
+            max_disp = max(max_disp, disp)
+            if not disp <= cap + tol:
+                violations.append(rep.t)
+                if disp != disp:
+                    max_disp = disp
+            if not disp <= own_cap + REL_SLACK * max(1.0, own_cap):
+                cap_violations.append(rep.t)
+    return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
+                      cap_violations=cap_violations)
+
+
+def audit_runs():
+    """Runs whose reports repeat (jump constructions) and runs whose reports do not (walks)."""
+    for k in (2, 4, 8):
+        for inst, algo in ((gen_thm3(k, 16, seed=1), "ums"),
+                           (gen_thm4(k, 16, ms=1.0, mc=2.0, D=2.0, seed=1), "wms")):
+            yield run(inst.trace, inst.params, algo=algo)
+    for algo, D in (("ums", 1.0), ("wms", 3.0)):
+        p = params(k=2, mc=2.0, ms=0.5, delta=0.5, D=D)
+        yield run(gen_local_walk(80, p, 1.0, seed=5).trace, p, algo=algo)
+
+
 class TestAudits:
     def test_speed_audit_clean_run(self):
         p = params(k=2, mc=2.0, ms=0.5, delta=0.5)
@@ -218,6 +251,52 @@ class TestAudits:
         audit = audit_speed_caps(res)
         assert not audit.ok and audit.violations == [4] and audit.cap_violations == [4]
         assert math.isnan(audit.max_displacement)
+
+    def test_speed_audit_equals_the_reference_on_runs_and_their_faults(self):
+        for res in audit_runs():
+            assert repr(audit_speed_caps(res)) == repr(reference_audit_speed_caps(res))
+            reps = res.reports
+            reused = [j for j in range(1, len(reps)) if (reps[j].displacements, reps[j].caps)
+                      == (reps[j - 1].displacements, reps[j - 1].caps)]
+            # One reused step made violating, or two in a row, the second repeating the first.
+            for steps in ([reused[0]], [reused[-1]], [reused[0], reused[0] + 1]):
+                for bad in (10.0, math.nan):
+                    kept = [reps[j].displacements for j in steps]
+                    for j in steps:
+                        reps[j].displacements = [bad] * res.params.k
+                    audit = audit_speed_caps(res)
+                    assert repr(audit) == repr(reference_audit_speed_caps(res))
+                    assert set(audit.violations) == {reps[j].t for j in steps}
+                    assert audit.violations == audit.cap_violations
+                    assert len(audit.violations) == len(steps) * res.params.k
+                    for j, disps in zip(steps, kept):
+                        reps[j].displacements = disps
+            # Caps made negative at a reused step, its displacements kept.
+            kept, reps[reused[-1]].caps = reps[reused[-1]].caps, [-1.0] * res.params.k
+            audit = audit_speed_caps(res)
+            assert repr(audit) == repr(reference_audit_speed_caps(res))
+            assert audit.cap_violations == [reps[reused[-1]].t] * res.params.k
+            reps[reused[-1]].caps = kept
+
+    def test_speed_audit_walks_only_the_reports_that_do_not_repeat_the_last(self):
+        walked = []
+
+        class Walked(list):
+            def __iter__(self):
+                walked.append(self)
+                return super().__iter__()
+
+        for res in audit_runs():
+            reps = res.reports
+            for rep in reps:
+                rep.displacements = Walked(rep.displacements)
+            new = [rep.displacements for prev, rep in zip([None, *reps], reps) if prev is None
+                   or (rep.displacements, rep.caps) != (prev.displacements, prev.caps)]
+            walked.clear()
+            audit_speed_caps(res)
+            assert len(walked) == len(new) and all(map(is_, walked, new))
+            if res.params.k == 8:
+                assert len(new) < len(reps) / 50
 
     def test_projection_check_requires_projection(self):
         p = params(mc=0.5)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 from dataclasses import asdict, replace
 from unittest import mock
 
@@ -16,6 +17,7 @@ from kmobile.experiment import (
     PARAM_TYPES,
     ExperimentSpec,
     RunRecord,
+    _fold,
     build_instance,
     emit_ratio_table,
     parse_spec_file,
@@ -130,6 +132,11 @@ class TestRunExperiment:
         assert record.checks == {"speed_ok": True, "fast_potential_ok": False,
                                  "fast_potential_min_margin": -1e-12, "max_displacement": 3.0}
         assert not record.ok
+
+    def test_a_nan_min_margin_folds_to_nan_in_either_run(self):
+        for old, new in ((math.nan, -1.0), (-1.0, math.nan), (math.nan, math.nan)):
+            assert math.isnan(_fold("fast_potential_min_margin", old, new))
+        assert _fold("fast_potential_min_margin", 0.5, -1.0) == -1.0
 
 
 class TestRatioTable:
@@ -470,6 +477,22 @@ class TestCli:
         run_path.write_text(json.dumps(record))
         assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 1
         assert json.loads(capsys.readouterr().out)["violations"] == [5]
+
+    def test_fast_potential_reports_a_nan_min_margin_wherever_the_nan_is(self, tmp_path,
+                                                                         capsys):
+        trace, run_path = str(tmp_path / "walk.jsonl"), str(tmp_path / "walk.run.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--construction", "walk", "--k", "2", "--n", "40",
+                         "--mc", "0.5", "--ms", "1", "--seed", "3", "--out", trace]) == 0
+            assert main(["simulate", "--trace", trace, "--out", run_path]) == 0
+        with open(run_path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        record["steps"][9]["cost"] = float("nan")
+        with open(run_path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        assert main(["verify", "--property", "fast-potential", "--run", run_path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["violations"] == [10] and math.isnan(out["min_margin"])
 
     def test_a_wrong_dimension_request_after_settled_steps_exits_2(self, tmp_path, capsys):
         # The first steps settle, so the later ones may skip their dimension checks.

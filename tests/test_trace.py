@@ -1,13 +1,22 @@
+import dataclasses
+import itertools
 import json
+import math
+import types
+from operator import is_, is_not, itemgetter
 
 import pytest
 
-from kmobile.adversary import gen_thm4
+from kmobile import core
+from kmobile.adversary import gen_local_walk, gen_thm3, gen_thm4
 from kmobile.core import (
+    REL_TOL,
     InputError,
     ProblemParams,
     Trace,
+    TraceViolation,
     certificate_cost,
+    check_dims,
     read_trace,
     validate_trace,
     write_trace,
@@ -147,3 +156,159 @@ def test_run_totals_are_step_sums():
     assert res.grand_total == serving + 2.0 * movement
     assert record_dict(res)["ledger"] == {"serving_total": serving, "movement_total": movement,
                                           "grand_total": res.grand_total}
+
+
+def test_read_trace_shares_repeated_certificate_points_as_a_generator_does(tmp_path):
+    inst = gen_thm3(8, 32, seed=0)
+    path = str(tmp_path / "thm3.jsonl")
+    write_trace(path, inst.trace, inst.params)
+    trace, params = read_trace(path)
+
+    def shared(trace):
+        reqs, cert = trace.requests, trace.certificate
+        prev = [trace.start_config, *cert]
+        return ([b is a for a, b in zip(reqs, reqs[1:])],
+                [b is a for a, b in zip(prev, cert)],
+                [list(map(is_, a, b)) for a, b in zip(prev, cert)])
+
+    assert shared(trace) == shared(inst.trace)
+    assert validate_trace(trace, params) is None and validate_trace(inst.trace, inst.params) is None
+    assert certificate_cost(trace, params).hex() == certificate_cost(inst.trace, inst.params).hex()
+
+
+def test_read_trace_shares_certificate_points_only_bit_for_bit(tmp_path):
+    path = tmp_path / "cert.jsonl"
+    header = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+              "start": [[0.0]]}
+    confs = [[[0.0]], [[0.0]], [[-0.0]], [[-0.0]], [[0.0], [0.0]], [[0.0]]]
+    lines = [json.dumps({"t": t, "r": [0.0]}) for t in range(1, len(confs) + 1)]
+    lines += [json.dumps({"t": t, "o": conf}) for t, conf in enumerate(confs, 1)]
+    path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
+    trace, params = read_trace(str(path))
+    cert = trace.certificate
+    assert [b is a for a, b in zip([trace.start_config, *cert], cert)] == [
+        True, True, False, True, False, False]
+    assert [repr(conf) for conf in cert] == [repr(tuple(map(tuple, c))) for c in confs]
+    with pytest.raises(InputError, match="^certificate step 4 has 2 servers$"):
+        validate_trace(trace, params)
+
+
+def reference_validate_trace(trace, params):
+    """validate_trace checking and measuring every request and certificate point:
+    the reference for its skips of the very objects of the step before."""
+    if not trace.requests:
+        raise InputError("empty trace")
+    if len(trace.start_config) != params.k:
+        raise InputError(f"start config has {len(trace.start_config)} servers, expected {params.k}")
+    check_dims(itertools.chain(trace.requests, trace.start_config), params.dim)
+    slack = 1.0 + REL_TOL
+    for t in range(1, len(trace.requests)):
+        d = math.dist(trace.requests[t - 1], trace.requests[t])
+        if d > params.mc * slack:
+            return TraceViolation("request-locality", t, d, params.mc)
+    cert = trace.certificate
+    if cert is not None:
+        if len(cert) != len(trace.requests):
+            return TraceViolation("certificate-length", len(cert), float(len(cert)),
+                                  float(len(trace.requests)))
+        prev = trace.start_config
+        for t, conf in enumerate(cert):
+            if len(conf) != params.k:
+                raise InputError(f"certificate step {t} has {len(conf)} servers")
+            check_dims(conf, params.dim)
+            for i in range(params.k):
+                d = math.dist(prev[i], conf[i])
+                if d > params.ms * slack:
+                    return TraceViolation("certificate-speed", t + 1, d, params.ms)
+            prev = conf
+    points = [*trace.requests, *trace.start_config, *itertools.chain.from_iterable(cert or ())]
+    spans = [max(c) - min(c) for c in (list(map(itemgetter(i), points)) for i in range(params.dim))]
+    if not math.isfinite(math.hypot(*spans)):
+        raise InputError("the trace's points span a box whose diagonal overflows a float")
+    return None
+
+
+def steps_of_points(trace, moved):
+    """(step, server) of each certificate point that is (moved) or is not the step before's."""
+    prev = [trace.start_config, *trace.certificate]
+    return [(t, i) for t, (a, b) in enumerate(zip(prev, trace.certificate))
+            for i in range(len(b)) if (b[i] is not a[i]) == moved]
+
+
+def with_point(trace, t, i, point):
+    cert = list(trace.certificate)
+    cert[t] = cert[t][:i] + (point,) + cert[t][i + 1:]
+    return dataclasses.replace(trace, certificate=cert)
+
+
+def tampered(trace, params):
+    """Copies of a trace, each with one fault placed where the skips of repeated objects act."""
+    reqs = trace.requests
+    after_repeat = [t + 1 for t in range(1, len(reqs) - 1) if reqs[t] is reqs[t - 1]]
+    if after_repeat:
+        nan_reqs = list(reqs)
+        nan_reqs[after_repeat[len(after_repeat) // 2]] = (math.nan,)
+        yield dataclasses.replace(trace, requests=nan_reqs), params
+    if trace.certificate is None:
+        return
+    t, i = steps_of_points(trace, moved=False)[-1]
+    yield with_point(trace, t, i, (trace.certificate[t][i][0] + 3.0 * params.ms,)), params
+    t, i = steps_of_points(trace, moved=True)[-1]
+    yield with_point(trace, t, i, (trace.certificate[t][i][0], 0.0)), params
+    shared = [t for t, (a, b) in enumerate(zip(trace.certificate, trace.certificate[1:]), 1)
+              if b is a]
+    if shared:
+        cert = list(trace.certificate)
+        cert[shared[0]] = cert[shared[0]][:-1]
+        yield dataclasses.replace(trace, certificate=cert), params
+    # A far moved point, reached at a speed the wide caps allow, with a far request
+    # on the other side: only the moved point makes the box's diagonal overflow.
+    wide = dataclasses.replace(params, ms=1.7e308, mc=1.7e308)
+    far = with_point(trace, t, i, (1.7e308,))
+    far_reqs = list(reqs)
+    far_reqs[len(reqs) // 2] = (-1.7e308,)
+    yield dataclasses.replace(far, requests=far_reqs), wide
+
+
+def outcome(validate, trace, params):
+    try:
+        return repr(validate(trace, params))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def validation_cases():
+    for k in (2, 4, 8):
+        for seed in (0, 1):
+            yield gen_thm3(k, 16, seed=seed)
+            yield gen_thm4(k, 16, ms=1.0, mc=2.0, seed=seed)
+    for step_scale in (1.0, 0.0):
+        yield gen_local_walk(60, params1(k=2, dim=2), step_scale, seed=4)
+
+
+def test_validate_trace_equals_the_reference_on_instances_and_their_faults():
+    seen = set()
+    for inst in validation_cases():
+        cases = [(inst.trace, inst.params), *tampered(inst.trace, inst.params)]
+        for trace, params in cases:
+            got = outcome(validate_trace, trace, params)
+            assert got == outcome(reference_validate_trace, trace, params)
+            seen.add(got.split("(")[0].split(":")[0])
+    assert seen == {"None", "TraceViolation", "InputError"}
+
+
+def test_validate_trace_measures_only_the_points_that_changed(monkeypatch):
+    inst = gen_thm3(8, 32, seed=1)
+    reqs, cert = inst.trace.requests, inst.trace.certificate
+    changes = sum(map(is_not, reqs[1:], reqs))
+    moved = len(steps_of_points(inst.trace, moved=True))
+    assert (changes, moved, len(cert) * 8) == (7, 3152, 6848)
+    measured = []
+
+    def dist(p, q):
+        measured.append((p, q))
+        return math.dist(p, q)
+
+    monkeypatch.setattr(core, "math", types.SimpleNamespace(**dict(vars(math), dist=dist)))
+    assert validate_trace(inst.trace, inst.params) is None
+    assert len(measured) == changes + moved
