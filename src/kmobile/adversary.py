@@ -19,8 +19,8 @@ from kmobile.core import (
     ProblemParams,
     Trace,
     certificate_cost,
-    check_dims,
     move_toward,
+    positive,
 )
 
 CONSTRUCTIONS = ("thm3", "thm4", "simple-cx", "walk")
@@ -42,11 +42,9 @@ class GeneratedInstance:
 
 def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
                         n: int) -> list[Config]:
-    """All offline servers head to their targets on the line simultaneously at speed ms,
-    by ``core.move_toward``'s steps with its cap checked once.  The steps after the
-    last arrival hand on one configuration object."""
-    if ms < 0:
-        raise InputError("movement cap must be nonnegative")
+    """All offline servers head to their targets on the line simultaneously at speed ms
+    (checked nonnegative by the caller), by ``core.move_toward``'s steps.  The steps after
+    the last arrival hand on one configuration object."""
     paths = []
     for p, tgt in zip(start, targets):
         path = [p]
@@ -60,30 +58,61 @@ def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
     return confs[1:] + confs[-1:] * (n + 1 - steps)
 
 
-def _max_jump(requests: Sequence[Point]) -> float:
-    check_dims(requests, len(requests[0]))
-    return max(map(math.dist, requests, requests[1:]), default=0.0)
-
-
-def _jump_setup(k: int, x: int, ms: float, seed: Optional[int], z_choice: Optional[int]):
-    """The jump constructions' checks, seeded rng, origin and start, then for k=2 the
-    target list [Z] and its choice record (None and None for k > 2)."""
+def _jump(k: int, x: int, ms: float, mc: Optional[float], seed: Optional[int],
+          z_choice: Optional[int]) -> tuple[Trace, dict]:
+    """The trace and shared choices of Theorems 3 and 4: requests wait at the origin,
+    then visit each hidden target Z for a block of steps.  With ``mc`` None (thm3) the
+    request jumps to each Z, else (thm4) it walks there in steps of mc."""
     if k < 2:
         raise InputError("construction needs k >= 2")
     if x <= 0 or x % 8 != 0:
         raise InputError("x must be a positive multiple of 8")
+    if k != 2 and z_choice is not None:
+        raise InputError("z_choice enumeration is only defined for k=2")
+    if z_choice is not None and not 0 <= z_choice < TWO_SERVER_CHOICES:
+        raise InputError(f"z_choice must be in 0..{TWO_SERVER_CHOICES - 1}")
+    if ms < 0:
+        raise InputError("movement cap must be nonnegative")
+    positive(ms, "ms")
+    if mc is not None:
+        positive(mc, "mc")
     rng = random.Random(seed if seed is not None else 0)
     origin = (0.0,)
     start = tuple(origin for _ in range(k))
-    if k != 2:
-        if z_choice is not None:
-            raise InputError("z_choice enumeration is only defined for k=2")
-        return rng, origin, start, None, None
-    if z_choice is not None and not 0 <= z_choice < TWO_SERVER_CHOICES:
-        raise InputError(f"z_choice must be in 0..{TWO_SERVER_CHOICES - 1}")
-    idx = z_choice if z_choice is not None else rng.randrange(TWO_SERVER_CHOICES)
-    z = (-0.75 * x * ms, -0.25 * x * ms, 0.25 * x * ms, 0.75 * x * ms)[idx]
-    return rng, origin, start, [z], {"z_index": idx}
+    if k == 2:
+        idx = z_choice if z_choice is not None else rng.randrange(TWO_SERVER_CHOICES)
+        zs = [(-0.75 * x * ms, -0.25 * x * ms, 0.25 * x * ms, 0.75 * x * ms)[idx]]
+        choices = {"z_index": idx}
+        block = x // 8
+    else:
+        # The line is split into segments grouped in fours (thm3) or fives (thm4); one
+        # inner segment per group, 4g+1 or 4g+2 (thm3) or 5g+1 or 5g+3 (thm4), gets a Z.
+        seg = x * ms
+        zs = [((4 * g + 1 + rng.randrange(2) if mc is None
+                else 5 * g + 1 + 2 * rng.randrange(2)) + 0.5) * seg for g in range(k - 1)]
+        choices = {}
+        block = x // 4
+    if not all(map(math.isfinite, zs)):
+        raise InputError(f"a target Z is not finite: x * ms = {x} * {ms!r} is too large")
+
+    # Arrival times of the request at each Z, counted from the end of the first phase.
+    offsets, elapsed = [], 0
+    for z, prev in zip(zs, [0.0] + zs):
+        elapsed += 0 if mc is None else math.ceil(abs(z - prev) / mc)
+        offsets.append(elapsed)
+        elapsed += block
+    phase1 = x if k == 2 else max(
+        k * x, max(math.ceil(abs(z) / ms) - off for z, off in zip(zs, offsets)))
+    requests, pos = [origin] * phase1, 0.0
+    for z in zs:
+        while mc is not None and pos != z:  # thm4's walk toward Z
+            pos = move_toward((pos,), (z,), mc)[0]
+            requests.append((pos,))
+        requests.extend([(z,)] * block)
+        pos = z
+    cert = _follow_certificate(start, [origin] + [(z,) for z in zs], ms, len(requests))
+    trace = Trace(requests=requests, start_config=start, certificate=cert)
+    return trace, dict(choices, Z=zs, phase1_len=phase1)
 
 
 def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
@@ -99,36 +128,15 @@ def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
     The first block is long enough for every offline server to arrive
     before its Z is requested.
     """
-    rng, origin, start, zs, choice = _jump_setup(k, x, ms, seed, z_choice)
-    if k == 2:
-        z = zs[0]
-        phase1 = x
-        requests = [origin] * phase1 + [(z,)] * (x // 8)
-        cert = _follow_certificate(start, [origin, (z,)], ms, len(requests))
-        bound = D * x * ms
-        lower = x * x * ms / 264.0
-        choices = dict(choice, Z=[z], phase1_len=phase1, phase2_start=phase1 + 1)
-    else:
-        seg = x * ms
-        zs = []
-        for g in range(k - 1):
-            inner = 4 * g + 1 + rng.randrange(2)  # segment index 4g+1 or 4g+2
-            zs.append((inner + 0.5) * seg)
-        block = x // 4
-        phase1 = max(k * x,
-                     max(math.ceil(abs(z) / ms) - g * block for g, z in enumerate(zs)))
-        requests = [origin] * phase1
-        for z in zs:
-            requests.extend([(z,)] * block)
-        targets = [origin] + [(z,) for z in zs]
-        cert = _follow_certificate(start, targets, ms, len(requests))
-        bound = D * sum(abs(z) for z in zs)
-        lower = None
-        choices = {"Z": zs, "phase1_len": phase1, "phase2_start": phase1 + 1}
-
-    mc = max(_max_jump(requests), ms)
+    trace, choices = _jump(k, x, ms, None, seed, z_choice)
+    zs = choices["Z"]
+    mc = max(max(abs(z - p) for p, z in zip([0.0] + zs, zs)), ms)
     params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)
-    trace = Trace(requests=requests, start_config=start, certificate=cert)
+    if k == 2:
+        bound, lower = D * x * ms, x * x * ms / 264.0
+    else:
+        bound, lower = D * sum(abs(z) for z in zs), None
+    choices["phase2_start"] = choices["phase1_len"] + 1
     return GeneratedInstance("thm3", trace, params, bound, lower, choices)
 
 
@@ -144,61 +152,15 @@ def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
     """
     if mc < ms:
         raise InputError("needs mc >= ms")
-    rng, origin, start, zs, choice = _jump_setup(k, x, ms, seed, z_choice)
-
-    def walk(frm: float, to: float) -> list[Point]:
-        out = []
-        pos = frm
-        while pos != to:
-            pos = move_toward((pos,), (to,), mc)[0]
-            out.append((pos,))
-        return out
-
-    if k == 2:
-        z = zs[0]
-        phase1 = x
-        walk_steps = walk(0.0, z)
-        requests = [origin] * phase1 + walk_steps + [(z,)] * (x // 8)
-        cert = _follow_certificate(start, [origin, (z,)], ms, len(requests))
-        bound = D * x * ms + x * x * ms * ms / (2.0 * mc)
-        choices = dict(choice, Z=[z], phase1_len=phase1,
-                       walk_start=phase1 + 1,
-                       final_start=phase1 + len(walk_steps) + 1)
-    else:
-        seg = x * ms
-        zs = []
-        for g in range(k - 1):
-            inner = 5 * g + 1 + 2 * rng.randrange(2)  # segment index 5g+1 or 5g+3
-            zs.append((inner + 0.5) * seg)
-        block = x // 4
-        # Arrival times of the walking request at each Z, counted from
-        # the end of the first phase.
-        offsets = []
-        elapsed = 0
-        prev = 0.0
-        for z in zs:
-            elapsed += math.ceil(abs(z - prev) / mc)
-            offsets.append(elapsed)
-            elapsed += block
-            prev = z
-        phase1 = max(k * x,
-                     max(math.ceil(abs(z) / ms) - off
-                         for z, off in zip(zs, offsets)))
-        requests = [origin] * phase1
-        prev = 0.0
-        for z in zs:
-            requests.extend(walk(prev, z))
-            requests.extend([(z,)] * block)
-            prev = z
-        targets = [origin] + [(z,) for z in zs]
-        cert = _follow_certificate(start, targets, ms, len(requests))
-        bound = None  # evaluated below: exact cost of the certificate
-        choices = {"Z": zs, "phase1_len": phase1, "phase2_start": phase1 + 1}
-
+    trace, choices = _jump(k, x, ms, mc, seed, z_choice)
     params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)
-    trace = Trace(requests=requests, start_config=start, certificate=cert)
-    if bound is None:
-        bound = certificate_cost(trace, params)
+    if k == 2:
+        bound = D * x * ms + x * x * ms * ms / (2.0 * mc)
+        choices.update(walk_start=choices["phase1_len"] + 1,
+                       final_start=len(trace) - x // 8 + 1)
+    else:
+        bound = certificate_cost(trace, params)  # exact cost of the certificate
+        choices["phase2_start"] = choices["phase1_len"] + 1
     return GeneratedInstance("thm4", trace, params, bound, None, choices)
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import is_
 from typing import Optional, Sequence, Union
 
@@ -206,10 +206,13 @@ class RunResult:
             if audit is not None and not (isinstance(audit, dict) and all(
                     type(audit.get(key)) in NUMBER_TYPES for key in AUDIT_KEYS)):
                 raise InputError(f"run record projection audit needs the numbers {AUDIT_KEYS}")
+            if type(obj["sim"]) is not str:
+                raise InputError(f"run record sim must be a string, got {obj['sim']!r}")
+            psi0 = as_number(obj["psi0_matched_sum"], "run record psi0_matched_sum")
+            if psi0 < 0.0:
+                raise InputError(f"run record psi0_matched_sum is negative, got {psi0!r}")
             result = cls(algo=algo, sim_tag=obj["sim"], params=params, reports=reports,
-                         psi0_matched_sum=as_number(obj["psi0_matched_sum"],
-                                                    "run record psi0_matched_sum"),
-                         projection_audit=audit)
+                         psi0_matched_sum=psi0, projection_audit=audit)
             # The stored settings must be those the algorithm, the parameters and
             # the audit's presence give, as the same JSON types.
             for key in ("mode", "epsilon", "weighted", "project"):
@@ -283,10 +286,11 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
           lambda m: m is not None and type(m) is not int or m not in movers,
           f"the mover must be null or a server 0..{k - 1}")
     caps, disp = per_server("caps"), per_server("disp")
-    costs = [numbers(column(key), 1, key) for key in (
-        "serving", "movement", "cost", "sim_serving", "sim_movement", "sim_cost", "matched_sum")]
-    for key, values, width in (("caps", caps, k), ("disp", disp, k), ("serving", costs[0], 1),
-                               ("movement", costs[1], 1)):
+    cost_keys = ("serving", "movement", "cost", "sim_serving", "sim_movement", "sim_cost",
+                 "matched_sum")
+    costs = [numbers(column(key), 1, key) for key in cost_keys]
+    for key, values, width in (("caps", caps, k), ("disp", disp, k),
+                               *zip(cost_keys, costs, repeat(1))):
         check(not any(map((0.0).__gt__, values)), values, width, (0.0).__gt__,
               f"{key} holds a negative {'entry' if key in ('caps', 'disp') else 'cost'}")
     return list(map(

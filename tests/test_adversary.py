@@ -1,10 +1,12 @@
+import itertools
 import math
+import random
 from operator import is_
 
 import pytest
 
 from kmobile.adversary import (
-    _max_jump,
+    GeneratedInstance,
     gen_local_walk,
     gen_simple_counterexample,
     gen_thm3,
@@ -208,7 +210,8 @@ class TestCheckedOnce:
         for inst in self.instances():
             req, cert, p = inst.trace.requests, inst.trace.certificate, inst.params
             jump = max(math.dist(a, b) for a, b in zip(req, req[1:]))
-            assert _max_jump(req).hex() == jump.hex()
+            if inst.construction == "thm3":
+                assert p.mc.hex() == max(jump, p.ms).hex()
             total, prev = 0.0, inst.trace.start_config
             for conf, r in zip(cert, req):
                 total += p.D * sum(math.dist(prev[i], conf[i]) for i in range(p.k))
@@ -217,11 +220,157 @@ class TestCheckedOnce:
             assert certificate_cost(inst.trace, p).hex() == total.hex()
 
     def test_a_dimension_mismatch_is_an_input_error(self):
-        with pytest.raises(InputError, match="dimension"):
-            _max_jump([(0.0,), (1.0, 2.0)])
         p = ProblemParams(k=1, ms=1.0, mc=1.0, delta=0.0)
         for trace in (Trace([(0.0,)], ((0.0,),), [((0.0, 1.0),)]),
                       Trace([(0.0, 1.0)], ((0.0,),), [((0.0,),)]),
                       Trace([(0.0,)], ((0.0, 1.0),), [((0.0,),)])):
             with pytest.raises(InputError, match="dimension"):
                 certificate_cost(trace, p)
+
+
+def reference_jump_setup(k, x, ms, seed, z_choice):
+    """The jump constructions' checks, rng, origin, start and k=2 target, as written
+    before gen_thm3 and gen_thm4 shared one body."""
+    if k < 2:
+        raise InputError("construction needs k >= 2")
+    if x <= 0 or x % 8 != 0:
+        raise InputError("x must be a positive multiple of 8")
+    rng = random.Random(seed if seed is not None else 0)
+    origin = (0.0,)
+    start = tuple(origin for _ in range(k))
+    if k != 2:
+        if z_choice is not None:
+            raise InputError("z_choice enumeration is only defined for k=2")
+        return rng, origin, start, None, None
+    if z_choice is not None and not 0 <= z_choice < 4:
+        raise InputError("z_choice must be in 0..3")
+    idx = z_choice if z_choice is not None else rng.randrange(4)
+    z = (-0.75 * x * ms, -0.25 * x * ms, 0.25 * x * ms, 0.75 * x * ms)[idx]
+    return rng, origin, start, [z], {"z_index": idx}
+
+
+def reference_thm3(k, x, D=1.0, ms=1.0, *, seed=None, z_choice=None, delta=0.5):
+    """gen_thm3 as written on its own, with the reference certificate."""
+    rng, origin, start, zs, choice = reference_jump_setup(k, x, ms, seed, z_choice)
+    if k == 2:
+        z = zs[0]
+        phase1 = x
+        requests = [origin] * phase1 + [(z,)] * (x // 8)
+        cert = reference_certificate(start, [origin, (z,)], ms, len(requests))
+        bound = D * x * ms
+        lower = x * x * ms / 264.0
+        choices = dict(choice, Z=[z], phase1_len=phase1, phase2_start=phase1 + 1)
+    else:
+        seg = x * ms
+        zs = []
+        for g in range(k - 1):
+            inner = 4 * g + 1 + rng.randrange(2)
+            zs.append((inner + 0.5) * seg)
+        block = x // 4
+        phase1 = max(k * x,
+                     max(math.ceil(abs(z) / ms) - g * block for g, z in enumerate(zs)))
+        requests = [origin] * phase1
+        for z in zs:
+            requests.extend([(z,)] * block)
+        targets = [origin] + [(z,) for z in zs]
+        cert = reference_certificate(start, targets, ms, len(requests))
+        bound = D * sum(abs(z) for z in zs)
+        lower = None
+        choices = {"Z": zs, "phase1_len": phase1, "phase2_start": phase1 + 1}
+    mc = max(max(map(math.dist, requests, requests[1:]), default=0.0), ms)
+    params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)
+    trace = Trace(requests=requests, start_config=start, certificate=cert)
+    return GeneratedInstance("thm3", trace, params, bound, lower, choices)
+
+
+def reference_thm4(k, x, ms, mc, D=1.0, *, seed=None, z_choice=None, delta=0.5):
+    """gen_thm4 as written on its own, with the reference certificate."""
+    if mc < ms:
+        raise InputError("needs mc >= ms")
+    rng, origin, start, zs, choice = reference_jump_setup(k, x, ms, seed, z_choice)
+
+    def walk(frm, to):
+        out = []
+        pos = frm
+        while pos != to:
+            pos = move_toward((pos,), (to,), mc)[0]
+            out.append((pos,))
+        return out
+
+    if k == 2:
+        z = zs[0]
+        phase1 = x
+        walk_steps = walk(0.0, z)
+        requests = [origin] * phase1 + walk_steps + [(z,)] * (x // 8)
+        cert = reference_certificate(start, [origin, (z,)], ms, len(requests))
+        bound = D * x * ms + x * x * ms * ms / (2.0 * mc)
+        choices = dict(choice, Z=[z], phase1_len=phase1, walk_start=phase1 + 1,
+                       final_start=phase1 + len(walk_steps) + 1)
+    else:
+        seg = x * ms
+        zs = []
+        for g in range(k - 1):
+            inner = 5 * g + 1 + 2 * rng.randrange(2)
+            zs.append((inner + 0.5) * seg)
+        block = x // 4
+        offsets = []
+        elapsed = 0
+        prev = 0.0
+        for z in zs:
+            elapsed += math.ceil(abs(z - prev) / mc)
+            offsets.append(elapsed)
+            elapsed += block
+            prev = z
+        phase1 = max(k * x,
+                     max(math.ceil(abs(z) / ms) - off for z, off in zip(zs, offsets)))
+        requests = [origin] * phase1
+        prev = 0.0
+        for z in zs:
+            requests.extend(walk(prev, z))
+            requests.extend([(z,)] * block)
+            prev = z
+        targets = [origin] + [(z,) for z in zs]
+        cert = reference_certificate(start, targets, ms, len(requests))
+        bound = None
+        choices = {"Z": zs, "phase1_len": phase1, "phase2_start": phase1 + 1}
+    params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)
+    trace = Trace(requests=requests, start_config=start, certificate=cert)
+    if bound is None:
+        bound = certificate_cost(trace, params)
+    return GeneratedInstance("thm4", trace, params, bound, None, choices)
+
+
+def outcome(gen, *args, **kwargs):
+    """The repr of every field of an instance and of its requests' identity pattern,
+    or the message of the InputError it raises."""
+    try:
+        inst = gen(*args, **kwargs)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    req = inst.trace.requests
+    return repr((inst.construction, req, inst.trace.start_config, inst.trace.certificate,
+                 inst.params, inst.offline_cost_bound, inst.online_cost_lower_bound,
+                 inst.choices, [b is a for a, b in zip(req, req[1:])]))
+
+
+class TestOneConstruction:
+    """gen_thm3 and gen_thm4 share one body and give what each gave on its own."""
+
+    def test_generators_equal_their_references(self):
+        grid = itertools.product((1, 2, 3, 4, 8), (8, 16, 63), (0.3, 1, 1.7, -1), (1, 2.5),
+                                 (None, 1), (None, 0, 5))
+        errors = set()
+        for k, x, ms, D, seed, z_choice in grid:
+            kw = dict(seed=seed, z_choice=z_choice)
+            cases = [(gen_thm3, reference_thm3, (k, x, D, ms))]
+            cases += [(gen_thm4, reference_thm4, (k, x, ms, mc, D)) for mc in (0.5, 1, 3.3)]
+            for gen, reference, args in cases:
+                want = outcome(reference, *args, **kw)
+                assert outcome(gen, *args, **kw) == want, (gen.__name__, args, kw)
+                if want.startswith("InputError"):
+                    errors.add(want)
+        # The grid reaches every check of the parameters.
+        assert errors == {"InputError: " + message for message in (
+            "construction needs k >= 2", "x must be a positive multiple of 8",
+            "z_choice enumeration is only defined for k=2", "z_choice must be in 0..3",
+            "movement cap must be nonnegative", "needs mc >= ms")}

@@ -3,13 +3,18 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kmobile
 from kmobile.checks import check_fast_potential
 from kmobile.cli import build_parser, main
 from kmobile.core import InputError, read_trace, write_trace
@@ -404,6 +409,32 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("args,message", [
+        (["thm4", "--k", "2", "--ms", "0", "--mc", "0"], "ms must be positive and finite, got 0.0"),
+        (["thm3", "--k", "4", "--ms", "nan"], "ms must be positive and finite, got nan"),
+        (["thm3", "--k", "4", "--ms", "inf"], "ms must be positive and finite, got inf"),
+        (["thm3", "--k", "4", "--ms", "0"], "ms must be positive and finite, got 0.0"),
+        (["thm3", "--k", "4", "--ms", "1e308"], "a target Z is not finite: x * ms = 16 * 1e+308 "
+                                                 "is too large")])
+    def test_generate_refuses_jump_parameters_it_cannot_use(self, tmp_path, capsys, args,
+                                                            message):
+        assert main(["generate", "--out", str(tmp_path / "t.jsonl"), "--x", "16",
+                     "--construction"] + args) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("ms,mc,message", [
+        ("1", "nan", "mc must be positive and finite, got nan"),
+        ("nan", "1", "ms must be positive and finite, got nan"),
+        ("-1", "0", "movement cap must be nonnegative")])
+    def test_generate_refuses_a_walk_that_would_not_end(self, tmp_path, ms, mc, message):
+        # These once looped forever; a separate process with a timeout fails instead.
+        env = dict(os.environ, PYTHONPATH=str(Path(kmobile.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kmobile.cli", "generate", "--construction", "thm4",
+             "--k", "2", "--x", "16", "--ms", ms, "--mc", mc, "--out", str(tmp_path / "t.jsonl")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"input error: {message}\n")
+
     @pytest.mark.parametrize("grid", ["0", "-1", "nan", "inf"])
     def test_optimum_refuses_a_resolution_not_positive_and_finite(self, tmp_path, capsys, grid):
         trace = tmp_path / "line.jsonl"
@@ -451,7 +482,10 @@ class TestCli:
         ("mover", 4, 2, "the mover must be null or a server 0..1, got 2"),
         ("mover", 6, -1, "the mover must be null or a server 0..1, got -1"),
         ("caps", 7, [1.5, -0.5], "caps holds a negative entry, got -0.5"),
-        ("disp", 8, [-1e-300, 0.0], "disp holds a negative entry, got -1e-300")])
+        ("disp", 8, [-1e-300, 0.0], "disp holds a negative entry, got -1e-300"),
+        *[(key, 4, -100.0, f"{key} holds a negative cost, got -100.0") for key in (
+            "serving", "movement", "cost", "sim_serving", "sim_movement", "sim_cost",
+            "matched_sum")]])
     def test_verify_refuses_structurally_impossible_steps(self, valid_records, tmp_path, capsys,
                                                           key, step, value, message):
         record = copy.deepcopy(valid_records[0][1])

@@ -38,6 +38,9 @@ RUNS = {
     "walk-slow-wms": (["--construction", "walk", "--k", "3", "--n", "60", "--ms", "1.0",
                        "--mc", "2.0", "--D", "2.0", "--delta", "0.5", "--seed", "5"],
                       ["--algo", "wms"]),
+    "thm4-slow-wms": (["--construction", "thm4", "--k", "2", "--x", "16", "--ms", "1",
+                       "--mc", "2.5", "--D", "2", "--seed", "2"],
+                      ["--algo", "wms"]),
 }
 
 

@@ -259,11 +259,19 @@ class TestRun:
     def test_run_result_rejects_negative_step_cost(self):
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
         record = record_dict(run(gen_local_walk(5, p, 1.0, seed=9).trace, p, algo="ums"))
-        for key in ("serving", "movement"):
+        for key in ("serving", "movement", "cost", "sim_serving", "sim_movement", "sim_cost",
+                    "matched_sum"):
             bad = json.loads(json.dumps(record))
             bad["steps"][2][key] = -0.5
-            with pytest.raises(InputError, match="negative cost"):
+            with pytest.raises(InputError, match=f"^run record step 3: {key} holds a negative "
+                                                 "cost, got -0.5$"):
                 RunResult.from_dict(bad)
+        for key, value, message in (
+                ("psi0_matched_sum", -1e-300, "psi0_matched_sum is negative, got -1e-300"),
+                ("sim", 5, "sim must be a string, got 5"),
+                ("sim", None, "sim must be a string, got None")):
+            with pytest.raises(InputError, match=f"^run record {message}$"):
+                RunResult.from_dict(dict(record, **{key: value}))
 
     def test_simple_ignores_greedy_move(self):
         p = params(k=2, mc=1.0, ms=1.0, delta=0.0)
