@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Sequence
 
 from kmobile.core import InputError, Point, ProblemParams, check_dims, move_toward, positive
@@ -78,14 +78,14 @@ def check_fast_potential(result: RunResult) -> PotentialReport:
     margins: list[float] = []
     violations: list[int] = []
     psi_prev = psi_f * result.psi0_matched_sum
-    for rep in result.reports:
+    for t, rep in enumerate(result.reports, 1):
         psi = psi_f * rep.matched_sum
         bound = bound_f * rep.sim_cost
         margin = bound - (rep.cost + psi - psi_prev)
         scale = max(1.0, bound, rep.cost, psi, psi_prev)
         margins.append(margin)
         if not -REL_SLACK * scale <= margin:  # a NaN margin included
-            violations.append(rep.t)
+            violations.append(t)
         psi_prev = psi
     return PotentialReport(margins, violations)
 
@@ -162,15 +162,15 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
     negative = 0
     psi_prev = psi_f * result.psi0_matched_sum
     phi_prev = phi_of(tuple(start_config), helper.start)
-    for rep, o_hat, geo in zip(result.reports, helper.positions, helper.geometry):
+    for t, rep, o_hat, geo in zip(count(1), result.reports, helper.positions, helper.geometry):
         psi = psi_f * rep.matched_sum
         phi = phi_of(rep.positions, o_hat)
         if geo.in_inner:
             bound = bound_f * rep.sim_cost + 2.0 * math.dist(geo.o_star_pos, rep.request)
             margin = bound - (rep.cost + (phi - phi_prev) + (psi - psi_prev))
-            margins.append((rep.t, margin))
+            margins.append((t, margin))
             scale = max(1.0, bound, rep.cost, phi, phi_prev, psi, psi_prev)
-            if margin < -REL_SLACK * scale:
+            if not margin >= -REL_SLACK * scale:  # a NaN margin included
                 negative += 1
         else:
             vacuous += 1
@@ -243,7 +243,7 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
     # "not <=" so that a NaN displacement, which compares false with
     # everything, counts as a violation.  max() keeps its first argument
     # against a NaN, so a NaN is put first here and then stays.
-    for rep in result.reports:
+    for t, rep in enumerate(result.reports, 1):
         if rep.displacements != disps or rep.caps != caps:  # else the last verdicts repeat
             disps, caps, over, own_over = rep.displacements, rep.caps, 0, 0
             for disp, cap_i in zip(disps, caps):
@@ -257,8 +257,8 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
                 if not disp <= own_limit:
                     own_over += 1
         if over or own_over:
-            violations += [rep.t] * over
-            cap_violations += [rep.t] * own_over
+            violations += [t] * over
+            cap_violations += [t] * own_over
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
                       cap_violations=cap_violations)
 

@@ -64,8 +64,8 @@ def _steps_csv(result: RunResult) -> str:
     psi_f = checks.psi_factor(result)
     # "%.17g" spells every float as fmt does, nan and inf included.
     return "t,serving,movement,psi\n" + "".join([
-        "%d,%.17g,%.17g,%.17g\n" % (rep.t, rep.serving, rep.movement, psi_f * rep.matched_sum)
-        for rep in result.reports])
+        "%d,%.17g,%.17g,%.17g\n" % (t, rep.serving, rep.movement, psi_f * rep.matched_sum)
+        for t, rep in enumerate(result.reports, 1)])
 
 
 def cmd_simulate(args) -> int:
@@ -197,12 +197,12 @@ def cmd_verify(args) -> int:
             return EXIT_OK if audit.ok() else EXIT_VIOLATION
         rep = checks.check_slow_potential(result, helper, trace.start_config,
                                           y=args.Y, sigma=args.sigma)
-        negatives = [list(m) for m in rep.margins if m[1] < 0]
+        negatives = [list(m) for m in rep.margins if not m[1] >= 0]  # a NaN margin included
         _dump_json({
             "checked_steps": len(rep.margins),
             "vacuous_steps": rep.vacuous,
             "negative_margins": rep.negative,
-            "min_margin": min((m for _, m in rep.margins), default=None),
+            "min_margin": checks.nan_min([m for _, m in rep.margins]) if rep.margins else None,
             "boundary_gap": rep.boundary_gap,
             "phi_threshold": rep.phi_threshold,
             "negatives": negatives[:50],

@@ -93,7 +93,7 @@ class DoubleCoverageLine(GuidanceSimulator):
         # makes g a zero; at a hull end it is x itself or a nonzero float (a
         # float sum is zero only when exact), so it moves by +0.0 onto x's bits.
         if r is self._request:
-            return SimStep(self.positions, 0.0, 0.0)
+            return self._repeat
         if len(r) != 1:
             raise InputError("double coverage requires dimension 1")
         self._request = r
@@ -117,6 +117,7 @@ class DoubleCoverageLine(GuidanceSimulator):
                 pos[i_right] = x if gap_r == g else pos[i_right] - g
                 moved = 2.0 * g
         self.positions = tuple((p,) for p in pos)
+        self._repeat = SimStep(self.positions, 0.0, 0.0)  # this request's repeats, one object
         return SimStep(self.positions, 0.0, moved)
 
 

@@ -29,7 +29,7 @@ from kmobile.core import (
     min_weight_matching,
     validate_trace,
 )
-from kmobile.kserver import GuidanceSimulator, default_sim_tag, make_simulator
+from kmobile.kserver import GuidanceSimulator, SimStep, default_sim_tag, make_simulator
 from kmobile.projection import ProjectionWrapper, outer_radius
 
 ALGO_TAGS = ("ums", "wms", "simple")
@@ -57,9 +57,9 @@ def derive_mode(params: ProblemParams, algo: str) -> tuple[str, Optional[float]]
 
 @dataclass(slots=True)
 class StepReport:
-    """Everything a verifier needs to replay one step."""
+    """Everything a verifier needs to replay one step; read-only, as a repeated step
+    appends the same object.  A step's number is its index + 1 in the reports."""
 
-    t: int
     request: Point
     perm: tuple[int, ...]
     branch: str
@@ -81,7 +81,7 @@ class StepReport:
 # "number", "tag" (one of BRANCH_TAGS), "mover" (an int or null), "list"
 # (k numbers), "point" (dim coordinates) and "config" (k points).
 STEP_FIELDS = {
-    "t": ("t", "number"),
+    "t": (None, "number"),  # no field: the report's index + 1
     "r": ("request", "point"),
     "perm": ("perm", "list"),
     "branch": ("branch", "tag"),
@@ -189,8 +189,8 @@ class RunResult:
         text = _json_list([template % (
             *flat(r.positions), r.branch, *flat(r.sim_positions), *r.caps, r.cost,
             *r.displacements, r.matched_sum, r.movement, "null" if r.mover is None else r.mover,
-            *r.perm, *r.request, r.serving, r.sim_cost, r.sim_movement, r.sim_serving, r.t)
-            for r in self.reports], 1)
+            *r.perm, *r.request, r.serving, r.sim_cost, r.sim_movement, r.sim_serving, t)
+            for t, r in enumerate(self.reports, 1)], 1)
         return text.replace("nan", "NaN").replace("inf", "Infinity")
 
     @classmethod
@@ -294,7 +294,7 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
         check(not any(map((0.0).__gt__, values)), values, width, (0.0).__gt__,
               f"{key} holds a negative {'entry' if key in ('caps', 'disp') else 'cost'}")
     return list(map(
-        StepReport, t, points(column("r"), 1, "r"), perm, branch, mover,
+        StepReport, points(column("r"), 1, "r"), perm, branch, mover,
         map(list, _chunks(caps, k)), map(list, _chunks(disp, k)), *costs,
         *(_chunks(points(items(column(key), k, 1, key), k, f"a point of {key}"), k)
           for key in ("a", "c"))))
@@ -341,6 +341,7 @@ class MobileRun:
         self.on_request_tol = 1e-9 * max(1.0, params.mc)
         # Whether the last step settled: no server moved or missed its target.
         self._settled = False
+        self._sim_step: Optional[SimStep] = None  # the last step's guidance step
 
     def step(self, r: Point) -> StepReport:
         """Guidance step, matching to it, then the algorithm's caps and targets.
@@ -352,7 +353,8 @@ class MobileRun:
         A step is a function of the positions, request and guidance, and a
         settled step left the positions it started from, its targets
         object for object.  So a step given the last step's request and
-        guidance objects repeats that step's numbers and positions.
+        guidance objects repeats that step's numbers and positions, and one
+        given its very ``SimStep`` too repeats its report, which is appended again.
         """
         self.t += 1
         dim = self.params.dim
@@ -360,13 +362,17 @@ class MobileRun:
         if last is None or r is not last.request:
             check_dims((r,), dim)
         sim_step = self.sim.step(r)
+        if self._settled and sim_step is self._sim_step and r is last.request:
+            self.reports.append(last)
+            return last
+        self._sim_step = sim_step
         c = sim_step.positions
         if last is None or c is not last.sim_positions:
             check_dims(c, dim)
         if self._settled and r is last.request and c is last.sim_positions:
             perm, branch, mover = last.perm, last.branch, last.mover
             targets = new_pos = last.positions
-            caps, disps = list(last.caps), list(last.displacements)
+            caps, disps = last.caps, last.displacements
             serving, matched_sum = last.serving, last.matched_sum
         else:
             perm = min_weight_matching(self.positions, c).perm
@@ -380,7 +386,7 @@ class MobileRun:
         movement = sum(disps)
         D = self.params.D
         rep = StepReport(
-            t=self.t, request=r, perm=perm, branch=branch, mover=mover,
+            request=r, perm=perm, branch=branch, mover=mover,
             caps=caps, displacements=disps, serving=serving, movement=movement,
             cost=serving + D * movement,
             sim_serving=sim_step.serving, sim_movement=sim_step.movement,

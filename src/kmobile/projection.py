@@ -52,7 +52,7 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_movement = 0.0
         self.max_request_distance = 0.0
         self.phase_ends = 0
-        # The last step's request, guidance and serving.
+        # The last step's request, guidance and the SimStep of their repeats.
         self._last: Optional[tuple] = None
 
     def step(self, r: Point) -> SimStep:
@@ -66,8 +66,8 @@ class ProjectionWrapper(GuidanceSimulator):
             # checked: the anchor is that r or within inner of it, so no phase
             # ends; the servers inside already hold these guidance points, and
             # nothing moves.
-            self.proj_serving += last[2]
-            return SimStep(self.positions, last[2], 0.0)
+            self.proj_serving += last[2].serving
+            return last[2]
         # Checked once here, then measured with math.dist.
         check_dims((r, *c), self.params.dim)
         hat = list(self.positions)
@@ -90,7 +90,7 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_serving += serving
         self.proj_movement += movement
         self.max_request_distance = max(self.max_request_distance, max(dists))
-        self._last = (r, c, serving)
+        self._last = (r, c, SimStep(self.positions, serving, 0.0))
         return SimStep(self.positions, serving, movement)
 
     def raw_cost(self) -> float:

@@ -39,3 +39,7 @@ def test_tracer_installs_times_a_sweep_and_restores(tmp_path):
                  "mobile.run", "core.validate_trace", "core.min_weight_matching",
                  "kserver.step", "checks.audit_speed_caps", "cli.dump"):
         assert calls.get(name, 0) > 0, name
+    # A repeated step appends the last report object again; the tracer still
+    # counts one branch a step, and each step calls its guidance once.
+    branches = sum(tracer.counts[f"mobile.branch.{b}"] for b in tracing.BRANCHES)
+    assert branches == calls["kserver.step"] > 0

@@ -27,6 +27,29 @@ def params(**kw):
     return ProblemParams(**base)
 
 
+def tamper(reports, j, **fields):
+    """Report ``j`` replaced by a copy with ``fields`` changed.
+
+    A run appends one report object for each step that repeats it, and
+    hands on its lists, so a change made in place would reach those
+    steps too; the copy changes step ``j + 1`` alone.
+    """
+    reports[j] = dataclasses.replace(reports[j], **fields)
+
+
+def with_entry(values, i, value):
+    """A copy of the list ``values`` with entry ``i`` set to ``value``."""
+    values = list(values)
+    values[i] = value
+    return values
+
+
+def most_shared(reports):
+    """The report object that stands for the most steps, and those steps' numbers."""
+    shared = max(reports, key=lambda rep: sum(map(is_, reports, [rep] * len(reports))))
+    return shared, [t for t, rep in enumerate(reports, 1) if rep is shared]
+
+
 class TestFastPotential:
     def test_ums_factors(self):
         p = params(mc=0.5)
@@ -77,7 +100,7 @@ class TestFastPotential:
         p = params(mc=0.5)
         inst = gen_local_walk(20, p, 1.0, seed=1)
         res = run(inst.trace, p, algo="ums", sim="dc-line")
-        res.reports[7].matched_sum += 100.0  # corrupt the potential input
+        tamper(res.reports, 7, matched_sum=res.reports[7].matched_sum + 100.0)  # the potential
         rep = check_fast_potential(res)
         assert not rep.ok
         assert 8 in rep.violations
@@ -201,15 +224,15 @@ def reference_audit_speed_caps(result):
     tol = REL_SLACK * max(1.0, cap)
     violations, cap_violations = [], []
     max_disp = 0.0
-    for rep in result.reports:
+    for t, rep in enumerate(result.reports, 1):
         for disp, own_cap in zip(rep.displacements, rep.caps):
             max_disp = max(max_disp, disp)
             if not disp <= cap + tol:
-                violations.append(rep.t)
+                violations.append(t)
                 if disp != disp:
                     max_disp = disp
             if not disp <= own_cap + REL_SLACK * max(1.0, own_cap):
-                cap_violations.append(rep.t)
+                cap_violations.append(t)
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
                       cap_violations=cap_violations)
 
@@ -238,7 +261,7 @@ class TestAudits:
         p = params(k=1, mc=2.0, ms=0.5, delta=0.5)
         inst = gen_local_walk(10, p, 1.0, seed=2)
         res = run(inst.trace, p, algo="ums")
-        res.reports[3].displacements[0] = 10.0
+        tamper(res.reports, 3, displacements=with_entry(res.reports[3].displacements, 0, 10.0))
         audit = audit_speed_caps(res)
         assert not audit.ok
         assert 4 in audit.violations
@@ -246,8 +269,9 @@ class TestAudits:
     def test_speed_audit_reports_nan_displacement(self):
         p = params(k=2, mc=2.0, ms=0.5, delta=0.5)
         res = run(gen_local_walk(10, p, 1.0, seed=2).trace, p, algo="ums")
-        res.reports[3].displacements[1] = math.nan
-        res.reports[6].displacements[0] = 0.5  # a finite maximum after the NaN
+        tamper(res.reports, 3, displacements=with_entry(res.reports[3].displacements, 1, math.nan))
+        # A finite maximum after the NaN.
+        tamper(res.reports, 6, displacements=with_entry(res.reports[6].displacements, 0, 0.5))
         audit = audit_speed_caps(res)
         assert not audit.ok and audit.violations == [4] and audit.cap_violations == [4]
         assert math.isnan(audit.max_displacement)
@@ -261,22 +285,47 @@ class TestAudits:
             # One reused step made violating, or two in a row, the second repeating the first.
             for steps in ([reused[0]], [reused[-1]], [reused[0], reused[0] + 1]):
                 for bad in (10.0, math.nan):
-                    kept = [reps[j].displacements for j in steps]
+                    kept = [reps[j] for j in steps]
                     for j in steps:
-                        reps[j].displacements = [bad] * res.params.k
+                        tamper(reps, j, displacements=[bad] * res.params.k)
                     audit = audit_speed_caps(res)
                     assert repr(audit) == repr(reference_audit_speed_caps(res))
-                    assert set(audit.violations) == {reps[j].t for j in steps}
+                    assert set(audit.violations) == {j + 1 for j in steps}
                     assert audit.violations == audit.cap_violations
                     assert len(audit.violations) == len(steps) * res.params.k
-                    for j, disps in zip(steps, kept):
-                        reps[j].displacements = disps
+                    for j, rep in zip(steps, kept):
+                        reps[j] = rep
             # Caps made negative at a reused step, its displacements kept.
-            kept, reps[reused[-1]].caps = reps[reused[-1]].caps, [-1.0] * res.params.k
+            kept = reps[reused[-1]]
+            tamper(reps, reused[-1], caps=[-1.0] * res.params.k)
             audit = audit_speed_caps(res)
             assert repr(audit) == repr(reference_audit_speed_caps(res))
-            assert audit.cap_violations == [reps[reused[-1]].t] * res.params.k
-            reps[reused[-1]].caps = kept
+            assert audit.cap_violations == [reused[-1] + 1] * res.params.k
+            reps[reused[-1]] = kept
+
+    def test_a_fault_in_a_shared_report_is_reported_at_every_step_it_stands_for(self):
+        # A repeated step appends the last report object, so a fault in that
+        # object is a fault at each of its steps.
+        inst = gen_thm3(8, 16, seed=1)
+        res = run(inst.trace, inst.params, algo="ums")
+        shared, steps = most_shared(res.reports)
+        assert len(steps) > 10 and audit_speed_caps(res).ok
+        for bad in (10.0, math.nan):
+            shared.displacements = [bad] * res.params.k
+            audit = audit_speed_caps(res)
+            assert repr(audit) == repr(reference_audit_speed_caps(res))
+            assert audit.violations == audit.cap_violations == [
+                t for t in steps for _ in range(res.params.k)]
+
+        p = params(k=2, mc=1.2, delta=0.5)
+        walk = gen_local_walk(60, p, 1.0, seed=4).trace
+        trace = Trace([r for r in walk.requests for _ in range(4)], walk.start_config)
+        res = run(trace, p, algo="ums", sim="dc-line")
+        shared, steps = most_shared(res.reports)
+        assert len(steps) > 2 and check_fast_potential(res).ok
+        shared.cost = math.nan
+        rep = check_fast_potential(res)
+        assert rep.violations == steps and math.isnan(rep.min_margin)
 
     def test_speed_audit_walks_only_the_reports_that_do_not_repeat_the_last(self):
         walked = []

@@ -528,6 +528,28 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["violations"] == [10] and math.isnan(out["min_margin"])
 
+    def test_slow_potential_reports_a_nan_margin_as_negative(self, tmp_path, capsys):
+        trace, run_path = str(tmp_path / "thm3.jsonl"), str(tmp_path / "thm3.run.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "64",
+                         "--seed", "1", "--out", trace]) == 0
+            assert main(["simulate", "--trace", trace, "--out", run_path]) == 0
+        verify = ["verify", "--property", "slow-potential", "--run", run_path, "--trace", trace,
+                  "--sigma", "1e-3"]
+        assert main(verify) == 0
+        clean = json.loads(capsys.readouterr().out)
+        assert clean["negative_margins"] == 0 and clean["negatives"] == []
+        with open(run_path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        record["steps"][40]["cost"] = float("nan")
+        with open(run_path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        assert main(verify) == 0  # a diagnostic property
+        out = json.loads(capsys.readouterr().out)
+        assert math.isnan(out["min_margin"]) and out["negative_margins"] == 1
+        assert len(out["negatives"]) == 1 and out["negatives"][0][0] == 41
+        assert math.isnan(out["negatives"][0][1])
+
     def test_a_wrong_dimension_request_after_settled_steps_exits_2(self, tmp_path, capsys):
         # The first steps settle, so the later ones may skip their dimension checks.
         trace = tmp_path / "line.jsonl"

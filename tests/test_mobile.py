@@ -319,9 +319,13 @@ def json_value(shape, value):
 
 
 def record_dict(res):
-    """The run record built field by field from STEP_FIELDS, the reference for to_json."""
-    steps = [{key: json_value(shape, getattr(r, field))
-              for key, (field, shape) in STEP_FIELDS.items()} for r in res.reports]
+    """The run record built field by field from STEP_FIELDS, the reference for to_json.
+
+    A step's number "t" is its report's index + 1.
+    """
+    steps = [{key: t if field is None else json_value(shape, getattr(r, field))
+              for key, (field, shape) in STEP_FIELDS.items()}
+             for t, r in enumerate(res.reports, 1)]
     return dict(res._head(), steps=steps)
 
 
@@ -340,8 +344,8 @@ def fmt_steps_csv(result):
         if result.weighted:
             psi_f *= p.D
     lines = ["t,serving,movement,psi\n"]
-    for rep in result.reports:
-        lines.append(",".join([str(rep.t), fmt(rep.serving), fmt(rep.movement),
+    for t, rep in enumerate(result.reports, 1):
+        lines.append(",".join([str(t), fmt(rep.serving), fmt(rep.movement),
                                fmt(psi_f * rep.matched_sum)]) + "\n")
     return "".join(lines)
 
@@ -530,6 +534,25 @@ def run_and_reference(make, **kw):
     return res, ref
 
 
+def unshared_sim_steps():
+    """Patches under which double coverage and the projection return a new SimStep each step.
+
+    A run appends the last report again only for the very SimStep of the
+    last step, so under these patches no two steps share a report.
+    """
+    stack = contextlib.ExitStack()
+    for cls in (DoubleCoverageLine, ProjectionWrapper):
+        step = cls.step
+        stack.enter_context(mock.patch.object(
+            cls, "step", lambda self, r, step=step: SimStep(*step(self, r))))
+    return stack
+
+
+def distinct(reports):
+    """How many report objects stand for the steps."""
+    return len(set(map(id, reports)))
+
+
 def repeated(points, times):
     """Each point ``times`` times in a row."""
     return [p for p in points for _ in range(times)]
@@ -645,12 +668,12 @@ class TestReuse:
         text = res.to_json({})
         assert text == ref.to_json({}) and "-0.0" in text
         flips = 0
-        for prev, rep in zip(res.reports, res.reports[1:]):
+        for t, (prev, rep) in enumerate(zip(res.reports, res.reports[1:]), 2):
             if reused_steps([prev, rep]):
                 targets = [rep.sim_positions[j] for j in rep.perm]
                 if rep.mover is not None:
                     targets[rep.mover] = rep.request
-                assert bits(rep.positions) == bits(tuple(targets)), rep.t
+                assert bits(rep.positions) == bits(tuple(targets)), t
                 flips += bits(rep.request) != bits(prev.request)
         assert flips > 0
 
@@ -667,6 +690,22 @@ class TestReuse:
         if repeats:
             assert sum(map(is_, trace.requests, trace.requests[1:])) > len(trace) / 3
             assert reused_steps(res.reports) > len(trace) / 4
+
+    @pytest.mark.parametrize("make,kw,repeats", fresh_copy_cases())
+    def test_shared_reports_give_the_bytes_of_unshared_ones(self, make, kw, repeats):
+        res = run(*make(), **kw)
+        with unshared_sim_steps():
+            ref = run(*make(), **kw)
+        assert distinct(ref.reports) == len(ref.reports)
+        assert res.to_json({}) == ref.to_json({}) and _steps_csv(res) == _steps_csv(ref)
+        assert list(map(report_bits, res.reports)) == list(map(report_bits, ref.reports))
+        assert (distinct(res.reports) < len(res.reports)) == repeats
+
+    def test_a_thm3_run_holds_few_distinct_reports(self):
+        inst = gen_thm3(8, 16, seed=8)
+        res = run(inst.trace, inst.params, algo="ums", sim="dc-line", project="on")
+        assert len(res.reports) == len(inst.trace)
+        assert distinct(res.reports) < len(inst.trace) / 4
 
     @pytest.mark.parametrize("construction", ["thm3", "thm4"])
     def test_sweep_aggregate_is_the_same_with_fresh_point_objects(self, construction):
