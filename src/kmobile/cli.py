@@ -72,6 +72,10 @@ def cmd_simulate(args) -> int:
     trace, params = read_trace(args.trace)
     params = dataclasses.replace(params, **{key: getattr(args, key) for key in OVERRIDES
                                             if getattr(args, key) is not None})
+    if trace.certificate is not None:  # the run checks the requests, not the certificate
+        violation = validate_trace(trace, params)
+        if violation is not None:
+            raise InputError(f"invalid trace: {violation}")
     result = run_mobile(trace, params, algo=args.algo, sim=args.sim,
                         project=args.project)
     speed = checks.audit_speed_caps(result)

@@ -435,6 +435,8 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
                 raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
             try:
                 if "start" in obj:
+                    if params is not None:
+                        raise InputError("a second header line")
                     params = ProblemParams.from_dict(obj)
                     start = tuple(as_point(p) for p in obj["start"])
                 elif "r" in obj:

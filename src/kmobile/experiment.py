@@ -26,6 +26,7 @@ from kmobile.core import (
     ResourceBudgetError,
     certificate_cost,
     read_trace,
+    validate_trace,
 )
 from kmobile.mobile import run as run_mobile
 from kmobile.offline import GridSpec, dp_optimum
@@ -120,7 +121,7 @@ def parse_seeds(text: str) -> list[int]:
 
 def parse_spec_file(path: str) -> ExperimentSpec:
     """Flat key=value file; lists are comma-separated; sweep axes use sweep.<name>."""
-    spec = ExperimentSpec()
+    spec, seen = ExperimentSpec(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -130,6 +131,9 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
             try:
+                name = key.removeprefix("sweep.")  # a base key and its sweep axis set one value
+                if seen.setdefault(name, lineno) != lineno:
+                    raise InputError(f"{name} is already set at line {seen[name]}")
                 if key == "construction":
                     spec.construction = value
                 elif key == "trace":
@@ -139,8 +143,7 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 elif key == "seeds":
                     spec.seeds = parse_seeds(value)
                 elif key.startswith("sweep."):
-                    axis = key[len("sweep."):]
-                    spec.sweep[axis] = [_param_value(axis, v) for v in value.split(",")
+                    spec.sweep[name] = [_param_value(name, v) for v in value.split(",")
                                         if v.strip()]
                 else:
                     spec.base[key] = _param_value(key, value)
@@ -220,6 +223,9 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
     """
     if spec.trace_path is not None:
         trace, params = read_trace(spec.trace_path)
+        violation = validate_trace(trace, params)  # certificate_cost reads the certificate
+        if violation is not None:
+            raise InputError(f"invalid trace: {violation}")
         runs = [(trace, params)]
         reference = certificate_cost(trace, params) if trace.certificate is not None else None
     else:

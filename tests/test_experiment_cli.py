@@ -56,6 +56,20 @@ sweep.x=64,128
         assert spec.sweep == {"x": [64, 128]}
         assert spec.base["k"] == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("construction=thm4\nconstruction=thm3\nk=2\nx=8\n", 2),
+        ("construction=thm3\nx=8\nsweep.k=2\nsweep.k=4\n", 4),
+        ("construction=thm3\nx=8\nk=2\nx=16\n", 4),
+        # a base key and a sweep axis of one parameter: the aggregate's base would not be run
+        ("construction=thm3\nk=2\nx=8\nsweep.x=16\n", 4),
+        ("construction=thm3\nk=2\nsweep.x=16\nx=8\n", 4),
+    ])
+    def test_a_value_set_twice_exits_2_at_its_line(self, tmp_path, capsys, text, line):
+        path = write_spec(tmp_path, text)
+        assert main(["sweep", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}:{line}: ") and err.count("\n") == 1, err
+
     def test_validation(self):
         spec = ExperimentSpec()
         with pytest.raises(InputError):
@@ -118,6 +132,29 @@ class TestRunExperiment:
         assert (reads.call_count, runs.call_count) == (1, 1)
         assert [r.seed for r in records] == [0, 1, 2]
         assert aggregate["records"] == [asdict(run_point(spec, {}, seed)) for seed in (0, 1, 2)]
+
+    def test_a_trace_spec_refuses_a_certificate_its_ms_forbids(self, tmp_path, capsys):
+        # certificate_cost reads the certificate: one server per step, and one moved by 500
+        trace = tmp_path / "thm3.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--construction", "thm3", "--k", "2", "--x", "8",
+                         "--out", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        one_server, far_move = list(lines), list(lines)
+        for i, line in enumerate(lines):
+            step = json.loads(line)
+            if "o" in step:
+                one_server[i] = json.dumps(dict(step, o=step["o"][:1]))
+                if step["t"] == 5:
+                    far_move[i] = json.dumps(dict(step, o=[[step["o"][0][0] + 500.0],
+                                                           *step["o"][1:]]))
+        for name, text in (("one-server.jsonl", one_server), ("far-move.jsonl", far_move)):
+            (tmp_path / name).write_text("\n".join(text) + "\n")
+            spec = write_spec(tmp_path, f"trace={tmp_path / name}\nseeds=0\n")
+            capsys.readouterr()
+            assert main(["sweep", "--spec", spec]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1, (name, err)
 
     def test_run_point_folds_each_check_to_its_worst_run(self):
         # thm4 at mc < (1+delta)*ms is fast mode; k=2 enumerates four targets.

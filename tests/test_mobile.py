@@ -9,6 +9,7 @@ from unittest import mock
 
 import pytest
 
+from kmobile import mobile
 from kmobile.adversary import gen_local_walk, gen_thm3, gen_thm4
 from kmobile.checks import audit_speed_caps, default_y, potential_factors
 from kmobile.cli import _steps_csv
@@ -21,6 +22,7 @@ from kmobile.core import (
     min_weight_matching,
     move_toward,
     read_trace,
+    validate_trace,
     write_trace,
 )
 from kmobile.experiment import ExperimentSpec, build_instance, fmt, run_experiment
@@ -231,6 +233,30 @@ class TestRun:
             res = run(inst.trace, p, algo=algo, sim="greedy")
             cap = (1 + p.delta) * p.ms
             assert audit_speed_caps(res).max_displacement <= cap + 1e-9
+
+    def test_a_run_validates_no_certificate(self, monkeypatch):
+        # A generated certificate is checked by its generator's tests; the run never reads it.
+        validated = []
+
+        def record_validate(trace, params):
+            validated.append(trace)
+            return validate_trace(trace, params)
+
+        monkeypatch.setattr(mobile, "validate_trace", record_validate)
+        with mock.patch("kmobile.experiment.run_mobile", wraps=run) as runs:
+            for construction, base in (("thm3", {"x": 16}), ("thm4", {"x": 16, "mc": 2.0})):
+                spec = ExperimentSpec(construction=construction, sim="dc-line", base=base,
+                                      sweep={"k": [2, 3]})
+                assert run_experiment(spec)[1]["all_ok"]
+        assert len(validated) == runs.call_count == 10  # k=2 runs each of its four targets
+        assert [trace.certificate for trace in validated] == [None] * 10
+        # So a certificate the trace's own ms forbids leaves the run's bytes as they were.
+        inst = gen_thm3(2, 16, seed=0)
+        cert = list(inst.trace.certificate)
+        cert[4] = ((cert[4][0][0] + 500.0,), *cert[4][1:])
+        far_move = dataclasses.replace(inst.trace, certificate=cert)
+        assert validate_trace(far_move, inst.params).kind == "certificate-speed"
+        assert run(far_move, inst.params).to_json({}) == run(inst.trace, inst.params).to_json({})
 
     def test_deterministic_ledgers(self):
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)

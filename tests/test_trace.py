@@ -9,6 +9,7 @@ import pytest
 
 from kmobile import core
 from kmobile.adversary import gen_local_walk, gen_thm3, gen_thm4
+from kmobile.cli import main
 from kmobile.core import (
     REL_TOL,
     InputError,
@@ -144,6 +145,21 @@ def test_read_trace_missing_header(tmp_path):
         fh.write(json.dumps({"t": 1, "r": [0.0]}) + "\n")
     with pytest.raises(InputError):
         read_trace(str(path))
+
+
+def test_read_trace_refuses_a_second_header_line(tmp_path, capsys):
+    # The second header would replace the first: the run would take k=2 for both requests.
+    header = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+              "start": [[0.0]]}
+    path = tmp_path / "two-headers.jsonl"
+    path.write_text("\n".join([json.dumps(header), json.dumps({"t": 1, "r": [0.0]}),
+                               json.dumps(dict(header, k=2, start=[[0.0], [1.0]])),
+                               json.dumps({"t": 2, "r": [1.0]})]) + "\n")
+    with pytest.raises(InputError, match=":3: a second header line"):
+        read_trace(str(path))
+    assert main(["simulate", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}:3: ") and err.count("\n") == 1, err
 
 
 def test_run_totals_are_step_sums():
