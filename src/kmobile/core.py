@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from operator import is_, is_not, itemgetter
+from operator import is_not, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Point = tuple[float, ...]
@@ -153,11 +153,11 @@ class ProblemParams:
         return cls(**values)
 
 
-def read_budget() -> Optional[int]:
-    """The size budget set by KMOB_BUDGET, or None when it is unset or empty."""
+def read_budget(default: Optional[int] = None) -> Optional[int]:
+    """The size budget set by KMOB_BUDGET, or ``default`` when it is unset or empty."""
     env = os.environ.get("KMOB_BUDGET")
     if not env:
-        return None
+        return default
     try:
         budget = int(env)
     except ValueError as exc:
@@ -196,8 +196,8 @@ def validate_trace(trace: Trace, params: ProblemParams) -> Optional[TraceViolati
 
     Returns None if the trace is valid, otherwise the first violation.
     Dimension mismatches raise InputError, and so do points so far apart
-    that their distances overflow.  A request, configuration or server's
-    point that is the very object of the step before was checked there.
+    that their distances overflow.  A request that is the very object of
+    the step before was checked there; every certificate point is checked.
     """
     reqs, start, cert = trace.requests, trace.start_config, trace.certificate
     if not reqs:
@@ -218,17 +218,13 @@ def validate_trace(trace: Trace, params: ProblemParams) -> Optional[TraceViolati
                                   float(len(reqs)))
         prev = start
         for t, conf in enumerate(cert, 1):
-            if conf is prev:
-                continue
             if len(conf) != params.k:
                 raise InputError(f"certificate step {t - 1} has {len(conf)} servers")
-            for p, q in zip(prev, conf):
-                if q is not p:
-                    points.append(q)
-                    d = math.dist(p, q) if len(q) == params.dim else math.inf  # p was checked
-                    if d > params.ms * slack:
-                        check_dims(conf, params.dim)  # a wrong dimension in conf comes first
-                        return TraceViolation("certificate-speed", t, d, params.ms)
+            check_dims(conf, params.dim)
+            for d in map(math.dist, prev, conf):
+                if d > params.ms * slack:
+                    return TraceViolation("certificate-speed", t, d, params.ms)
+            points += conf
             prev = conf
     # No distance between the points exceeds their bounding box's diagonal.
     spans = [max(c) - min(c) for c in (list(map(itemgetter(i), points)) for i in range(params.dim))]
@@ -238,19 +234,22 @@ def validate_trace(trace: Trace, params: ProblemParams) -> Optional[TraceViolati
 
 
 def certificate_cost(trace: Trace, params: ProblemParams) -> float:
-    """Evaluated cost of the attached offline trajectory."""
-    if trace.certificate is None:
+    """Evaluated cost of the attached offline trajectory: k servers at each request."""
+    cert, reqs, start = trace.certificate, trace.requests, trace.start_config
+    if cert is None:
         raise InputError("trace carries no certificate")
-    check_dims(itertools.chain(trace.start_config, trace.requests, *trace.certificate),
-               params.dim)
-    total, prev, last_r = 0.0, trace.start_config, None
-    for conf, r in zip(trace.certificate, trace.requests):
-        if conf is not prev:  # else it moved nothing, and adding D * 0.0 keeps the total's bits
-            total += params.D * sum(math.dist(prev[i], conf[i]) for i in range(params.k))
-        if conf is not prev or r is not last_r:
-            serving = min(math.dist(p, r) for p in conf)
-        total += serving
-        prev, last_r = conf, r
+    if len(cert) != len(reqs):
+        raise InputError(f"certificate has {len(cert)} steps, the trace {len(reqs)} requests")
+    if len(start) != params.k:
+        raise InputError(f"start config has {len(start)} servers, expected {params.k}")
+    check_dims(itertools.chain(start, reqs, *cert), params.dim)
+    total, prev = 0.0, start
+    for t, (conf, r) in enumerate(zip(cert, reqs)):
+        if len(conf) != params.k:
+            raise InputError(f"certificate step {t} has {len(conf)} servers")
+        total += params.D * sum(map(math.dist, prev, conf))
+        total += min(math.dist(p, r) for p in conf)
+        prev = conf
     return total
 
 
@@ -412,12 +411,6 @@ def _repeat(prev: Point, p: Point) -> Point:
     return prev if p == prev and repr(p) == repr(prev) else p
 
 
-def _repeat_config(prev: Config, conf: Config) -> Config:
-    """conf with each server's point shared by _repeat, and prev when every one was."""
-    shared = tuple(map(_repeat, prev, conf)) if len(conf) == len(prev) else conf
-    return prev if shared == prev and all(map(is_, shared, prev)) else shared
-
-
 def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     params = start = None
     requests: dict[int, Point] = {}
@@ -461,8 +454,7 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     if cert:
         if sorted(cert) != list(range(1, n + 1)):
             raise InputError(f"{path}: certificate steps are not contiguous 1..{n}")
-        certificate = list(itertools.accumulate(map(cert.__getitem__, range(1, n + 1)),
-                                                _repeat_config, initial=start))[1:]
+        certificate = [cert[t] for t in range(1, n + 1)]
     trace = Trace(requests=req_list, start_config=start, certificate=certificate)
     for p in itertools.chain(req_list, start):
         if len(p) != params.dim:

@@ -30,11 +30,6 @@ SIM_TAGS = ("greedy", "dc-line", "wfa", "pm-counter", "split-serve")
 DEFAULT_WFA_CONFIGS = 25_000
 
 
-def wfa_config_budget() -> int:
-    budget = read_budget()
-    return DEFAULT_WFA_CONFIGS if budget is None else budget
-
-
 class SimStep(NamedTuple):
     positions: Config
     serving: float
@@ -144,7 +139,7 @@ class WorkFunctionServer(GuidanceSimulator):
     def __init__(self, start: Sequence[Point]):
         import numpy as np
         self.k = len(start)
-        self.max_configs = wfa_config_budget()
+        self.max_configs = read_budget(DEFAULT_WFA_CONFIGS)
         self._start(start)
         self.points: list[Point] = []
         self.index: dict[Point, int] = {}
@@ -369,7 +364,7 @@ def default_sim_tag(algo: str, params: ProblemParams, n: int) -> str:
     if params.dim == 1:
         return "dc-line"
     table = math.comb(n + params.k + params.k - 1, params.k)
-    return "wfa" if table <= wfa_config_budget() else "greedy"
+    return "wfa" if table <= read_budget(DEFAULT_WFA_CONFIGS) else "greedy"
 
 
 def make_simulator(tag: str, start: Sequence[Point], params: ProblemParams) -> GuidanceSimulator:

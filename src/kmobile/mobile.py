@@ -171,26 +171,30 @@ class RunResult:
         """The steps as json.dumps indents them at depth 1.
 
         The stdlib's indenting encoder is pure Python.  Here each step
-        fills one %-template built from the sorted step keys, from one
-        tuple holding the step's leaves in that same key order, and
-        ``%s`` spells a float as ``float.__repr__`` does, which is json's
-        spelling of a finite float.  json spells the others NaN, Infinity
-        and -Infinity; one replace of "nan" and "inf" over the text does
-        the same, because no key, branch tag or "null" holds those letters.
+        fills one %-template, which is json.dumps's own text of a
+        placeholder step (NaN for each number, "%s" for the branch tag)
+        with each NaN made ``%s``, from one tuple holding the step's
+        leaves in sorted key order.  ``%s`` spells a float as
+        ``float.__repr__`` does, which is json's spelling of a finite
+        float.  json spells the others NaN, Infinity and -Infinity; one
+        replace of "nan" and "inf" over the text does the same, because
+        no key, branch tag or "null" holds those letters.
         """
         if not self.reports:
             return "[]"
-        k, dim = self.params.k, self.params.dim
-        members = [f'"{key}": {_value_template(STEP_FIELDS[key][1], k, dim)}'
-                   for key in sorted(STEP_FIELDS)]
-        template = "{" + _json_list(members, 2)[1:-1] + "}"
+        k, dim, nan = self.params.k, self.params.dim, math.nan
+        shapes = {"number": nan, "mover": nan, "tag": "%s", "list": [nan] * k,
+                  "point": [nan] * dim, "config": [[nan] * dim] * k}
+        template = json.dumps({key: shapes[shape] for key, (_, shape) in STEP_FIELDS.items()},
+                              sort_keys=True, indent=2).replace("NaN", "%s").replace("\n", "\n    ")
         assert "nan" not in template and "inf" not in template
         flat = chain.from_iterable
-        text = _json_list([template % (
+        # One % puts the brackets around the joined steps in one copy of the text.
+        text = "[\n    %s\n  ]" % ",\n    ".join([template % (
             *flat(r.positions), r.branch, *flat(r.sim_positions), *r.caps, r.cost,
             *r.displacements, r.matched_sum, r.movement, "null" if r.mover is None else r.mover,
             *r.perm, *r.request, r.serving, r.sim_cost, r.sim_movement, r.sim_serving, t)
-            for t, r in enumerate(self.reports, 1)], 1)
+            for t, r in enumerate(self.reports, 1)])
         return text.replace("nan", "NaN").replace("inf", "Infinity")
 
     @classmethod
@@ -303,25 +307,6 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
 def _chunks(values, size: int) -> zip:
     """Consecutive tuples of ``size`` items of ``values``."""
     return zip(*[iter(values)] * size)
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """json's indent=2 text of a non-empty list at the given depth, from its items' texts."""
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
-def _value_template(shape: str, k: int, dim: int) -> str:
-    """The %-template of a step field's value, at depth 3."""
-    if shape == "tag":
-        return '"%s"'
-    if shape == "list":
-        return _json_list(["%s"] * k, 3)
-    if shape == "point":
-        return _json_list(["%s"] * dim, 3)
-    if shape == "config":
-        return _json_list([_json_list(["%s"] * dim, 4)] * k, 3)
-    return "%s"
 
 
 class MobileRun:

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import types
-from operator import is_, is_not, itemgetter
+from operator import is_not, itemgetter
 
 import pytest
 
@@ -174,25 +174,19 @@ def test_run_totals_are_step_sums():
                                           "grand_total": res.grand_total}
 
 
-def test_read_trace_shares_repeated_certificate_points_as_a_generator_does(tmp_path):
-    inst = gen_thm3(8, 32, seed=0)
-    path = str(tmp_path / "thm3.jsonl")
-    write_trace(path, inst.trace, inst.params)
-    trace, params = read_trace(path)
-
-    def shared(trace):
-        reqs, cert = trace.requests, trace.certificate
-        prev = [trace.start_config, *cert]
-        return ([b is a for a, b in zip(reqs, reqs[1:])],
-                [b is a for a, b in zip(prev, cert)],
-                [list(map(is_, a, b)) for a, b in zip(prev, cert)])
-
-    assert shared(trace) == shared(inst.trace)
-    assert validate_trace(trace, params) is None and validate_trace(inst.trace, inst.params) is None
-    assert certificate_cost(trace, params).hex() == certificate_cost(inst.trace, inst.params).hex()
+def test_read_trace_gives_back_a_generated_certificate(tmp_path):
+    for k in (2, 4, 8):
+        for inst in (gen_thm3(k, 16, seed=1), gen_thm4(k, 16, ms=1.0, mc=2.0, D=2.5, seed=1)):
+            path = str(tmp_path / "cert.jsonl")
+            write_trace(path, inst.trace, inst.params)
+            trace, params = read_trace(path)
+            assert repr(trace.certificate) == repr(inst.trace.certificate)
+            assert validate_trace(trace, params) is None
+            assert (certificate_cost(trace, params).hex()
+                    == certificate_cost(inst.trace, inst.params).hex())
 
 
-def test_read_trace_shares_certificate_points_only_bit_for_bit(tmp_path):
+def test_validate_trace_names_the_certificate_step_with_a_wrong_server_count(tmp_path):
     path = tmp_path / "cert.jsonl"
     header = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
               "start": [[0.0]]}
@@ -201,12 +195,27 @@ def test_read_trace_shares_certificate_points_only_bit_for_bit(tmp_path):
     lines += [json.dumps({"t": t, "o": conf}) for t, conf in enumerate(confs, 1)]
     path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
     trace, params = read_trace(str(path))
-    cert = trace.certificate
-    assert [b is a for a, b in zip([trace.start_config, *cert], cert)] == [
-        True, True, False, True, False, False]
-    assert [repr(conf) for conf in cert] == [repr(tuple(map(tuple, c))) for c in confs]
+    assert [repr(conf) for conf in trace.certificate] == [repr(tuple(map(tuple, c))) for c in confs]
     with pytest.raises(InputError, match="^certificate step 4 has 2 servers$"):
         validate_trace(trace, params)
+    with pytest.raises(InputError, match="^certificate step 4 has 2 servers$"):
+        certificate_cost(trace, params)
+
+
+def test_certificate_cost_refuses_a_certificate_of_the_wrong_shape():
+    inst = gen_thm3(2, 8, seed=0)
+    assert certificate_cost(inst.trace, inst.params) == 6.0
+    short = dataclasses.replace(inst.trace, certificate=inst.trace.certificate[:3])
+    with pytest.raises(InputError, match="^certificate has 3 steps, the trace 9 requests$"):
+        certificate_cost(short, inst.params)
+    for t in (0, 5):
+        cert = list(inst.trace.certificate)
+        cert[t] = cert[t][:1]
+        with pytest.raises(InputError, match=f"^certificate step {t} has 1 servers$"):
+            certificate_cost(dataclasses.replace(inst.trace, certificate=cert), inst.params)
+    one_server_start = dataclasses.replace(inst.trace, start_config=inst.trace.start_config[:1])
+    with pytest.raises(InputError, match="^start config has 1 servers, expected 2$"):
+        certificate_cost(one_server_start, inst.params)
 
 
 def reference_validate_trace(trace, params):
@@ -315,10 +324,9 @@ def test_validate_trace_equals_the_reference_on_instances_and_their_faults():
 
 def test_validate_trace_measures_only_the_points_that_changed(monkeypatch):
     inst = gen_thm3(8, 32, seed=1)
-    reqs, cert = inst.trace.requests, inst.trace.certificate
+    reqs = inst.trace.requests
     changes = sum(map(is_not, reqs[1:], reqs))
-    moved = len(steps_of_points(inst.trace, moved=True))
-    assert (changes, moved, len(cert) * 8) == (7, 3152, 6848)
+    assert (changes, len(reqs)) == (7, 856)
     measured = []
 
     def dist(p, q):
@@ -326,5 +334,5 @@ def test_validate_trace_measures_only_the_points_that_changed(monkeypatch):
         return math.dist(p, q)
 
     monkeypatch.setattr(core, "math", types.SimpleNamespace(**dict(vars(math), dist=dist)))
-    assert validate_trace(inst.trace, inst.params) is None
-    assert len(measured) == changes + moved
+    assert validate_trace(dataclasses.replace(inst.trace, certificate=None), inst.params) is None
+    assert len(measured) == changes
