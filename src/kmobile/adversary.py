@@ -2,8 +2,9 @@
 
 Each construction emits a locality-valid trace together with a feasible
 offline trajectory of known cost, so measured online costs can be
-turned into competitive-ratio estimates.  Randomized choices are either
-seeded or enumerated explicitly.
+turned into competitive-ratio estimates; ``gen_thm3`` omits the
+trajectory on request, as a sweep reads only its closed-form bound.
+Randomized choices are either seeded or enumerated explicitly.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
 
 
 def _jump(k: int, x: int, ms: float, mc: Optional[float], seed: Optional[int],
-          z_choice: Optional[int]) -> tuple[Trace, dict]:
+          z_choice: Optional[int], certificate: bool = True) -> tuple[Trace, dict]:
     """The trace and shared choices of Theorems 3 and 4: requests wait at the origin,
     then visit each hidden target Z for a block of steps.  With ``mc`` None (thm3) the
     request jumps to each Z, else (thm4) it walks there in steps of mc."""
@@ -110,14 +111,15 @@ def _jump(k: int, x: int, ms: float, mc: Optional[float], seed: Optional[int],
             requests.append((pos,))
         requests.extend([(z,)] * block)
         pos = z
-    cert = _follow_certificate(start, [origin] + [(z,) for z in zs], ms, len(requests))
+    cert = (_follow_certificate(start, [origin] + [(z,) for z in zs], ms, len(requests))
+            if certificate else None)
     trace = Trace(requests=requests, start_config=start, certificate=cert)
     return trace, dict(choices, Z=zs, phase1_len=phase1)
 
 
 def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
              seed: Optional[int] = None, z_choice: Optional[int] = None,
-             delta: float = 0.5) -> GeneratedInstance:
+             delta: float = 0.5, certificate: bool = True) -> GeneratedInstance:
     """Two-phase jump construction on the line.
 
     A long block of requests at the origin is followed by a block at a
@@ -126,9 +128,10 @@ def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
     first block.  For k > 2 the line is split into 4(k-1) segments
     grouped in fours and one inner segment per group receives a Z.
     The first block is long enough for every offline server to arrive
-    before its Z is requested.
+    before its Z is requested.  The bound is closed-form and reads no
+    certificate; with ``certificate`` False the trace carries none.
     """
-    trace, choices = _jump(k, x, ms, None, seed, z_choice)
+    trace, choices = _jump(k, x, ms, None, seed, z_choice, certificate)
     zs = choices["Z"]
     mc = max(max(abs(z - p) for p, z in zip([0.0] + zs, zs)), ms)
     params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)

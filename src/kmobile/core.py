@@ -219,7 +219,7 @@ def validate_trace(trace: Trace, params: ProblemParams) -> Optional[TraceViolati
         prev = start
         for t, conf in enumerate(cert, 1):
             if len(conf) != params.k:
-                raise InputError(f"certificate step {t - 1} has {len(conf)} servers")
+                raise InputError(f"certificate step {t} has {len(conf)} servers")
             check_dims(conf, params.dim)
             for d in map(math.dist, prev, conf):
                 if d > params.ms * slack:
@@ -244,7 +244,7 @@ def certificate_cost(trace: Trace, params: ProblemParams) -> float:
         raise InputError(f"start config has {len(start)} servers, expected {params.k}")
     check_dims(itertools.chain(start, reqs, *cert), params.dim)
     total, prev = 0.0, start
-    for t, (conf, r) in enumerate(zip(cert, reqs)):
+    for t, (conf, r) in enumerate(zip(cert, reqs), 1):
         if len(conf) != params.k:
             raise InputError(f"certificate step {t} has {len(conf)} servers")
         total += params.D * sum(map(math.dist, prev, conf))

@@ -152,11 +152,12 @@ def parse_spec_file(path: str) -> ExperimentSpec:
     return spec
 
 
-def build_instance(construction: str, point: dict, seed: int,
-                   z_choice: Optional[int]) -> GeneratedInstance:
+def build_instance(construction: str, point: dict, seed: int, z_choice: Optional[int],
+                   certificate: bool = True) -> GeneratedInstance:
     """The construction's instance at a sweep point; the one map from construction to generator.
 
-    ``z_choice``, not the point's, picks the two-server target.
+    ``z_choice``, not the point's, picks the two-server target.  With ``certificate``
+    False, a construction whose bound reads no certificate (thm3) builds none.
     """
     unread = sorted(set(point) - set(_point_keys(construction)))  # raises if unknown
     if unread:
@@ -169,7 +170,7 @@ def build_instance(construction: str, point: dict, seed: int,
             raise InputError(f"construction {construction} needs {key}")
         args[key] = p[key]
     if construction == "thm3":
-        return gen_thm3(**args, seed=seed, z_choice=z_choice)
+        return gen_thm3(**args, seed=seed, z_choice=z_choice, certificate=certificate)
     if construction == "thm4":
         return gen_thm4(**args, seed=seed, z_choice=z_choice)
     if construction == "simple-cx":
@@ -232,8 +233,8 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
         enumerate_targets = (spec.construction in ("thm3", "thm4") and "z_choice" not in point
                              and int(point.get("k", 2)) == 2)
         z_choices = range(TWO_SERVER_CHOICES) if enumerate_targets else [point.get("z_choice")]
-        insts = [build_instance(spec.construction, point, seed, None if zc is None else int(zc))
-                 for zc in z_choices]
+        insts = [build_instance(spec.construction, point, seed, None if zc is None else int(zc),
+                                certificate=False) for zc in z_choices]
         runs = [(inst.trace, inst.params) for inst in insts]
         # Every choice shares the construction's bound.
         reference = insts[-1].offline_cost_bound

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -374,3 +375,19 @@ class TestOneConstruction:
             "construction needs k >= 2", "x must be a positive multiple of 8",
             "z_choice enumeration is only defined for k=2", "z_choice must be in 0..3",
             "movement cap must be nonnegative", "needs mc >= ms")}
+
+    def test_thm3_without_its_certificate_is_the_same_instance(self):
+        def stripped(*args, **kw):
+            inst = gen_thm3(*args, **kw)
+            assert inst.trace.certificate is not None
+            return dataclasses.replace(inst, trace=dataclasses.replace(inst.trace,
+                                                                       certificate=None))
+
+        for k, ms, D, seed in itertools.product((2, 4, 8), (1.0, 0.3), (1.0, 2.5), (None, 0, 7)):
+            for z_choice in (None, 0, 1, 2, 3) if k == 2 else (None,):
+                kw = dict(D=D, ms=ms, seed=seed, z_choice=z_choice)
+                bare, full = gen_thm3(k, 16, certificate=False, **kw), stripped(k, 16, **kw)
+                assert bare.trace.certificate is None
+                assert bare.offline_cost_bound.hex() == full.offline_cost_bound.hex()
+                assert (outcome(gen_thm3, k, 16, certificate=False, **kw)
+                        == outcome(stripped, k, 16, **kw))

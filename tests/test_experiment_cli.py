@@ -108,6 +108,19 @@ class TestRunExperiment:
         _, agg2 = run_experiment(spec)
         assert json.dumps(agg1, sort_keys=True) == json.dumps(agg2, sort_keys=True)
 
+    def test_a_thm3_sweep_builds_no_certificate(self, monkeypatch):
+        spec = ExperimentSpec(construction="thm3", algo="ums", sim="dc-line",
+                              base={"x": 16, "ms": 1.0, "delta": 0.5}, seeds=[1, 2],
+                              sweep={"k": [2, 3, 8]})
+        _, want = run_experiment(spec)
+
+        def refuse(*args):
+            raise AssertionError("the sweep built a certificate")
+
+        monkeypatch.setattr("kmobile.adversary._follow_certificate", refuse)
+        _, got = run_experiment(spec)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
     def test_thm4_locality_sweep_ratios_increase(self):
         spec = ExperimentSpec(construction="thm4", algo="ums", sim="dc-line",
                               base={"k": 2, "ms": 1.0, "x": 64},

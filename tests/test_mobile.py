@@ -741,8 +741,8 @@ class TestReuse:
                                   project="auto", base=base, seeds=[1, 2],
                                   sweep={"k": [2, 4, 8]})
 
-        def fresh_instance(*args):
-            inst = build_instance(*args)
+        def fresh_instance(*args, **kwargs):
+            inst = build_instance(*args, **kwargs)
             return dataclasses.replace(inst, trace=fresh_copy(inst.trace))
 
         _, aggregate = run_experiment(spec())

@@ -196,9 +196,9 @@ def test_validate_trace_names_the_certificate_step_with_a_wrong_server_count(tmp
     path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
     trace, params = read_trace(str(path))
     assert [repr(conf) for conf in trace.certificate] == [repr(tuple(map(tuple, c))) for c in confs]
-    with pytest.raises(InputError, match="^certificate step 4 has 2 servers$"):
+    with pytest.raises(InputError, match="^certificate step 5 has 2 servers$"):
         validate_trace(trace, params)
-    with pytest.raises(InputError, match="^certificate step 4 has 2 servers$"):
+    with pytest.raises(InputError, match="^certificate step 5 has 2 servers$"):
         certificate_cost(trace, params)
 
 
@@ -208,9 +208,9 @@ def test_certificate_cost_refuses_a_certificate_of_the_wrong_shape():
     short = dataclasses.replace(inst.trace, certificate=inst.trace.certificate[:3])
     with pytest.raises(InputError, match="^certificate has 3 steps, the trace 9 requests$"):
         certificate_cost(short, inst.params)
-    for t in (0, 5):
+    for t in (1, 6):
         cert = list(inst.trace.certificate)
-        cert[t] = cert[t][:1]
+        cert[t - 1] = cert[t - 1][:1]
         with pytest.raises(InputError, match=f"^certificate step {t} has 1 servers$"):
             certificate_cost(dataclasses.replace(inst.trace, certificate=cert), inst.params)
     one_server_start = dataclasses.replace(inst.trace, start_config=inst.trace.start_config[:1])
@@ -239,7 +239,7 @@ def reference_validate_trace(trace, params):
         prev = trace.start_config
         for t, conf in enumerate(cert):
             if len(conf) != params.k:
-                raise InputError(f"certificate step {t} has {len(conf)} servers")
+                raise InputError(f"certificate step {t + 1} has {len(conf)} servers")
             check_dims(conf, params.dim)
             for i in range(params.k):
                 d = math.dist(prev[i], conf[i])
