@@ -2,8 +2,8 @@
 
 Each construction emits a locality-valid trace together with a feasible
 offline trajectory of known cost, so measured online costs can be
-turned into competitive-ratio estimates; ``gen_thm3`` omits the
-trajectory on request, as a sweep reads only its closed-form bound.
+turned into competitive-ratio estimates; ``gen_thm3`` and ``gen_thm4``
+omit the trajectory on request, as a sweep reads only their bound.
 Randomized choices are either seeded or enumerated explicitly.
 """
 from __future__ import annotations
@@ -23,8 +23,6 @@ from kmobile.core import (
     move_toward,
     positive,
 )
-
-CONSTRUCTIONS = ("thm3", "thm4", "simple-cx", "walk")
 
 # Number of enumerable target choices in the two-server jump/walk
 # constructions (symmetric quarter points on either side of the start).
@@ -145,17 +143,19 @@ def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
 
 def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
              seed: Optional[int] = None, z_choice: Optional[int] = None,
-             delta: float = 0.5) -> GeneratedInstance:
+             delta: float = 0.5, certificate: bool = True) -> GeneratedInstance:
     """Locality-respecting variant of the jump construction.
 
     Instead of jumping, the request walks toward each hidden target Z
     in steps of mc, so the trace is valid for the instance's own
     locality bound.  For k > 2 the line is split into 5(k-1) segments
     grouped in fives; the chosen inner segments neighbor an outer one.
+    The k > 2 bound is the certificate's cost, so it is built there even
+    when ``certificate`` is False, and then left off the trace.
     """
     if mc < ms:
         raise InputError("needs mc >= ms")
-    trace, choices = _jump(k, x, ms, mc, seed, z_choice)
+    trace, choices = _jump(k, x, ms, mc, seed, z_choice, certificate or k > 2)
     params = ProblemParams(k=k, ms=ms, mc=mc, delta=delta, D=D, dim=1)
     if k == 2:
         bound = D * x * ms + x * x * ms * ms / (2.0 * mc)
@@ -164,6 +164,8 @@ def gen_thm4(k: int, x: int, ms: float, mc: float, D: float = 1.0, *,
     else:
         bound = certificate_cost(trace, params)  # exact cost of the certificate
         choices["phase2_start"] = choices["phase1_len"] + 1
+        if not certificate:
+            trace.certificate = None
     return GeneratedInstance("thm4", trace, params, bound, None, choices)
 
 

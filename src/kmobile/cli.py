@@ -13,7 +13,6 @@ import json
 import sys
 
 from kmobile import checks
-from kmobile.adversary import CONSTRUCTIONS
 from kmobile.core import (
     ContractViolationError,
     InputError,
@@ -26,6 +25,7 @@ from kmobile.core import (
 )
 from kmobile.experiment import (
     PARAM_TYPES,
+    _READS,
     ExperimentSpec,
     build_instance,
     emit_ratio_table,
@@ -106,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_generate(args) -> int:
     point = {key: getattr(args, key) for key in PARAM_TYPES if getattr(args, key) is not None}
-    inst = build_instance(args.construction, point, args.seed, args.z_choice)
+    inst = build_instance(args.construction, point, args.seed)
     write_trace(args.out, inst.trace, inst.params)
     meta = {
         "construction": inst.construction,
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("generate", help="emit an adversarial trace plus metadata")
-    p_gen.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
+    p_gen.add_argument("--construction", choices=_READS, required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     # Unset parameters take build_instance's defaults.
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algo", choices=ALGO_TAGS)
     p_sweep.add_argument("--sim")
     p_sweep.add_argument("--project", choices=("auto", "on", "off"))
-    p_sweep.add_argument("--construction", choices=CONSTRUCTIONS)
+    p_sweep.add_argument("--construction", choices=_READS)
     p_sweep.add_argument("--seeds")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

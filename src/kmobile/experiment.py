@@ -81,22 +81,15 @@ class RunRecord:
 PARAM_TYPES = {"k": int, "x": int, "y": int, "n": int, "dim": int, "z_choice": int,
                "ms": float, "mc": float, "delta": float, "D": float, "step_scale": float}
 
-# Per construction: the parameters its generator reads, passed by name;
-# a parameter without a _DEFAULTS entry must be given.
-_READS = {"thm3": ("k", "x", "D", "ms", "delta"),
-          "thm4": ("k", "x", "ms", "mc", "D", "delta"),
+# Per construction, and so the one list of construction names: the parameters its
+# generator reads, passed by name, the only ones a sweep point may set; a parameter
+# without a _DEFAULTS entry must be given.
+_READS = {"thm3": ("k", "x", "D", "ms", "delta", "z_choice"),
+          "thm4": ("k", "x", "ms", "mc", "D", "delta", "z_choice"),
           "simple-cx": ("x", "y", "ms"),
           "walk": ("k", "ms", "mc", "delta", "D", "dim", "n", "step_scale")}
 _DEFAULTS = {"k": 2, "x": 64, "n": 100, "dim": 1, "ms": 1.0, "delta": 0.5, "D": 1.0,
-             "step_scale": 1.0}
-
-
-def _point_keys(construction: str) -> tuple[str, ...]:
-    """The parameters a sweep point may set: those the construction's generator reads,
-    and ``z_choice`` for the two-server constructions, which pick their target by it."""
-    if construction not in _READS:
-        raise InputError(f"unknown construction {construction!r}")
-    return _READS[construction] + (("z_choice",) if construction in ("thm3", "thm4") else ())
+             "step_scale": 1.0, "z_choice": None}
 
 
 def _param_value(key: str, value):
@@ -152,14 +145,16 @@ def parse_spec_file(path: str) -> ExperimentSpec:
     return spec
 
 
-def build_instance(construction: str, point: dict, seed: int, z_choice: Optional[int],
+def build_instance(construction: str, point: dict, seed: int, *,
                    certificate: bool = True) -> GeneratedInstance:
     """The construction's instance at a sweep point; the one map from construction to generator.
 
-    ``z_choice``, not the point's, picks the two-server target.  With ``certificate``
-    False, a construction whose bound reads no certificate (thm3) builds none.
+    With ``certificate`` False, the jump constructions (thm3, thm4) leave the offline
+    trajectory off the trace; their bound is the same.
     """
-    unread = sorted(set(point) - set(_point_keys(construction)))  # raises if unknown
+    if construction not in _READS:
+        raise InputError(f"unknown construction {construction!r}")
+    unread = sorted(set(point) - set(_READS[construction]))
     if unread:
         raise InputError(f"parameter {unread[0]} is not read by construction {construction}")
     p = dict(_DEFAULTS)
@@ -170,9 +165,9 @@ def build_instance(construction: str, point: dict, seed: int, z_choice: Optional
             raise InputError(f"construction {construction} needs {key}")
         args[key] = p[key]
     if construction == "thm3":
-        return gen_thm3(**args, seed=seed, z_choice=z_choice, certificate=certificate)
+        return gen_thm3(**args, seed=seed, certificate=certificate)
     if construction == "thm4":
-        return gen_thm4(**args, seed=seed, z_choice=z_choice)
+        return gen_thm4(**args, seed=seed, certificate=certificate)
     if construction == "simple-cx":
         return gen_simple_counterexample(**args)
     n, step_scale = args.pop("n"), args.pop("step_scale")
@@ -232,9 +227,9 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
     else:
         enumerate_targets = (spec.construction in ("thm3", "thm4") and "z_choice" not in point
                              and int(point.get("k", 2)) == 2)
-        z_choices = range(TWO_SERVER_CHOICES) if enumerate_targets else [point.get("z_choice")]
-        insts = [build_instance(spec.construction, point, seed, None if zc is None else int(zc),
-                                certificate=False) for zc in z_choices]
+        points = ([dict(point, z_choice=zc) for zc in range(TWO_SERVER_CHOICES)]
+                  if enumerate_targets else [point])
+        insts = [build_instance(spec.construction, p, seed, certificate=False) for p in points]
         runs = [(inst.trace, inst.params) for inst in insts]
         # Every choice shares the construction's bound.
         reference = insts[-1].offline_cost_bound

@@ -377,17 +377,19 @@ class TestOneConstruction:
             "movement cap must be nonnegative", "needs mc >= ms")}
 
     def test_thm3_without_its_certificate_is_the_same_instance(self):
-        def stripped(*args, **kw):
-            inst = gen_thm3(*args, **kw)
+        # thm4 too: at k>2 it builds the certificate for its bound, then leaves it off.
+        def stripped(gen, *args, **kw):
+            inst = gen(*args, **kw)
             assert inst.trace.certificate is not None
             return dataclasses.replace(inst, trace=dataclasses.replace(inst.trace,
                                                                        certificate=None))
 
         for k, ms, D, seed in itertools.product((2, 4, 8), (1.0, 0.3), (1.0, 2.5), (None, 0, 7)):
             for z_choice in (None, 0, 1, 2, 3) if k == 2 else (None,):
-                kw = dict(D=D, ms=ms, seed=seed, z_choice=z_choice)
-                bare, full = gen_thm3(k, 16, certificate=False, **kw), stripped(k, 16, **kw)
-                assert bare.trace.certificate is None
-                assert bare.offline_cost_bound.hex() == full.offline_cost_bound.hex()
-                assert (outcome(gen_thm3, k, 16, certificate=False, **kw)
-                        == outcome(stripped, k, 16, **kw))
+                kw = dict(seed=seed, z_choice=z_choice)
+                for gen, args in ((gen_thm3, (k, 16, D, ms)), (gen_thm4, (k, 16, ms, 2.0, D))):
+                    bare, full = gen(*args, certificate=False, **kw), stripped(gen, *args, **kw)
+                    assert bare.trace.certificate is None
+                    assert bare.offline_cost_bound.hex() == full.offline_cost_bound.hex()
+                    assert (outcome(gen, *args, certificate=False, **kw)
+                            == outcome(stripped, gen, *args, **kw))

@@ -109,17 +109,21 @@ class TestRunExperiment:
         assert json.dumps(agg1, sort_keys=True) == json.dumps(agg2, sort_keys=True)
 
     def test_a_thm3_sweep_builds_no_certificate(self, monkeypatch):
-        spec = ExperimentSpec(construction="thm3", algo="ums", sim="dc-line",
-                              base={"x": 16, "ms": 1.0, "delta": 0.5}, seeds=[1, 2],
-                              sweep={"k": [2, 3, 8]})
-        _, want = run_experiment(spec)
+        # thm4 at k=2 too: its bound is closed-form there, as thm3's is at every k.
+        specs = [ExperimentSpec(construction="thm3", algo="ums", sim="dc-line",
+                                base={"x": 16, "ms": 1.0, "delta": 0.5}, seeds=[1, 2],
+                                sweep={"k": [2, 3, 8]}),
+                 ExperimentSpec(construction="thm4", algo="ums", sim="dc-line",
+                                base={"k": 2, "x": 32, "ms": 1.0}, seeds=[1, 2],
+                                sweep={"mc": [2.0, 4.0]})]
+        wants = [json.dumps(run_experiment(spec)[1], sort_keys=True) for spec in specs]
 
         def refuse(*args):
             raise AssertionError("the sweep built a certificate")
 
         monkeypatch.setattr("kmobile.adversary._follow_certificate", refuse)
-        _, got = run_experiment(spec)
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for spec, want in zip(specs, wants):
+            assert json.dumps(run_experiment(spec)[1], sort_keys=True) == want
 
     def test_thm4_locality_sweep_ratios_increase(self):
         spec = ExperimentSpec(construction="thm4", algo="ums", sim="dc-line",
@@ -175,7 +179,7 @@ class TestRunExperiment:
                               base={"k": 2, "ms": 1.0, "mc": 1.2, "x": 16})
         record = run_point(spec, spec.base, 0)
         runs = [run_mobile(inst.trace, inst.params, sim="dc-line")
-                for inst in (build_instance("thm4", spec.base, 0, zc) for zc in range(4))]
+                for inst in (build_instance("thm4", dict(spec.base, z_choice=zc), 0) for zc in range(4))]
         margins = [check_fast_potential(res).min_margin for res in runs]
         assert record.checks["fast_potential_min_margin"] == min(margins)
         # ok folds with all, a min margin with min (a negative one stays), the rest with max
