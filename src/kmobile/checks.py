@@ -239,12 +239,13 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
     violations: list[int] = []
     cap_violations: list[int] = []
     max_disp = 0.0
-    disps = caps = own_cap = None
+    disps = caps = own_cap = prev = None
     # "not <=" so that a NaN displacement, which compares false with
     # everything, counts as a violation.  max() keeps its first argument
     # against a NaN, so a NaN is put first here and then stays.
     for t, rep in enumerate(result.reports, 1):
-        if rep.displacements != disps or rep.caps != caps:  # else the last verdicts repeat
+        # The last verdicts repeat for the last report itself, or one with equal lists.
+        if rep is not prev and (rep.displacements != disps or rep.caps != caps):
             disps, caps, over, own_over = rep.displacements, rep.caps, 0, 0
             for disp, cap_i in zip(disps, caps):
                 max_disp = max(max_disp, disp)
@@ -259,6 +260,7 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
         if over or own_over:
             violations += [t] * over
             cap_violations += [t] * own_over
+        prev = rep
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
                       cap_violations=cap_violations)
 

@@ -415,15 +415,21 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     params = start = None
     requests: dict[int, Point] = {}
     cert: dict[int, Config] = {}
+    scan = json.JSONDecoder().scan_once  # json.loads's scanner, without its checks around it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end != len(line):  # json.loads says what is wrong, in its words
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+                    raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
             try:

@@ -240,9 +240,9 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
     all_checks: dict = {}
     for trace, params in runs:
         result = run_mobile(trace, params, algo=spec.algo, sim=spec.sim, project=spec.project)
-        costs.append(result.grand_total)
-        serving += result.serving_total
-        movement += result.movement_total
+        run_serving, run_movement = result.serving_total, result.movement_total
+        costs.append(run_serving + params.D * run_movement)  # grand_total's own sum
+        serving, movement = serving + run_serving, movement + run_movement
         for key, val in _run_checks(result).items():
             all_checks[key] = _fold(key, all_checks[key], val) if key in all_checks else val
     mean_cost = sum(costs) / len(costs)

@@ -50,6 +50,11 @@ class GuidanceSimulator:
     def step(self, r: Point) -> SimStep:
         raise NotImplementedError
 
+    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        """The SimStep that m more ``step(r)`` calls would each return, one object holding
+        the last positions, having done what they do; else None, doing nothing, as here."""
+        return None
+
 
 class GreedyServer(GuidanceSimulator):
     """The nearest server (lowest index on ties) jumps onto the request."""
@@ -80,6 +85,9 @@ class DoubleCoverageLine(GuidanceSimulator):
             raise InputError("double coverage requires dimension 1")
         self.positions = tuple(sorted(start))
         self._request: Optional[Point] = None
+
+    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        return self._repeat if r is self._request else None
 
     def step(self, r: Point) -> SimStep:
         # The very request of the last step moves nothing, as the full step

@@ -12,8 +12,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, count, repeat
-from operator import is_
+from itertools import chain, compress, count, pairwise, repeat
+from operator import is_, is_not
 from typing import Optional, Sequence, Union
 
 from kmobile.core import (
@@ -200,6 +200,8 @@ class RunResult:
     @classmethod
     def from_dict(cls, obj: dict) -> "RunResult":
         """Inverse of to_dict; a missing or malformed field raises InputError."""
+        if type(obj) is not dict:
+            raise InputError(f"run record must be a JSON object, got {type(obj).__name__}")
         try:
             params = ProblemParams.from_dict(obj["params"])
             reports = _read_steps(obj["steps"], params.k, params.dim)
@@ -240,6 +242,8 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
     step's values sit side by side; only a failed check looks for the
     first bad value, to name its step.
     """
+    if type(steps) is not list:
+        raise InputError(f"run record steps must be a list, got {type(steps).__name__}")
     def check(ok: bool, values: list, width: int, bad, what: str) -> None:
         """Unless ``ok``, fail at the step of the first value that is ``bad``."""
         if not ok:
@@ -381,6 +385,26 @@ class MobileRun:
         self._settled = movement == 0.0 and all(map(is_, new_pos, targets))
         return rep
 
+    def steps(self, r: Point, m: int) -> None:
+        """m calls of ``step(r)``; once one repeats the last report, the guidance may
+        take the rest at once (``GuidanceSimulator.repeat``), each repeating it again."""
+        last = self.reports[-1] if self.reports else None
+        for left in range(m - 1, -1, -1):
+            rep = self.step(r)
+            if rep is last and left:
+                sim_step = self.sim.repeat(r, left)
+                if sim_step is None:  # the guidance is asked once a block
+                    for _ in range(left):
+                        self.step(r)
+                elif sim_step is self._sim_step:
+                    self.reports += repeat(rep, left)
+                    self.t += left
+                else:
+                    raise ContractViolationError(
+                        f"guidance repeat at step {self.t} is a SimStep other than its last")
+                return
+            last = rep
+
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
         """``core.move_toward`` of each server with its target and cap, and how far it went.
 
@@ -483,8 +507,14 @@ def run(trace: Trace, params: ProblemParams, algo: str = "ums",
     if project_on:
         simulator = ProjectionWrapper(simulator, params, algo == "wms")
     mrun = MobileRun(params, algo, simulator, trace.start_config)
-    for r in trace.requests:
-        mrun.step(r)
+    # Step through each block of one request object, from where it starts to the next.
+    requests = trace.requests
+    starts = compress(count(), map(is_not, [None, *requests], requests))
+    for i, end in pairwise(chain(starts, [len(requests)])):
+        if end - i > 1:
+            mrun.steps(requests[i], end - i)
+        else:
+            mrun.step(requests[i])
     audit = None
     if project_on:
         audit = {

@@ -10,9 +10,11 @@ away from the phase anchor.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Optional
 
-from kmobile.core import Point, ProblemParams, check_dims, move_toward
+from kmobile.core import ContractViolationError, Point, ProblemParams, check_dims, move_toward
 from kmobile.kserver import GuidanceSimulator, SimStep
 
 
@@ -92,6 +94,19 @@ class ProjectionWrapper(GuidanceSimulator):
         self.max_request_distance = max(self.max_request_distance, max(dists))
         self._last = (r, c, SimStep(self.positions, serving, 0.0))
         return SimStep(self.positions, serving, movement)
+
+    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        """m of step's repeat path: each sum gains its share m times, in turn."""
+        last = self._last
+        raw = None if last is None or r is not last[0] else self.sim.repeat(r, m)
+        if raw is None:
+            return None
+        if raw.positions is not last[1]:  # the guidance took steps this would not repeat
+            raise ContractViolationError("a guidance repeat holds positions other than its last")
+        self.raw_serving = reduce(add, [raw.serving] * m, self.raw_serving)
+        self.raw_movement = reduce(add, [raw.movement] * m, self.raw_movement)
+        self.proj_serving = reduce(add, [last[2].serving] * m, self.proj_serving)
+        return last[2]
 
     def raw_cost(self) -> float:
         return self.raw_serving + self.params.D * self.raw_movement

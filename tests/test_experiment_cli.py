@@ -557,6 +557,22 @@ class TestCli:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"input error: {run_path}: the run record has no steps\n")
 
+    @pytest.mark.parametrize("shape,message", [
+        ("array", "run record must be a JSON object, got list"),
+        ("null-steps", "run record steps must be a list, got NoneType"),
+        ("object-steps", "run record steps must be a list, got dict"),
+    ])
+    def test_verify_names_a_malformed_record_shape(self, valid_records, tmp_path, capsys,
+                                                   shape, message):
+        record = valid_records[0][1]
+        record = {"array": [record], "null-steps": dict(record, steps=None),
+                  "object-steps": dict(record, steps={})}[shape]
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(record))
+        assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"input error: {message}\n")
+
     def test_fast_potential_counts_a_nan_margin_as_a_violation(self, valid_records, tmp_path,
                                                               capsys):
         record = copy.deepcopy(valid_records[0][1])

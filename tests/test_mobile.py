@@ -29,6 +29,7 @@ from kmobile.experiment import ExperimentSpec, build_instance, fmt, run_experime
 from kmobile.kserver import (
     DoubleCoverageLine,
     GreedyServer,
+    GuidanceSimulator,
     PageMigrationCounter,
     ScriptedSimulator,
     SimStep,
@@ -830,3 +831,128 @@ def counted_run(trace, p, **kw):
 
     with mock.patch("kmobile.mobile.min_weight_matching", counted):
         return run(trace, p, **kw), len(calls)
+
+
+def per_step():
+    """Patches under which no guidance takes repeats in bulk: each step runs."""
+    stack = contextlib.ExitStack()
+    for cls in (GuidanceSimulator, DoubleCoverageLine, ProjectionWrapper):
+        stack.enter_context(mock.patch.object(cls, "repeat", lambda self, r, m: None))
+    return stack
+
+
+def report_pattern(reports):
+    """Each report as the index of the first step that holds the same object."""
+    first = {}
+    return [first.setdefault(id(rep), i) for i, rep in enumerate(reports)]
+
+
+def bulk_cases():
+    for k in (2, 4, 8):
+        for project in ("on", "off"):
+            yield pytest.param(instance(gen_thm3, k, 16, seed=k),
+                               dict(algo="ums", sim="dc-line", project=project),
+                               id=f"thm3-k{k}-{project}")
+    for k in (2, 4):
+        yield pytest.param(instance(gen_thm4, k, 16, ms=1.0, mc=2.0, seed=k),
+                           dict(algo="ums", sim="dc-line", project="on"), id=f"thm4-k{k}")
+    for project in ("on", "off"):
+        yield pytest.param(dc_signed_zero_trace, dict(project=project),
+                           id=f"dc-signed-zero-{project}")
+    walk = [case for case in fresh_copy_cases() if case.id == "repeated-walk"][0]
+    yield pytest.param(*walk.values[:2], id="repeated-walk")
+
+
+class TestBulkRepeats:
+    @pytest.mark.parametrize("make,kw", bulk_cases())
+    def test_bulk_repeats_give_the_bytes_of_single_steps(self, make, kw):
+        res = run(*make(), **kw)
+        with per_step():
+            ref = run(*make(), **kw)
+        assert res.to_json({}) == ref.to_json({}) and _steps_csv(res) == _steps_csv(ref)
+        assert list(map(report_bits, res.reports)) == list(map(report_bits, ref.reports))
+        audits = res.projection_audit, ref.projection_audit
+        assert (audits[0] is None) == (audits[1] is None)
+        if audits[0] is not None:
+            assert bits(list(audits[0].values())) == bits(list(audits[1].values()))
+            assert list(audits[0]) == list(audits[1])
+        assert report_pattern(res.reports) == report_pattern(ref.reports)
+        assert distinct(res.reports) < len(res.reports)
+
+    def test_double_coverage_steps_a_few_of_a_thm3_run(self):
+        inst = gen_thm3(8, 32, seed=5)
+        step, calls = DoubleCoverageLine.step, []
+
+        def counted(self, r):
+            calls.append(1)
+            return step(self, r)
+
+        with mock.patch.object(DoubleCoverageLine, "step", counted):
+            res = run(inst.trace, inst.params, algo="ums", sim="dc-line", project="on")
+        assert len(res.reports) == len(inst.trace)
+        assert len(calls) < len(inst.trace) / 10
+
+    def test_a_repeat_other_than_the_last_sim_step_breaks_the_contract(self):
+        class FreshRepeat(DoubleCoverageLine):
+            def repeat(self, r, m):
+                return SimStep(*self._repeat)
+
+        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
+        trace = Trace(repeated([(0.0,), (1.0,)], 5), ((0.0,), (0.0,)))
+        with pytest.raises(ContractViolationError, match="other than its last"):
+            run(trace, p, algo="ums", sim=FreshRepeat(trace.start_config), project="off")
+
+    def test_the_projection_changes_nothing_unless_it_repeats(self):
+        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
+        r, other = (0.5,), tuple([0.5])  # equal, but not the last request object
+        keys = ("raw_serving", "raw_movement", "proj_serving", "proj_movement",
+                "max_request_distance", "phase_ends", "positions")
+        for inner, request in ((GreedyServer(((0.0,), (3.0,))), r),
+                               (DoubleCoverageLine(((0.0,), (3.0,))), other)):
+            wrapper = ProjectionWrapper(inner, p, weighted=False)
+            for _ in range(3):
+                wrapper.step(r)
+            before = [bits(getattr(wrapper, key)) for key in keys], inner.positions
+            assert wrapper.repeat(request, 5) is None
+            assert ([bits(getattr(wrapper, key)) for key in keys], inner.positions) == before
+
+    def test_the_projection_refuses_a_repeat_that_moved_the_guidance(self):
+        class Moved(DoubleCoverageLine):
+            def repeat(self, r, m):
+                return SimStep(tuple(list(self.positions)), 0.0, 0.0)
+
+        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
+        wrapper = ProjectionWrapper(Moved(((0.0,), (3.0,))), p, weighted=False)
+        r = (0.5,)
+        wrapper.step(r)
+        with pytest.raises(ContractViolationError, match="positions other than its last"):
+            wrapper.repeat(r, 4)
+
+    def test_the_projection_sums_each_repeat_in_turn(self):
+        class Fixed(GuidanceSimulator):
+            """One SimStep, with costs, for every step and repeat."""
+
+            def __init__(self, start):
+                self._start(start)
+                self.sim_step = SimStep(self.positions, 0.2, 0.7)
+
+            def step(self, r):
+                return self.sim_step
+
+            def repeat(self, r, m):
+                return self.sim_step
+
+        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
+        r, m = (0.1,), 7
+        bulk, single = (ProjectionWrapper(Fixed(((0.0,), (3.0,))), p, False) for _ in range(2))
+        bulk.step(r)
+        single.step(r)
+        last = bulk.repeat(r, m)
+        assert last is bulk._last[2] and last.serving == 0.1
+        assert all(single.step(r) is single._last[2] for _ in range(m))
+        keys = ("raw_serving", "raw_movement", "proj_serving", "proj_movement")
+        assert [bits(getattr(bulk, key)) for key in keys] == \
+            [bits(getattr(single, key)) for key in keys]
+        # m times the cost, added once, would round otherwise.
+        assert bulk.raw_serving != 0.2 + m * 0.2 and bulk.raw_movement != 0.7 + m * 0.7
+        assert bulk.proj_serving != 0.1 + m * 0.1

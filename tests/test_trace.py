@@ -162,6 +162,32 @@ def test_read_trace_refuses_a_second_header_line(tmp_path, capsys):
     assert err.startswith(f"input error: {path}:3: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("line,message", [
+    ('{"t": 2, "r": [1.0]} x', "invalid JSON: Extra data: line 1 column 22 (char 21)"),
+    ('{"t": 2, "r": [1.0]} {"t": 3, "r": [2.0]}',
+     "invalid JSON: Extra data: line 1 column 22 (char 21)"),
+    ("[1.0, 2.0]", "expected a JSON object, got [1.0, 2.0]"),
+    ('{"t": 2, "r": [NaN]}', "non-finite coordinate in point (nan,)"),
+    ('{"t": 2, "r": [' + "1" * 5000 + "]}",
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value has "
+     "5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ('{"t": 2, "r": "abc', "invalid JSON: Unterminated string starting at: line 1 column 15 "
+     "(char 14)"),
+    ('\ufeff{"t": 2, "r": [1.0]}', "invalid JSON: Unexpected UTF-8 BOM (decode using "
+     "utf-8-sig): line 1 column 1 (char 0)"),
+], ids=["trailing-garbage", "two-objects", "bare-array", "nan", "5000-digits",
+        "unterminated-string", "bom"])
+def test_read_trace_names_a_malformed_line_in_json_words(tmp_path, line, message):
+    header = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0,
+              "start": [[0.0]]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([json.dumps(header), json.dumps({"t": 1, "r": [0.0]}), line])
+                    + "\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        read_trace(str(path))
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
 def test_run_totals_are_step_sums():
     inst = gen_thm4(2, 16, ms=1.0, mc=2.0, D=2.0, seed=1)
     res = run(inst.trace, inst.params, algo="wms", sim="dc-line")
