@@ -143,7 +143,7 @@ def _load_run(path: str) -> RunResult:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, an integer of too many digits, or not UTF-8
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     result = RunResult.from_dict(obj)
     if not result.reports:  # every run has a step: validate_trace refuses an empty trace
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except KMobileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

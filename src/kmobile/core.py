@@ -432,20 +432,20 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
                     raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
+            # A line is read by its exact keys: a step line has "t" and one other, and
+            # the header every parameter (from_dict requires each) and "start".
             try:
-                if "start" in obj:
+                if len(obj) == 2 and "r" in obj and "t" in obj:
+                    _put_step(requests, as_int(obj["t"], "t"), as_point(obj["r"]))
+                elif len(obj) == 2 and "o" in obj and "t" in obj:
+                    _put_step(cert, as_int(obj["t"], "t"), tuple(as_point(p) for p in obj["o"]))
+                elif "start" in obj and len(obj) == len(dataclasses.fields(ProblemParams)) + 1:
                     if params is not None:
                         raise InputError("a second header line")
                     params = ProblemParams.from_dict(obj)
                     start = tuple(as_point(p) for p in obj["start"])
-                elif "r" in obj:
-                    _put_step(requests, as_int(obj["t"], "t"), as_point(obj["r"]))
-                elif "o" in obj:
-                    _put_step(cert, as_int(obj["t"], "t"), tuple(as_point(p) for p in obj["o"]))
                 else:
                     raise InputError(f"unrecognized record {sorted(obj)}")
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: record misses field {exc}") from exc
             except (InputError, OverflowError, TypeError, ValueError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
     if params is None:

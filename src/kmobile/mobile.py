@@ -30,7 +30,7 @@ from kmobile.core import (
     validate_trace,
 )
 from kmobile.kserver import GuidanceSimulator, SimStep, default_sim_tag, make_simulator
-from kmobile.projection import ProjectionWrapper, outer_radius
+from kmobile.projection import AUDIT_KEYS, ProjectionWrapper
 
 ALGO_TAGS = ("ums", "wms", "simple")
 BRANCH_TAGS = ("matched", "greedy", "tentative", "fallback", "matching-only")
@@ -98,11 +98,6 @@ STEP_FIELDS = {
     "a": ("positions", "config"),
     "c": ("sim_positions", "config"),
 }
-
-# The numbers in the projection audit of a run with the projection on.
-AUDIT_KEYS = ("max_hat_request_distance", "radius_bound", "raw_cost", "projected_cost",
-              "phase_ends")
-
 
 @dataclass
 class RunResult:
@@ -341,39 +336,37 @@ class MobileRun:
 
         A step is a function of the positions, request and guidance, and a
         settled step left the positions it started from, its targets
-        object for object.  So a step given the last step's request and
-        guidance objects repeats that step's numbers and positions, and one
-        given its very ``SimStep`` too repeats its report, which is appended again.
+        object for object.  So a settled step's repeat, given its very
+        request and guidance positions, repeats its report: the very report
+        for its very ``SimStep``, else a copy with this ``SimStep``'s numbers.
         """
         self.t += 1
-        dim = self.params.dim
+        dim, D = self.params.dim, self.params.D
         last = self.reports[-1] if self.reports else None
         if last is None or r is not last.request:
             check_dims((r,), dim)
         sim_step = self.sim.step(r)
-        if self._settled and sim_step is self._sim_step and r is last.request:
+        c = sim_step.positions
+        if self._settled and r is last.request and c is last.sim_positions:
+            if sim_step is not self._sim_step:
+                self._sim_step = sim_step
+                last = StepReport(
+                    r, last.perm, last.branch, last.mover, last.caps, last.displacements,
+                    last.serving, last.movement, last.cost, sim_step.serving, sim_step.movement,
+                    sim_step.serving + D * sim_step.movement, last.matched_sum, last.positions, c)
             self.reports.append(last)
             return last
         self._sim_step = sim_step
-        c = sim_step.positions
         if last is None or c is not last.sim_positions:
             check_dims(c, dim)
-        if self._settled and r is last.request and c is last.sim_positions:
-            perm, branch, mover = last.perm, last.branch, last.mover
-            targets = new_pos = last.positions
-            caps, disps = last.caps, last.displacements
-            serving, matched_sum = last.serving, last.matched_sum
-        else:
-            perm = min_weight_matching(self.positions, c).perm
-            matched = [c[j] for j in perm]
-            branch, mover, caps, targets, moved = self._POLICIES[self.algo](
-                self, r, c, perm, matched)
-            new_pos, disps = moved or self._apply(targets, caps)
-            serving = min(math.dist(p, r) for p in new_pos)
-            matched_sum = sum(map(math.dist, new_pos, matched))
+        perm = min_weight_matching(self.positions, c).perm
+        matched = [c[j] for j in perm]
+        branch, mover, caps, targets, moved = self._POLICIES[self.algo](self, r, c, perm, matched)
+        new_pos, disps = moved or self._apply(targets, caps)
+        serving = min(math.dist(p, r) for p in new_pos)
+        matched_sum = sum(map(math.dist, new_pos, matched))
         self.positions = new_pos
         movement = sum(disps)
-        D = self.params.D
         rep = StepReport(
             request=r, perm=perm, branch=branch, mover=mover,
             caps=caps, displacements=disps, serving=serving, movement=movement,
@@ -515,14 +508,6 @@ def run(trace: Trace, params: ProblemParams, algo: str = "ums",
             mrun.steps(requests[i], end - i)
         else:
             mrun.step(requests[i])
-    audit = None
-    if project_on:
-        audit = {
-            "max_hat_request_distance": simulator.max_request_distance,
-            "radius_bound": outer_radius(params, algo == "wms"),
-            "raw_cost": simulator.raw_cost(),
-            "projected_cost": simulator.projected_cost(),
-            "phase_ends": simulator.phase_ends,
-        }
     return RunResult(algo=algo, sim_tag=sim_tag, params=params, reports=mrun.reports,
-                     psi0_matched_sum=mrun.psi0_matched_sum, projection_audit=audit)
+                     psi0_matched_sum=mrun.psi0_matched_sum,
+                     projection_audit=simulator.audit() if project_on else None)

@@ -32,6 +32,11 @@ def outer_radius(params: ProblemParams, weighted: bool) -> float:
     return (8.0 * params.k + 1.0) * params.mc
 
 
+# The numbers in the projection audit of a run with the projection on.
+AUDIT_KEYS = ("max_hat_request_distance", "radius_bound", "raw_cost", "projected_cost",
+              "phase_ends")
+
+
 class ProjectionWrapper(GuidanceSimulator):
     """Wraps a simulator; exposes the projected servers as its positions.
 
@@ -108,8 +113,9 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_serving = reduce(add, [last[2].serving] * m, self.proj_serving)
         return last[2]
 
-    def raw_cost(self) -> float:
-        return self.raw_serving + self.params.D * self.raw_movement
-
-    def projected_cost(self) -> float:
-        return self.proj_serving + self.params.D * self.proj_movement
+    def audit(self) -> dict:
+        """The run record's projection audit: each of AUDIT_KEYS with its number."""
+        D = self.params.D
+        return dict(zip(AUDIT_KEYS, (
+            self.max_request_distance, self.outer, self.raw_serving + D * self.raw_movement,
+            self.proj_serving + D * self.proj_movement, self.phase_ends)))

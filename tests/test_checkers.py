@@ -18,7 +18,7 @@ from kmobile.checks import (
 )
 from kmobile.core import InputError, ProblemParams, Trace
 from kmobile.mobile import run
-from kmobile.offline import compute_helper
+from kmobile.offline import HelperTrajectory, compute_helper, step_geometry
 
 
 def params(**kw):
@@ -185,6 +185,23 @@ class TestSlowPotential:
         wgt = check_slow_potential(res, helper, trace.start_config, sigma=1e-4)
         assert wgt.boundary_gap <= 1e-6
         assert wgt.phi_threshold == unw.phi_threshold * res.params.D
+
+    def test_phi_is_quadratic_beyond_its_threshold(self):
+        # One step at rest on the request, so only phi moves: the helper starts 5 away from
+        # the online server, beyond the threshold, and ends 0.2 away, inside it.
+        p = params(k=1, ms=0.5, mc=1.0, delta=0.5)
+        sigma, start = 2.5e-6, ((0.0,),)
+        res = run(Trace(requests=[(0.0,)], start_config=start), p, algo="ums", sim="greedy")
+        step = res.reports[0]
+        assert (step.cost, step.sim_cost, step.matched_sum, res.psi0_matched_sum) == (0, 0, 0, 0)
+        helper = HelperTrajectory(start=(5.0,), positions=[(0.2,)], modes=["hand"],
+                                  geometry=[step_geometry(start, start, (0.0,), p, sigma)])
+        rep = check_slow_potential(res, helper, start, y=1.0, sigma=sigma)
+        threshold = 107548.0 * sigma * 1 * 1.0 / 0.5 ** 2
+        assert rep.phi_threshold == pytest.approx(threshold, rel=1e-15) and threshold < 5.0
+        dm = 0.5 * 0.5  # delta * ms
+        phi_start = 4.0 / dm * 5.0 ** 2 - 4.0 * (threshold ** 2 / dm - threshold)
+        assert rep.margins == [(1, pytest.approx(phi_start - 4.0 * 0.2, rel=1e-12))]
 
     def test_planar_start_on_a_line_run_is_an_input_error(self):
         res, helper, _ = self._slow_run(1e-4)

@@ -573,6 +573,33 @@ class TestCli:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"input error: {message}\n")
 
+    def test_verify_names_a_step_missing_a_field(self, valid_records, tmp_path, capsys):
+        record = copy.deepcopy(valid_records[0][1])
+        del record["steps"][2]["t"]
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(record))
+        assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("input error: run record step 3: a step needs the field 't', got {")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep", "optimum", "psi0-digits"])
+    def test_input_json_cannot_read_exits_2(self, valid_records, tmp_path, capsys, command):
+        # Bytes that are not UTF-8 for each command that reads a file, and a record
+        # holding an integer too long for int() to convert.
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff\xfe{}\n")
+        verify = ["verify", "--property", "fast-potential", "--run", str(path)]
+        argv = {"simulate": ["simulate", "--trace", str(path)], "verify": verify,
+                "sweep": ["sweep", "--spec", str(path)], "psi0-digits": verify,
+                "optimum": ["optimum", "--trace", str(path), "--grid", "0.5"]}[command]
+        if command == "psi0-digits":
+            text = json.dumps(dict(valid_records[0][1], psi0_matched_sum="PSI0"))
+            path.write_text(text.replace('"PSI0"', "1" * 5000))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1, err
+
     def test_fast_potential_counts_a_nan_margin_as_a_violation(self, valid_records, tmp_path,
                                                               capsys):
         record = copy.deepcopy(valid_records[0][1])

@@ -186,6 +186,28 @@ class TestHelperBehavior:
         assert a.speed_violations == 0
         assert a.max_speed <= helper_speed_cap(p, SIGMA) + 1e-9
 
+    @pytest.mark.parametrize("offline,online,r,start,pos,broken", [
+        ((0.0,), (5.0,), (0.0,), (0.0,), (5.0,), "speed_violations"),
+        ((0.0,), (500.0,), (0.0,), (-0.3,), (0.3,), "guard_speed_violations"),
+        ((10.0,), (10.0,), (10.0,), (0.0,), (0.0,), "distance_bound_violations"),
+    ])
+    def test_a_hand_built_helper_that_breaks_one_invariant_is_counted_once(
+            self, offline, online, r, start, pos, broken):
+        # At k=1 and this sigma the speed cap is 4.04, the follow speed 0.53125, the
+        # guard engages at d_oa >= 411.864, and the outer radius is d_oa / 96.
+        p = params(k=1)
+        assert (helper_speed_cap(p, SIGMA), follow_speed(p)) == (4.04, 0.53125)
+        geo = step_geometry((offline,), (online,), r, p, SIGMA)
+        helper = HelperTrajectory(start=start, positions=[pos], modes=["hand"], geometry=[geo])
+        a = audit_helper(helper, [(online,)], [r], p, SIGMA)
+        counts = {key: getattr(a, key) for key in (
+            "speed_violations", "guard_speed_violations", "containment_violations",
+            "distance_bound_violations")}
+        assert counts == dict(dict.fromkeys(counts, 0), **{broken: 1})
+        assert a.guard_fired == (broken == "guard_speed_violations")
+        # The distance bound is counted, not failed.
+        assert a.ok() == (broken == "distance_bound_violations")
+
 
 # ---------------------------------------------------------------------------
 # Reference: the helper as a hierarchy of plan classes, which

@@ -75,8 +75,9 @@ def test_containment_bound_on_drift_run():
         wrap.step((float(t),))
     assert wrap.max_request_distance <= outer_radius(pr, False) + 1e-9
     assert wrap.phase_ends > 10
-    assert wrap.raw_cost() > 0
-    assert wrap.projected_cost() / wrap.raw_cost() <= 10 * pr.k
+    audit = wrap.audit()
+    assert audit["raw_cost"] > 0
+    assert audit["projected_cost"] / audit["raw_cost"] <= 10 * pr.k
 
 
 def test_weighted_radii_used_when_weighted():

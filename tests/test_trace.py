@@ -188,6 +188,40 @@ def test_read_trace_names_a_malformed_line_in_json_words(tmp_path, line, message
     assert str(exc.value) == f"{path}:3: {message}"
 
 
+TRACE_HEADER = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0, "start": [[0.0]]}
+
+
+@pytest.mark.parametrize("lineno,line", [
+    (1, dict(TRACE_HEADER, typo=3)),
+    (2, {"t": 1, "r": [0.5], "o": [[0.5]]}),
+    (2, {"t": 1, "r": [0.5], "typo": 3}),
+    (3, {"t": 1, "o": [[0.5]], "typo": 3}),
+    (2, {"r": [0.5]}),
+    (2, {"t": 1}),
+], ids=["header-extra-key", "request-with-configuration", "request-extra-key",
+        "certificate-extra-key", "request-without-t", "t-alone"])
+def test_read_trace_reads_a_line_only_by_its_exact_keys(tmp_path, capsys, lineno, line):
+    lines = [TRACE_HEADER, {"t": 1, "r": [0.5]}, {"t": 1, "o": [[0.5]]}]
+    lines[lineno - 1] = line
+    path = tmp_path / "keys.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    assert main(["simulate", "--trace", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: {path}:{lineno}: unrecognized record {sorted(line)}\n")
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([TRACE_HEADER], "no request lines"),
+    ([TRACE_HEADER, {"t": 1, "r": [0.5]}, {"t": 2, "r": [0.5]}, {"t": 2, "o": [[0.5]]}],
+     "certificate steps are not contiguous 1..2"),
+], ids=["header-only", "certificate-gap"])
+def test_read_trace_names_a_trace_missing_steps(tmp_path, capsys, lines, message):
+    path = tmp_path / "steps.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    assert main(["simulate", "--trace", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"input error: {path}: {message}\n")
+
+
 def test_run_totals_are_step_sums():
     inst = gen_thm4(2, 16, ms=1.0, mc=2.0, D=2.0, seed=1)
     res = run(inst.trace, inst.params, algo="wms", sim="dc-line")
