@@ -22,6 +22,7 @@ from kmobile.core import (
     certificate_cost,
     move_toward,
     positive,
+    total,
 )
 
 # Number of enumerable target choices in the two-server jump/walk
@@ -136,7 +137,7 @@ def gen_thm3(k: int, x: int, D: float = 1.0, ms: float = 1.0, *,
     if k == 2:
         bound, lower = D * x * ms, x * x * ms / 264.0
     else:
-        bound, lower = D * sum(abs(z) for z in zs), None
+        bound, lower = D * total(map(abs, zs)), None
     choices["phase2_start"] = choices["phase1_len"] + 1
     return GeneratedInstance("thm3", trace, params, bound, lower, choices)
 
@@ -200,7 +201,7 @@ def gen_simple_counterexample(x: int, y: int, ms: float = 1.0) -> GeneratedInsta
 def _unit_direction(rng: random.Random, dim: int) -> list[float]:
     while True:
         v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-        norm = math.sqrt(sum(c * c for c in v))
+        norm = math.sqrt(total(c * c for c in v))
         if norm > 1e-12:
             return [c / norm for c in v]
 

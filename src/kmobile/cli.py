@@ -19,6 +19,7 @@ from kmobile.core import (
     KMobileError,
     ResourceBudgetError,
     certificate_cost,
+    read_text,
     read_trace,
     validate_trace,
     write_trace,
@@ -140,11 +141,10 @@ def cmd_optimum(args) -> int:
 
 
 def _load_run(path: str) -> RunResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, an integer of too many digits, or not UTF-8
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        obj = json.loads(read_text(path))
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
     result = RunResult.from_dict(obj)
     if not result.reports:  # every run has a step: validate_trace refuses an empty trace
         raise InputError(f"{path}: the run record has no steps")
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except KMobileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

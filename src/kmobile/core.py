@@ -85,6 +85,13 @@ def check_dims(points: Iterable[Point], dim: int) -> None:
             raise InputError(f"point {p} has dimension {len(p)}, expected {dim}")
 
 
+def total(xs: Iterable[float], start=0):
+    """The left fold start + x1 + x2 + ...: 3.11's sum() bit for bit; 3.12's compensates."""
+    for x in xs:
+        start += x
+    return start
+
+
 def move_toward(p: Point, target: Point, cap: float) -> Point:
     """Move p toward target, by at most cap.
 
@@ -243,14 +250,14 @@ def certificate_cost(trace: Trace, params: ProblemParams) -> float:
     if len(start) != params.k:
         raise InputError(f"start config has {len(start)} servers, expected {params.k}")
     check_dims(itertools.chain(start, reqs, *cert), params.dim)
-    total, prev = 0.0, start
+    cost, prev = 0.0, start
     for t, (conf, r) in enumerate(zip(cert, reqs), 1):
         if len(conf) != params.k:
             raise InputError(f"certificate step {t} has {len(conf)} servers")
-        total += params.D * sum(map(math.dist, prev, conf))
-        total += min(math.dist(p, r) for p in conf)
+        cost += params.D * total(map(math.dist, prev, conf))
+        cost += min(math.dist(p, r) for p in conf)
         prev = conf
-    return total
+    return cost
 
 
 class Matching(NamedTuple):
@@ -308,7 +315,7 @@ def _assignment(cost: list[list[float]]) -> tuple[float, list[int]]:
         while j0 != n:               # flip the path's matched and unmatched edges
             row_of[j0], j0 = row_of[via[j0]], via[j0]
     cols = sorted(range(n), key=row_of.__getitem__)
-    return sum([cost[i][j] for i, j in enumerate(cols)], 0.0), cols
+    return total([cost[i][j] for i, j in enumerate(cols)], 0.0), cols
 
 
 def _non_decreasing(conf: Sequence[Point]) -> bool:
@@ -351,10 +358,7 @@ def min_weight_matching(a: Sequence[Point], b: Sequence[Point]) -> Matching:
     check_dims(a, dim)
     check_dims(b, dim)
     if dim == 1 and _non_decreasing(a) and _non_decreasing(b):
-        weight = 0.0
-        for p, q in zip(a, b):
-            weight += math.dist(p, q)
-        return Matching(tuple(range(k)), weight)
+        return Matching(tuple(range(k)), total(map(math.dist, a, b), 0.0))
     if k == 2:
         c00, c01 = math.dist(a[0], b[0]), math.dist(a[0], b[1])
         c10, c11 = math.dist(a[1], b[0]), math.dist(a[1], b[1])
@@ -411,43 +415,51 @@ def _repeat(prev: Point, p: Point) -> Point:
     return prev if p == prev and repr(p) == repr(prev) else p
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents, universal newlines read; not UTF-8 raises InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     params = start = None
     requests: dict[int, Point] = {}
     cert: dict[int, Config] = {}
     scan = json.JSONDecoder().scan_once  # json.loads's scanner, without its checks around it
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):  # json.loads says what is wrong, in its words
             try:
-                obj, end = scan(line, 0)
-            except (StopIteration, ValueError):
-                end = None
-            if end != len(line):  # json.loads says what is wrong, in its words
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-                    raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
-            # A line is read by its exact keys: a step line has "t" and one other, and
-            # the header every parameter (from_dict requires each) and "start".
-            try:
-                if len(obj) == 2 and "r" in obj and "t" in obj:
-                    _put_step(requests, as_int(obj["t"], "t"), as_point(obj["r"]))
-                elif len(obj) == 2 and "o" in obj and "t" in obj:
-                    _put_step(cert, as_int(obj["t"], "t"), tuple(as_point(p) for p in obj["o"]))
-                elif "start" in obj and len(obj) == len(dataclasses.fields(ProblemParams)) + 1:
-                    if params is not None:
-                        raise InputError("a second header line")
-                    params = ProblemParams.from_dict(obj)
-                    start = tuple(as_point(p) for p in obj["start"])
-                else:
-                    raise InputError(f"unrecognized record {sorted(obj)}")
-            except (InputError, OverflowError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+                obj = json.loads(line)
+            except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
+        # A line is read by its exact keys: a step line has "t" and one other, and
+        # the header every parameter (from_dict requires each) and "start".
+        try:
+            if len(obj) == 2 and "r" in obj and "t" in obj:
+                _put_step(requests, as_int(obj["t"], "t"), as_point(obj["r"]))
+            elif len(obj) == 2 and "o" in obj and "t" in obj:
+                _put_step(cert, as_int(obj["t"], "t"), tuple(as_point(p) for p in obj["o"]))
+            elif "start" in obj and len(obj) == len(dataclasses.fields(ProblemParams)) + 1:
+                if params is not None:
+                    raise InputError("a second header line")
+                params = ProblemParams.from_dict(obj)
+                start = tuple(as_point(p) for p in obj["start"])
+            else:
+                raise InputError(f"unrecognized record {sorted(obj)}")
+        except (InputError, OverflowError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     if params is None:
         raise InputError(f"{path}: missing header line")
     if not requests:

@@ -25,7 +25,9 @@ from kmobile.core import (
     ProblemParams,
     ResourceBudgetError,
     certificate_cost,
+    read_text,
     read_trace,
+    total,
     validate_trace,
 )
 from kmobile.mobile import run as run_mobile
@@ -115,33 +117,32 @@ def parse_seeds(text: str) -> list[int]:
 def parse_spec_file(path: str) -> ExperimentSpec:
     """Flat key=value file; lists are comma-separated; sweep axes use sweep.<name>."""
     spec, seen = ExperimentSpec(), {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            try:
-                name = key.removeprefix("sweep.")  # a base key and its sweep axis set one value
-                if seen.setdefault(name, lineno) != lineno:
-                    raise InputError(f"{name} is already set at line {seen[name]}")
-                if key == "construction":
-                    spec.construction = value
-                elif key == "trace":
-                    spec.trace_path = value
-                elif key in ("algo", "sim", "project"):
-                    setattr(spec, key, value)
-                elif key == "seeds":
-                    spec.seeds = parse_seeds(value)
-                elif key.startswith("sweep."):
-                    spec.sweep[name] = [_param_value(name, v) for v in value.split(",")
-                                        if v.strip()]
-                else:
-                    spec.base[key] = _param_value(key, value)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key=value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        try:
+            name = key.removeprefix("sweep.")  # a base key and its sweep axis set one value
+            if seen.setdefault(name, lineno) != lineno:
+                raise InputError(f"{name} is already set at line {seen[name]}")
+            if key == "construction":
+                spec.construction = value
+            elif key == "trace":
+                spec.trace_path = value
+            elif key in ("algo", "sim", "project"):
+                setattr(spec, key, value)
+            elif key == "seeds":
+                spec.seeds = parse_seeds(value)
+            elif key.startswith("sweep."):
+                spec.sweep[name] = [_param_value(name, v) for v in value.split(",")
+                                    if v.strip()]
+            else:
+                spec.base[key] = _param_value(key, value)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     return spec
 
 
@@ -245,7 +246,7 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
         serving, movement = serving + run_serving, movement + run_movement
         for key, val in _run_checks(result).items():
             all_checks[key] = _fold(key, all_checks[key], val) if key in all_checks else val
-    mean_cost = sum(costs) / len(costs)
+    mean_cost = total(costs) / len(costs)
     ratio = mean_cost / reference if reference else None
     ok = all(v for k, v in all_checks.items() if k.endswith("_ok"))
     return RunRecord(point=point, seed=seed, cost=mean_cost, serving=serving / len(costs),
@@ -312,7 +313,7 @@ def emit_ratio_table(records: list[RunRecord]) -> str:
     for value in sorted(groups):
         ratios = [x for x in groups[value] if x is not None]
         if ratios:
-            cells = [fmt(value), fmt(sum(ratios) / len(ratios)),
+            cells = [fmt(value), fmt(total(ratios) / len(ratios)),
                      fmt(min(ratios)), fmt(max(ratios))]
         else:
             cells = [fmt(value), "", "", ""]

@@ -21,6 +21,7 @@ from kmobile.core import (
     check_dims,
     min_weight_matching,
     read_budget,
+    total,
 )
 
 SIM_TAGS = ("greedy", "dc-line", "wfa", "pm-counter", "split-serve")
@@ -354,7 +355,7 @@ class ScriptedSimulator(GuidanceSimulator):
         new = self.script[self.t]
         # A scripted configuration enters the run at its step.
         check_dims((r, *new), self.dim)
-        movement = sum(math.dist(a, b) for a, b in zip(self.positions, new))
+        movement = total(map(math.dist, self.positions, new))
         self.positions = new
         self.t += 1
         return SimStep(new, min(math.dist(p, r) for p in new), movement)

@@ -27,6 +27,7 @@ from kmobile.core import (
     as_number,
     check_dims,
     min_weight_matching,
+    total,
     validate_trace,
 )
 from kmobile.kserver import GuidanceSimulator, SimStep, default_sim_tag, make_simulator
@@ -118,11 +119,11 @@ class RunResult:
     # The run's totals, summed over the steps in order.
     @property
     def serving_total(self) -> float:
-        return sum([rep.serving for rep in self.reports])
+        return total([rep.serving for rep in self.reports])
 
     @property
     def movement_total(self) -> float:
-        return sum([rep.movement for rep in self.reports])
+        return total([rep.movement for rep in self.reports])
 
     @property
     def grand_total(self) -> float:
@@ -364,9 +365,9 @@ class MobileRun:
         branch, mover, caps, targets, moved = self._POLICIES[self.algo](self, r, c, perm, matched)
         new_pos, disps = moved or self._apply(targets, caps)
         serving = min(math.dist(p, r) for p in new_pos)
-        matched_sum = sum(map(math.dist, new_pos, matched))
+        matched_sum = total(map(math.dist, new_pos, matched))
         self.positions = new_pos
-        movement = sum(disps)
+        movement = total(disps)
         rep = StepReport(
             request=r, perm=perm, branch=branch, mover=mover,
             caps=caps, displacements=disps, serving=serving, movement=movement,

@@ -10,11 +10,9 @@ away from the phase anchor.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import Optional
 
-from kmobile.core import ContractViolationError, Point, ProblemParams, check_dims, move_toward
+from kmobile.core import ContractViolationError, Point, ProblemParams, check_dims, move_toward, total
 from kmobile.kserver import GuidanceSimulator, SimStep
 
 
@@ -90,7 +88,7 @@ class ProjectionWrapper(GuidanceSimulator):
         if phase_end:
             self.anchor = r
             self.phase_ends += not first
-        movement = sum(map(math.dist, self.positions, hat))
+        movement = total(map(math.dist, self.positions, hat))
         self.positions = tuple(hat)
         dists = [math.dist(p, r) for p in hat]
         serving = min(dists)
@@ -101,16 +99,16 @@ class ProjectionWrapper(GuidanceSimulator):
         return SimStep(self.positions, serving, movement)
 
     def repeat(self, r: Point, m: int) -> Optional[SimStep]:
-        """m of step's repeat path: each sum gains its share m times, in turn."""
+        """m calls of step's repeat path at once: each sum s becomes total([share] * m, s)."""
         last = self._last
         raw = None if last is None or r is not last[0] else self.sim.repeat(r, m)
         if raw is None:
             return None
         if raw.positions is not last[1]:  # the guidance took steps this would not repeat
             raise ContractViolationError("a guidance repeat holds positions other than its last")
-        self.raw_serving = reduce(add, [raw.serving] * m, self.raw_serving)
-        self.raw_movement = reduce(add, [raw.movement] * m, self.raw_movement)
-        self.proj_serving = reduce(add, [last[2].serving] * m, self.proj_serving)
+        self.raw_serving = total([raw.serving] * m, self.raw_serving)
+        self.raw_movement = total([raw.movement] * m, self.raw_movement)
+        self.proj_serving = total([last[2].serving] * m, self.proj_serving)
         return last[2]
 
     def audit(self) -> dict:

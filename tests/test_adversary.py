@@ -20,6 +20,7 @@ from kmobile.core import (
     Trace,
     certificate_cost,
     move_toward,
+    total,
     validate_trace,
 )
 
@@ -213,12 +214,12 @@ class TestCheckedOnce:
             jump = max(math.dist(a, b) for a, b in zip(req, req[1:]))
             if inst.construction == "thm3":
                 assert p.mc.hex() == max(jump, p.ms).hex()
-            total, prev = 0.0, inst.trace.start_config
+            cost, prev = 0.0, inst.trace.start_config
             for conf, r in zip(cert, req):
-                total += p.D * sum(math.dist(prev[i], conf[i]) for i in range(p.k))
-                total += min(math.dist(q, r) for q in conf)
+                cost += p.D * total(math.dist(prev[i], conf[i]) for i in range(p.k))
+                cost += min(math.dist(q, r) for q in conf)
                 prev = conf
-            assert certificate_cost(inst.trace, p).hex() == total.hex()
+            assert certificate_cost(inst.trace, p).hex() == cost.hex()
 
     def test_a_dimension_mismatch_is_an_input_error(self):
         p = ProblemParams(k=1, ms=1.0, mc=1.0, delta=0.0)
@@ -275,7 +276,7 @@ def reference_thm3(k, x, D=1.0, ms=1.0, *, seed=None, z_choice=None, delta=0.5):
             requests.extend([(z,)] * block)
         targets = [origin] + [(z,) for z in zs]
         cert = reference_certificate(start, targets, ms, len(requests))
-        bound = D * sum(abs(z) for z in zs)
+        bound = D * total(abs(z) for z in zs)
         lower = None
         choices = {"Z": zs, "phase1_len": phase1, "phase2_start": phase1 + 1}
     mc = max(max(map(math.dist, requests, requests[1:]), default=0.0), ms)

@@ -586,7 +586,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["simulate", "verify", "sweep", "optimum", "psi0-digits"])
     def test_input_json_cannot_read_exits_2(self, valid_records, tmp_path, capsys, command):
         # Bytes that are not UTF-8 for each command that reads a file, and a record
-        # holding an integer too long for int() to convert.
+        # holding an integer too long for int() to convert: each error names the file.
         path = tmp_path / "bad"
         path.write_bytes(b"\xff\xfe{}\n")
         verify = ["verify", "--property", "fast-potential", "--run", str(path)]
@@ -598,7 +598,7 @@ class TestCli:
             path.write_text(text.replace('"PSI0"', "1" * 5000))
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1, err
+        assert out == "" and err.startswith(f"input error: {path}: ") and err.count("\n") == 1, err
 
     def test_fast_potential_counts_a_nan_margin_as_a_violation(self, valid_records, tmp_path,
                                                               capsys):
@@ -761,6 +761,73 @@ sweep.x=16,32
                      "--trace", trace, "--sigma", "0.001"]) == 0
         assert main(["verify", "--property", "slow-potential", "--run", run_path,
                      "--trace", trace, "--sigma", "0.001"]) == 0
+
+
+class TestCliBranches:
+    """Flags and refusals of each command, one branch a test."""
+
+    def test_sweep_flags_override_the_spec(self, tmp_path, capsys):
+        # A construction on the command line replaces the spec's trace, which is never read.
+        spec = write_spec(tmp_path, "trace=absent.jsonl\nalgo=wms\nsim=pm-counter\n"
+                                    "project=on\nseeds=0\n")
+        out = tmp_path / "agg.json"
+        assert main(["sweep", "--spec", spec, "--construction", "thm3", "--algo", "ums",
+                     "--sim", "dc-line", "--project", "off", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["spec"] == {
+            "construction": "thm3", "trace": None, "algo": "ums", "sim": "dc-line",
+            "project": "off", "base": {}, "seeds": [0], "sweep": {}}
+
+    def test_optimum_writes_its_trajectory_and_prints_the_cost(self, tmp_path, capsys):
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["generate", "--construction", "walk", "--k", "1", "--n", "10",
+                     "--mc", "0.5", "--seed", "2", "--out", trace]) == 0
+        capsys.readouterr()
+        out = tmp_path / "opt.json"
+        assert main(["optimum", "--trace", trace, "--grid", "0.5", "--with-trajectory",
+                     "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert json.loads(capsys.readouterr().out) == {"cost": written["cost"]}
+        assert len(written["trajectory"]) == 10
+        assert all(len(conf) == 1 and len(conf[0]) == 1 for conf in written["trajectory"])
+
+    def test_record_properties_refuse_a_missing_input(self, valid_records, tmp_path, capsys):
+        _, trace, _ = valid_records
+        walk = str(tmp_path / "walk.jsonl")
+        assert main(["generate", "--construction", "walk", "--k", "2", "--n", "10",
+                     "--mc", "0.5", "--out", walk]) == 0
+        run_path = str(tmp_path / "walk.run.json")
+        assert main(["simulate", "--trace", walk, "--out", run_path]) == 0
+        capsys.readouterr()
+        slow = ["verify", "--property", "slow-potential"]
+        for argv, message in (
+                (["verify", "--property", "fast-potential"],
+                 "--run is required for property fast-potential"),
+                (slow + ["--run", run_path],
+                 "--trace with a certificate is required for slow-potential"),
+                (slow + ["--run", run_path, "--trace", walk],
+                 "the trace carries no offline certificate")):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", f"input error: {message}\n"), argv
+
+    def test_a_guidance_off_the_request_is_a_violation(self, tmp_path, capsys):
+        # pm-counter may serve over a distance; ums needs a server on the request.
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["generate", "--construction", "walk", "--k", "2", "--n", "50",
+                     "--mc", "0.5", "--ms", "1", "--seed", "3", "--out", trace]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--algo", "ums", "--sim", "pm-counter", "--trace", trace]) == 1
+        assert capsys.readouterr() == (
+            "", "violation: guidance left no server on the request at step 2\n")
+
+    def test_a_line_walk_past_the_dp_caps_has_no_reference(self, tmp_path, capsys):
+        # 30 steps is the longest walk the DP takes; the 31-step point has no ratio.
+        spec = write_spec(tmp_path, "construction=walk\nk=1\nmc=0.5\nseeds=0\nsweep.n=30,31\n")
+        out, csv = tmp_path / "agg.json", tmp_path / "ratios.csv"
+        assert main(["sweep", "--spec", spec, "--out", str(out), "--ratio-csv", str(csv)]) == 0
+        at30, at31 = json.loads(out.read_text())["records"]
+        assert at30["reference"] > 0.0 and at30["ratio"] > 0.0
+        assert (at31["reference"], at31["ratio"]) == (None, None)
+        assert csv.read_text().splitlines()[2] == "31,,,"
 
 
 @pytest.fixture(scope="module")

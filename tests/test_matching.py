@@ -11,7 +11,7 @@ import pytest
 import kmobile
 from kmobile import core, mobile
 from kmobile.adversary import gen_thm3
-from kmobile.core import InputError, Matching, _assignment, min_weight_matching
+from kmobile.core import InputError, Matching, _assignment, min_weight_matching, total
 from test_mobile import reused_steps
 
 
@@ -101,7 +101,7 @@ def assert_optimal_assignment(cost, opt):
     """A permutation whose row-order sum is the returned value and an optimum."""
     value, cols = _assignment(cost)
     assert sorted(cols) == list(range(len(cost))), cols
-    assert value.hex() == sum([cost[i][j] for i, j in enumerate(cols)], 0.0).hex()
+    assert value.hex() == total([cost[i][j] for i, j in enumerate(cols)], 0.0).hex()
     assert abs(value - opt) <= 1e-12 * (1.0 + opt), (cost, cols, opt)
 
 

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import types
-from operator import is_not, itemgetter
+from operator import add, is_not, itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from kmobile.core import (
     certificate_cost,
     check_dims,
     read_trace,
+    total,
     validate_trace,
     write_trace,
 )
@@ -191,6 +195,20 @@ def test_read_trace_names_a_malformed_line_in_json_words(tmp_path, line, message
 TRACE_HEADER = {"dim": 1, "k": 1, "ms": 1.0, "mc": 1.0, "delta": 0.0, "D": 1.0, "start": [[0.0]]}
 
 
+def test_read_trace_skips_blank_lines_and_keeps_counting(tmp_path):
+    # "\r\n" ends a line as "\n" does, and "\x1c", at which splitlines() would end
+    # one, is only blank space: the malformed line is named as the file's fifth.
+    lines = [json.dumps(TRACE_HEADER), "", json.dumps({"t": 1, "r": [0.5]}), "\x1c"]
+    path = tmp_path / "blank.jsonl"
+    path.write_bytes("\r\n".join(lines + ["[1.0]"]).encode("utf-8"))
+    with pytest.raises(InputError) as exc:
+        read_trace(str(path))
+    assert str(exc.value) == f"{path}:5: expected a JSON object, got [1.0]"
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    trace, params = read_trace(str(path))
+    assert (trace.requests, trace.start_config, params.k) == ([(0.5,)], ((0.0,),), 1)
+
+
 @pytest.mark.parametrize("lineno,line", [
     (1, dict(TRACE_HEADER, typo=3)),
     (2, {"t": 1, "r": [0.5], "o": [[0.5]]}),
@@ -225,13 +243,40 @@ def test_read_trace_names_a_trace_missing_steps(tmp_path, capsys, lines, message
 def test_run_totals_are_step_sums():
     inst = gen_thm4(2, 16, ms=1.0, mc=2.0, D=2.0, seed=1)
     res = run(inst.trace, inst.params, algo="wms", sim="dc-line")
-    serving = sum(rep.serving for rep in res.reports)
-    movement = sum(rep.movement for rep in res.reports)
+    serving = total(rep.serving for rep in res.reports)
+    movement = total(rep.movement for rep in res.reports)
     assert movement > 0.0
     assert (res.serving_total, res.movement_total) == (serving, movement)
     assert res.grand_total == serving + 2.0 * movement
     assert record_dict(res)["ledger"] == {"serving_total": serving, "movement_total": movement,
                                           "grand_total": res.grand_total}
+
+
+def test_total_is_the_left_fold_on_every_interpreter():
+    # A compensated sum, as 3.12's sum() is, gives 2.0 here.
+    xs = [1.0, 1e100, 1.0, -1e100]
+    assert total(xs) == functools.reduce(add, xs, 0) == 0.0
+    assert total([0.1] * 10, 1.0).hex() == functools.reduce(add, [0.1] * 10, 1.0).hex()
+
+
+def test_total_of_nothing_is_the_int_zero_as_sum_gives():
+    assert type(total([])) is int and total([]) == 0 == sum([])
+    assert type(total([], 0.0)) is float
+
+
+def test_total_is_the_only_float_sum_in_the_package():
+    # numpy's .sum( is a method call, outside the rule; sum, fsum and reduce are not.
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & {"reduce", "fsum"}, where
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    assert (func.value.id, func.attr) not in (("functools", "reduce"),
+                                                              ("math", "fsum")), where
+                assert not (isinstance(func, ast.Name) and func.id == "sum"), where
 
 
 def test_read_trace_gives_back_a_generated_certificate(tmp_path):
