@@ -9,33 +9,3 @@ offline certificates, a discretized offline optimum, and verifiers for
 the per-step potential and containment inequalities the algorithms are
 designed to satisfy.
 """
-
-from kmobile.core import (
-    ContractViolationError,
-    InputError,
-    KMobileError,
-    Matching,
-    ProblemParams,
-    ResourceBudgetError,
-    Trace,
-    min_weight_matching,
-    move_toward,
-    read_trace,
-    validate_trace,
-    write_trace,
-)
-
-__all__ = [
-    "ContractViolationError",
-    "InputError",
-    "KMobileError",
-    "Matching",
-    "ProblemParams",
-    "ResourceBudgetError",
-    "Trace",
-    "min_weight_matching",
-    "move_toward",
-    "read_trace",
-    "validate_trace",
-    "write_trace",
-]

@@ -14,11 +14,17 @@ from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Optional, Sequence
 
-from kmobile.core import InputError, Point, ProblemParams, check_dims, move_toward, positive
+from kmobile.core import (
+    REL_TOL,
+    InputError,
+    Point,
+    ProblemParams,
+    check_dims,
+    move_toward,
+    positive,
+)
 from kmobile.mobile import RunResult
 from kmobile.offline import PHI_FACTOR, HelperTrajectory
-
-REL_SLACK = 1e-9
 
 
 @dataclass
@@ -84,7 +90,7 @@ def check_fast_potential(result: RunResult) -> PotentialReport:
         margin = bound - (rep.cost + psi - psi_prev)
         scale = max(1.0, bound, rep.cost, psi, psi_prev)
         margins.append(margin)
-        if not -REL_SLACK * scale <= margin:  # a NaN margin included
+        if not -REL_TOL * scale <= margin:  # a NaN margin included
             violations.append(t)
         psi_prev = psi
     return PotentialReport(margins, violations)
@@ -170,7 +176,7 @@ def check_slow_potential(result: RunResult, helper: HelperTrajectory,
             margin = bound - (rep.cost + (phi - phi_prev) + (psi - psi_prev))
             margins.append((t, margin))
             scale = max(1.0, bound, rep.cost, phi, phi_prev, psi, psi_prev)
-            if not margin >= -REL_SLACK * scale:  # a NaN margin included
+            if not margin >= -REL_TOL * scale:  # a NaN margin included
                 negative += 1
         else:
             vacuous += 1
@@ -235,7 +241,7 @@ class SpeedAudit:
 
 def audit_speed_caps(result: RunResult) -> SpeedAudit:
     cap = result.params.online_speed
-    limit = cap + REL_SLACK * max(1.0, cap)
+    limit = cap + REL_TOL * max(1.0, cap)
     violations: list[int] = []
     cap_violations: list[int] = []
     max_disp = 0.0
@@ -254,7 +260,7 @@ def audit_speed_caps(result: RunResult) -> SpeedAudit:
                     if disp != disp:
                         max_disp = disp
                 if cap_i != own_cap:
-                    own_cap, own_limit = cap_i, cap_i + REL_SLACK * max(1.0, cap_i)
+                    own_cap, own_limit = cap_i, cap_i + REL_TOL * max(1.0, cap_i)
                 if not disp <= own_limit:
                     own_over += 1
         if over or own_over:
@@ -279,7 +285,7 @@ def check_projection_bound(result: RunResult) -> ProjectionAudit:
     if audit is None:
         raise InputError("run was executed without the projection")
     bound = audit["radius_bound"]
-    ok = audit["max_hat_request_distance"] <= bound + REL_SLACK * max(1.0, bound)
+    ok = audit["max_hat_request_distance"] <= bound + REL_TOL * max(1.0, bound)
     raw = audit["raw_cost"]
     ratio = audit["projected_cost"] / raw if raw > 0 else None
     return ProjectionAudit(max_distance=audit["max_hat_request_distance"],

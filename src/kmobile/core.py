@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 Point = tuple[float, ...]
 Config = tuple[Point, ...]
 
-# Default relative slack for floating-point comparisons.
+# The one relative slack of every floating-point bound check.
 REL_TOL = 1e-9
 
 
@@ -90,6 +90,13 @@ def total(xs: Iterable[float], start=0):
     for x in xs:
         start += x
     return start
+
+
+def nearest(conf: Sequence[Point], p: Point) -> tuple[int, float]:
+    """The index of conf's point nearest p, the lowest on ties, and its distance."""
+    dists = [math.dist(q, p) for q in conf]
+    d = min(dists)
+    return dists.index(d), d
 
 
 def move_toward(p: Point, target: Point, cap: float) -> Point:

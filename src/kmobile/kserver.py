@@ -20,6 +20,7 @@ from kmobile.core import (
     ResourceBudgetError,
     check_dims,
     min_weight_matching,
+    nearest,
     read_budget,
     total,
 )
@@ -52,8 +53,9 @@ class GuidanceSimulator:
         raise NotImplementedError
 
     def repeat(self, r: Point, m: int) -> Optional[SimStep]:
-        """The SimStep that m more ``step(r)`` calls would each return, one object holding
-        the last positions, having done what they do; else None, doing nothing, as here."""
+        """Asked right after ``step(r)``: m more ``step(r)`` calls at once, having done what
+        they do, as one SimStep equal to the one each would return and holding the very
+        positions tuple; else None, doing nothing, as here.  It is a guidance's only repeat."""
         return None
 
 
@@ -65,11 +67,14 @@ class GreedyServer(GuidanceSimulator):
 
     def step(self, r: Point) -> SimStep:
         check_dims((r,), self.dim)
-        dists = [math.dist(p, r) for p in self.positions]
-        i = dists.index(min(dists))
-        if self.positions[i] is not r:  # else the positions already hold r
-            self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
-        return SimStep(self.positions, 0.0, dists[i])
+        i, d = nearest(self.positions, r)
+        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
+        return SimStep(self.positions, 0.0, d)
+
+    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        """Its nearest server the very request, each step puts r where it is."""
+        i, _ = nearest(self.positions, r)
+        return SimStep(self.positions, 0.0, 0.0) if self.positions[i] is r else None
 
 
 class DoubleCoverageLine(GuidanceSimulator):
@@ -88,16 +93,13 @@ class DoubleCoverageLine(GuidanceSimulator):
         self._request: Optional[Point] = None
 
     def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        """The very request of the last step moves nothing, bit for bit: that step left a
+        server equal to x (g <= 0 moved nothing, so its repeat is again a no-op).  Inside the
+        hull that server makes g a zero; at a hull end it is x itself or a nonzero float (a
+        float sum is zero only when exact), so it moves by +0.0 onto x's bits."""
         return self._repeat if r is self._request else None
 
     def step(self, r: Point) -> SimStep:
-        # The very request of the last step moves nothing, as the full step
-        # would, bit for bit.  That step left a server equal to x (g <= 0 moved
-        # nothing, so its repeat is again a no-op).  Inside the hull that server
-        # makes g a zero; at a hull end it is x itself or a nonzero float (a
-        # float sum is zero only when exact), so it moves by +0.0 onto x's bits.
-        if r is self._request:
-            return self._repeat
         if len(r) != 1:
             raise InputError("double coverage requires dimension 1")
         self._request = r
@@ -276,8 +278,7 @@ class WorkFunctionServer(GuidanceSimulator):
             return self.values[self.ids[conf]] + math.dist(cur[i], r), tuple(sorted(rest + [r]))
 
         i = min(range(self.k), key=move_cost)
-        if cur[i] is not r:  # else the positions already hold r
-            self.positions = cur[:i] + (r,) + cur[i + 1:]
+        self.positions = cur[:i] + (r,) + cur[i + 1:]
         return SimStep(self.positions, 0.0, math.dist(cur[i], r))
 
 
@@ -300,9 +301,7 @@ class PageMigrationCounter(GuidanceSimulator):
     def step(self, r: Point) -> SimStep:
         # Checked once here, then measured with math.dist.
         check_dims((r,), self.dim)
-        dists = [math.dist(p, r) for p in self.positions]
-        i = dists.index(min(dists))
-        d = dists[i]
+        i, d = nearest(self.positions, r)
         self.credits[i] += d
         if d > 0.0 and self.credits[i] >= 2.0 * self.D * d:
             self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
@@ -310,6 +309,10 @@ class PageMigrationCounter(GuidanceSimulator):
             # The page now on r serves it; the others are at least d away.
             return SimStep(self.positions, 0.0, d)
         return SimStep(self.positions, d, 0.0)
+
+    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        """A page on r serves each step for nothing, adds no credit and stays."""
+        return SimStep(self.positions, 0.0, 0.0) if nearest(self.positions, r)[1] == 0.0 else None
 
 
 class SplitServeLine(GuidanceSimulator):
@@ -335,10 +338,14 @@ class SplitServeLine(GuidanceSimulator):
             self.second_phase = True
         i = 1 if self.second_phase else 0
         moved = math.dist(self.positions[i], r)
-        if self.positions[i] is not r:  # else the positions already hold r
-            self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
+        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
         self.prev_request = r
         return SimStep(self.positions, 0.0, moved)
+
+    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+        """In the second phase server 1 is the last request; if it is r, each step stays."""
+        stays = self.second_phase and self.positions[1] is r
+        return SimStep(self.positions, 0.0, 0.0) if stays else None
 
 
 class ScriptedSimulator(GuidanceSimulator):

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 from kmobile.core import (
     NUMBER_TYPES,
+    REL_TOL,
     Config,
     ContractViolationError,
     InputError,
@@ -27,6 +28,7 @@ from kmobile.core import (
     as_number,
     check_dims,
     min_weight_matching,
+    nearest,
     total,
     validate_trace,
 )
@@ -129,6 +131,10 @@ class RunResult:
     def grand_total(self) -> float:
         return self.serving_total + self.params.D * self.movement_total
 
+    # The record's ledger, which the reader holds to these folds.
+    ledger = property(lambda self: {key: getattr(self, key) for key in (
+        "serving_total", "movement_total", "grand_total")})
+
     def _head(self) -> dict:
         """The record's top-level fields other than the steps."""
         return {
@@ -140,11 +146,7 @@ class RunResult:
             "weighted": self.weighted,
             "params": self.params.to_dict(),
             "psi0_matched_sum": self.psi0_matched_sum,
-            "ledger": {
-                "serving_total": self.serving_total,
-                "movement_total": self.movement_total,
-                "grand_total": self.grand_total,
-            },
+            "ledger": self.ledger,
             "projection": self.projection_audit,
         }
 
@@ -195,19 +197,23 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunResult":
-        """Inverse of to_dict; a missing or malformed field raises InputError."""
+        """Inverse of to_dict; a missing, extra or malformed field raises InputError."""
         if type(obj) is not dict:
             raise InputError(f"run record must be a JSON object, got {type(obj).__name__}")
         try:
             params = ProblemParams.from_dict(obj["params"])
+            extra = sorted(set(obj["params"]).difference(params.to_dict()))
+            if extra:
+                raise InputError(f"run record params hold keys other than parameters: {extra}")
             reports = _read_steps(obj["steps"], params.k, params.dim)
             algo = obj["algo"]
             if algo not in ALGO_TAGS:
                 raise InputError(f"run record algorithm {algo!r} is not one of {ALGO_TAGS}")
             audit = obj.get("projection")
-            if audit is not None and not (isinstance(audit, dict) and all(
-                    type(audit.get(key)) in NUMBER_TYPES for key in AUDIT_KEYS)):
-                raise InputError(f"run record projection audit needs the numbers {AUDIT_KEYS}")
+            if audit is not None and (type(audit) is not dict or len(audit) != len(AUDIT_KEYS)
+                                      or any(type(audit.get(key)) not in NUMBER_TYPES
+                                             for key in AUDIT_KEYS)):
+                raise InputError(f"run record projection audit must hold the numbers {AUDIT_KEYS}")
             if type(obj["sim"]) is not str:
                 raise InputError(f"run record sim must be a string, got {obj['sim']!r}")
             psi0 = as_number(obj["psi0_matched_sum"], "run record psi0_matched_sum")
@@ -224,6 +230,10 @@ class RunResult:
                                      f"{algo!r}, its parameters and "
                                      f"{'a' if result.project else 'no'} projection audit), "
                                      f"got {obj[key]!r}")
+            # The ledger must be the steps' folds, spelled as the writer spells them.
+            want, got = (json.dumps(x, sort_keys=True) for x in (result.ledger, obj["ledger"]))
+            if got != want:
+                raise InputError(f"run record ledger must be the steps' totals {want}, got {got}")
             return result
         except KeyError as exc:
             raise InputError(f"run record misses field {exc}") from exc
@@ -297,6 +307,9 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
                                *zip(cost_keys, costs, repeat(1))):
         check(not any(map((0.0).__gt__, values)), values, width, (0.0).__gt__,
               f"{key} holds a negative {'entry' if key in ('caps', 'disp') else 'cost'}")
+    if not set(map(len, steps)) <= {len(STEP_FIELDS)}:  # each step holds every field
+        check(False, [sorted(set(s).difference(STEP_FIELDS)) for s in steps], 1, bool,
+              f"a step may hold no field but {', '.join(STEP_FIELDS)}")
     return list(map(
         StepReport, points(column("r"), 1, "r"), perm, branch, mover,
         map(list, _chunks(caps, k)), map(list, _chunks(disp, k)), *costs,
@@ -323,41 +336,24 @@ class MobileRun:
         self.reports: list[StepReport] = []
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
         self.t = 0
-        self.on_request_tol = 1e-9 * max(1.0, params.mc)
-        # Whether the last step settled: no server moved or missed its target.
-        self._settled = False
-        self._sim_step: Optional[SimStep] = None  # the last step's guidance step
+        self.on_request_tol = REL_TOL * max(1.0, params.mc)
 
-    def step(self, r: Point) -> StepReport:
+    def step(self, r: Point, sim_step: Optional[SimStep] = None) -> StepReport:
         """Guidance step, matching to it, then the algorithm's caps and targets.
 
+        ``sim_step``, when given, is the guidance's step for r, taken before.
         The request and the guidance are checked against the dimension
         here, unless they are the very objects of the last step, which
         were; the step then measures them with ``math.dist``.
-
-        A step is a function of the positions, request and guidance, and a
-        settled step left the positions it started from, its targets
-        object for object.  So a settled step's repeat, given its very
-        request and guidance positions, repeats its report: the very report
-        for its very ``SimStep``, else a copy with this ``SimStep``'s numbers.
         """
         self.t += 1
         dim, D = self.params.dim, self.params.D
         last = self.reports[-1] if self.reports else None
         if last is None or r is not last.request:
             check_dims((r,), dim)
-        sim_step = self.sim.step(r)
+        if sim_step is None:
+            sim_step = self.sim.step(r)
         c = sim_step.positions
-        if self._settled and r is last.request and c is last.sim_positions:
-            if sim_step is not self._sim_step:
-                self._sim_step = sim_step
-                last = StepReport(
-                    r, last.perm, last.branch, last.mover, last.caps, last.displacements,
-                    last.serving, last.movement, last.cost, sim_step.serving, sim_step.movement,
-                    sim_step.serving + D * sim_step.movement, last.matched_sum, last.positions, c)
-            self.reports.append(last)
-            return last
-        self._sim_step = sim_step
         if last is None or c is not last.sim_positions:
             check_dims(c, dim)
         perm = min_weight_matching(self.positions, c).perm
@@ -376,28 +372,25 @@ class MobileRun:
             sim_cost=sim_step.serving + D * sim_step.movement,
             matched_sum=matched_sum, positions=new_pos, sim_positions=c)
         self.reports.append(rep)
-        self._settled = movement == 0.0 and all(map(is_, new_pos, targets))
         return rep
 
     def steps(self, r: Point, m: int) -> None:
-        """m calls of ``step(r)``; once one repeats the last report, the guidance may
-        take the rest at once (``GuidanceSimulator.repeat``), each repeating it again."""
-        last = self.reports[-1] if self.reports else None
-        for left in range(m - 1, -1, -1):
-            rep = self.step(r)
-            if rep is last and left:
-                sim_step = self.sim.repeat(r, left)
-                if sim_step is None:  # the guidance is asked once a block
-                    for _ in range(left):
-                        self.step(r)
-                elif sim_step is self._sim_step:
-                    self.reports += repeat(rep, left)
-                    self.t += left
-                else:
-                    raise ContractViolationError(
-                        f"guidance repeat at step {self.t} is a SimStep other than its last")
+        """m calls of ``step(r)``.  After each full step the guidance is asked for the rest
+        (``GuidanceSimulator.repeat``); once it gives their SimStep, the run steps with that,
+        asking no more.  A step is a function of the positions, request and guidance, so
+        once one leaves each server the object it was, its report stands for the rest."""
+        left, sim_step = m, None
+        while left and sim_step is None:
+            self.step(r)
+            left -= 1
+            sim_step = self.sim.repeat(r, left) if left else None
+        for left in range(left - 1, -1, -1):
+            before = self.positions
+            rep = self.step(r, sim_step)
+            if all(map(is_, rep.positions, before)):
+                self.reports += repeat(rep, left)
+                self.t += left
                 return
-            last = rep
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
         """``core.move_toward`` of each server with its target and cap, and how far it went.
@@ -417,10 +410,6 @@ class MobileRun:
             disps.append(d)
         return tuple(new_pos), disps
 
-    def _nearest_index(self, r: Point) -> int:
-        dists = [math.dist(p, r) for p in self.positions]
-        return dists.index(min(dists))
-
     # A policy gets the request, the guidance c, the matching perm and the
     # matched guidance (read-only); it returns branch, mover, caps, targets
     # and, when it has already applied them, the move that _apply gives.
@@ -436,7 +425,7 @@ class MobileRun:
         caps = [cap_full] * params.k
         if math.dist(self.positions[j], r) <= cap_full:
             return "matched", None, caps, matched, None
-        mover = self._nearest_index(r)
+        mover = nearest(self.positions, r)[0]
         targets = list(matched)
         targets[mover] = r
         caps[mover] = (1.0 + params.delta / 2.0) * params.ms
@@ -445,8 +434,7 @@ class MobileRun:
     def _wms_step(self, r: Point, c: Config, perm: tuple[int, ...], matched: list[Point]):
         params = self.params
         D = params.D
-        mover = self._nearest_index(r)
-        d_til = math.dist(self.positions[mover], r)
+        mover, d_til = nearest(self.positions, r)
         if self.mode == "fast":
             cap_mover = min(params.mc, (1.0 - self.epsilon) / D * d_til)
         else:

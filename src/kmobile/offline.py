@@ -14,6 +14,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from kmobile.core import (
+    REL_TOL,
     Config,
     InputError,
     Point,
@@ -22,6 +23,7 @@ from kmobile.core import (
     Trace,
     check_dims,
     move_toward,
+    nearest,
     positive,
     read_budget,
 )
@@ -128,7 +130,7 @@ def dp_optimum(trace: Trace, params: ProblemParams,
     pos = grid.positions()
     n = grid.n
     D = params.D
-    cap = params.ms * (1.0 + 1e-9)
+    cap = params.ms * (1.0 + REL_TOL)  # the slack validate_trace grants a certificate
     step = np.abs(pos[:, None] - pos[None, :])
     step_cost = np.where(step <= cap, step, np.inf)
     # Positions are sorted, so a server at j reaches only points within b
@@ -300,14 +302,13 @@ class StepGeometry:
 def step_geometry(offline_conf: Config, online_conf: Config, r: Point,
                   params: ProblemParams, sigma: float) -> StepGeometry:
     _require_scales(params, sigma)
-    dists = [math.dist(p, r) for p in offline_conf]
-    i = dists.index(min(dists))
+    i, d = nearest(offline_conf, r)
     o_pos = offline_conf[i]
-    d_oa = min(math.dist(o_pos, a) for a in online_conf)
+    d_oa = nearest(online_conf, o_pos)[1]
     inner = params.delta ** 2 / (INNER_DIVISOR * sigma * params.k) * d_oa
     outer = params.delta / OUTER_DIVISOR * d_oa
     return StepGeometry(o_star=i, o_star_pos=o_pos, d_oa=d_oa, inner=inner,
-                        outer=outer, in_inner=dists[i] <= inner)
+                        outer=outer, in_inner=d <= inner)
 
 
 @dataclass
@@ -418,7 +419,7 @@ class _HelperContext:
         for s in range(t, t3 + 1):
             p = move_toward(p, target, self.follow)
             g = self.geo[s - 1]
-            if math.dist(p, g.o_star_pos) > g.outer * (1.0 + 1e-9):
+            if math.dist(p, g.o_star_pos) > g.outer * (1.0 + REL_TOL):
                 direct = False
                 break
 
@@ -445,8 +446,7 @@ def compute_helper(offline: Sequence[Config], online: Sequence[Config],
     """
     check_dims(chain(requests, *offline, *online, offline_start), params.dim)
     ctx = _HelperContext(list(offline), list(online), list(requests), params, sigma)
-    d0 = [math.dist(p, requests[0]) for p in offline_start]
-    o_hat: Point = offline_start[d0.index(min(d0))]
+    o_hat: Point = offline_start[nearest(offline_start, requests[0])[0]]
     start = o_hat
     positions: list[Point] = []
     modes: list[str] = []
@@ -462,7 +462,7 @@ def compute_helper(offline: Sequence[Config], online: Sequence[Config],
             if target is not None:
                 moved = move_toward(o_hat, target, cap)
                 if tag in ("long-skip", "chase", "step3") and t == last - 1 \
-                        and math.dist(moved, target) > 1e-9 * max(1.0, params.mc):
+                        and math.dist(moved, target) > REL_TOL * max(1.0, params.mc):
                     diagnostics.append(f"t={t}: landing target missed by "
                                        f"{math.dist(moved, target):.6g}")
                 o_hat = moved
@@ -501,7 +501,7 @@ def audit_helper(helper: HelperTrajectory, online: Sequence[Config],
     cap = helper_speed_cap(params, sigma)
     follow = follow_speed(params)
     engage2 = 2.0 * engage_threshold(params, sigma)
-    tol = 1e-9
+    tol = REL_TOL
     fired = vacuous = 0
     speed_v = guard_speed_v = contain_v = dist_v = 0
     max_speed = 0.0
@@ -521,10 +521,8 @@ def audit_helper(helper: HelperTrajectory, online: Sequence[Config],
         else:
             vacuous += 1
         conf = online[t - 1]
-        a_hat = min(conf, key=lambda a: math.dist(a, pos))
-        a_star = min(conf, key=lambda a: math.dist(a, requests[t - 1]))
-        bound = 2.0 * geo.d_oa + math.dist(a_star, requests[t - 1])
-        if math.dist(a_hat, pos) > bound * (1.0 + tol) + tol:
+        bound = 2.0 * geo.d_oa + nearest(conf, requests[t - 1])[1]
+        if nearest(conf, pos)[1] > bound * (1.0 + tol) + tol:
             dist_v += 1
         prev = pos
     return HelperAudit(steps=len(helper.positions), guard_fired=fired,

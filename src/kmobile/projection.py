@@ -65,14 +65,6 @@ class ProjectionWrapper(GuidanceSimulator):
         c = raw.positions
         self.raw_serving += raw.serving
         self.raw_movement += raw.movement
-        last = self._last
-        if last is not None and r is last[0] and c is last[1]:
-            # The last step's very request and guidance, so their lengths were
-            # checked: the anchor is that r or within inner of it, so no phase
-            # ends; the servers inside already hold these guidance points, and
-            # nothing moves.
-            self.proj_serving += last[2].serving
-            return last[2]
         # Checked once here, then measured with math.dist.
         check_dims((r, *c), self.params.dim)
         hat = list(self.positions)
@@ -99,7 +91,9 @@ class ProjectionWrapper(GuidanceSimulator):
         return SimStep(self.positions, serving, movement)
 
     def repeat(self, r: Point, m: int) -> Optional[SimStep]:
-        """m calls of step's repeat path at once: each sum s becomes total([share] * m, s)."""
+        """m more steps with the last request, whose guidance repeats its last positions: the
+        anchor is that r or within inner of it, so no phase ends; the servers inside already
+        hold these guidance points, and nothing moves.  Each sum s becomes total([share] * m, s)."""
         last = self._last
         raw = None if last is None or r is not last[0] else self.sim.repeat(r, m)
         if raw is None:

@@ -6,7 +6,6 @@ import pytest
 
 from kmobile.adversary import gen_local_walk, gen_thm3, gen_thm4
 from kmobile.checks import (
-    REL_SLACK,
     SpeedAudit,
     audit_speed_caps,
     check_fast_potential,
@@ -16,7 +15,7 @@ from kmobile.checks import (
     default_y,
     potential_factors,
 )
-from kmobile.core import InputError, ProblemParams, Trace
+from kmobile.core import REL_TOL, InputError, ProblemParams, Trace
 from kmobile.mobile import run
 from kmobile.offline import HelperTrajectory, compute_helper, step_geometry
 
@@ -238,7 +237,7 @@ class TestSlowPotential:
 def reference_audit_speed_caps(result):
     """audit_speed_caps walking every report: the reference for its skip of repeated reports."""
     cap = result.params.online_speed
-    tol = REL_SLACK * max(1.0, cap)
+    tol = REL_TOL * max(1.0, cap)
     violations, cap_violations = [], []
     max_disp = 0.0
     for t, rep in enumerate(result.reports, 1):
@@ -248,7 +247,7 @@ def reference_audit_speed_caps(result):
                 violations.append(t)
                 if disp != disp:
                     max_disp = disp
-            if not disp <= own_cap + REL_SLACK * max(1.0, own_cap):
+            if not disp <= own_cap + REL_TOL * max(1.0, own_cap):
                 cap_violations.append(t)
     return SpeedAudit(max_displacement=max_disp, cap=cap, violations=violations,
                       cap_violations=cap_violations)

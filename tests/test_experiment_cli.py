@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -29,7 +31,7 @@ from kmobile.experiment import (
     run_experiment,
     run_point,
 )
-from kmobile.mobile import run as run_mobile
+from kmobile.mobile import RunResult, run as run_mobile
 
 
 def write_spec(tmp_path, text):
@@ -63,12 +65,15 @@ sweep.x=64,128
         # a base key and a sweep axis of one parameter: the aggregate's base would not be run
         ("construction=thm3\nk=2\nx=8\nsweep.x=16\n", 4),
         ("construction=thm3\nk=2\nsweep.x=16\nx=8\n", 4),
+        # an axis of no values is refused once the whole file is read, at no line
+        ("construction=thm3\nx=8\nsweep.k=\n", None),
     ])
-    def test_a_value_set_twice_exits_2_at_its_line(self, tmp_path, capsys, text, line):
+    def test_a_value_set_twice_or_to_nothing_exits_2(self, tmp_path, capsys, text, line):
         path = write_spec(tmp_path, text)
         assert main(["sweep", "--spec", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"input error: {path}:{line}: ") and err.count("\n") == 1, err
+        where = "sweep axis k has no values\n" if line is None else f"{path}:{line}: "
+        assert err.startswith(f"input error: {where}") and err.count("\n") == 1, err
 
     def test_validation(self):
         spec = ExperimentSpec()
@@ -552,7 +557,8 @@ class TestCli:
 
     def test_verify_refuses_a_record_without_steps(self, valid_records, tmp_path, capsys):
         run_path = tmp_path / "fast.run.json"
-        run_path.write_text(json.dumps(dict(valid_records[0][1], steps=[])))
+        empty = replace(RunResult.from_dict(valid_records[0][1]), reports=[])
+        run_path.write_text(empty.to_json({}))
         assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"input error: {run_path}: the run record has no steps\n")
@@ -561,17 +567,54 @@ class TestCli:
         ("array", "run record must be a JSON object, got list"),
         ("null-steps", "run record steps must be a list, got NoneType"),
         ("object-steps", "run record steps must be a list, got dict"),
+        ("list-params", "parameters must be a JSON object, got [2]"),
+        ("400-digit-cost", "malformed run record: int too large to convert to float"),
     ])
     def test_verify_names_a_malformed_record_shape(self, valid_records, tmp_path, capsys,
                                                    shape, message):
         record = valid_records[0][1]
+        steps = copy.deepcopy(record["steps"])
+        steps[0]["cost"] = 10 ** 400
         record = {"array": [record], "null-steps": dict(record, steps=None),
-                  "object-steps": dict(record, steps={})}[shape]
+                  "object-steps": dict(record, steps={}), "list-params": dict(record, params=[2]),
+                  "400-digit-cost": dict(record, steps=steps)}[shape]
         run_path = tmp_path / "fast.run.json"
         run_path.write_text(json.dumps(record))
         assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("field,value,message", [
+        (("params", "typo"), 3, "run record params hold keys other than parameters: ['typo']"),
+        (("steps", 1, "typo"), 3, "run record step 2: a step may hold no field but t, r, perm, "
+                                  "branch, mover, caps, disp, serving, movement, cost, "
+                                  "sim_serving, sim_movement, sim_cost, matched_sum, a, c, "
+                                  "got ['typo']"),
+        (("projection", "typo"), 3, "run record projection audit must hold the numbers "
+                                    "('max_hat_request_distance', 'radius_bound', 'raw_cost', "
+                                    "'projected_cost', 'phase_ends')"),
+        (("ledger", "grand_total"), -5.0, "run record ledger must be the steps' totals {want}, "
+                                          "got {got}"),
+        (("ledger", "serving_total"), "0.0", "run record ledger must be the steps' totals "
+                                             "{want}, got {got}"),
+        (("ledger",), None, "run record misses field 'ledger'"),
+    ], ids=["params-extra-key", "step-extra-key", "audit-extra-key", "negative-grand-total",
+            "string-total", "no-ledger"])
+    def test_verify_holds_a_record_to_exactly_what_the_run_writes(
+            self, valid_records, tmp_path, capsys, field, value, message):
+        record = copy.deepcopy(valid_records[0][0])
+        *path, key = field
+        owner = functools.reduce(operator.getitem, path, record)
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value
+        want, got = (json.dumps(obj.get("ledger"), sort_keys=True)
+                     for obj in (valid_records[0][0], record))
+        run_path = tmp_path / "slow.run.json"
+        run_path.write_text(json.dumps(record))
+        assert main(["verify", "--property", "projection-bound", "--run", str(run_path)]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message.format(want=want, got=got)}\n")
 
     def test_verify_names_a_step_missing_a_field(self, valid_records, tmp_path, capsys):
         record = copy.deepcopy(valid_records[0][1])

@@ -12,7 +12,7 @@ import kmobile
 from kmobile import core, mobile
 from kmobile.adversary import gen_thm3
 from kmobile.core import InputError, Matching, _assignment, min_weight_matching, total
-from test_mobile import reused_steps
+from test_mobile import distinct
 
 
 def brute_force(a, b):
@@ -350,8 +350,8 @@ def test_sorted_line_matchings_skip_the_solve(monkeypatch):
     inst = gen_thm3(8, 16, seed=4)
     res = mobile.run(inst.trace, inst.params, "ums", sim="dc-line")
     unsorted = sum(not (is_sorted_line(a) and is_sorted_line(b)) for a, b in inputs)
-    # One matching for the start, and one for each step that does not
-    # repeat a settled step's outcome.
-    assert len(inputs) == len(inst.trace) - reused_steps(res.reports) + 1
+    # One matching for the start, and one for each report: a block's settled
+    # report stands for its remaining steps.
+    assert len(inputs) == distinct(res.reports) + 1 < len(inst.trace) / 4
     assert 0 < unsorted < len(inputs) / 10
     assert len(solves) == unsorted

@@ -33,6 +33,7 @@ from kmobile.kserver import (
     PageMigrationCounter,
     ScriptedSimulator,
     SimStep,
+    SplitServeLine,
 )
 from kmobile.mobile import ALGO_TAGS, STEP_FIELDS, MobileRun, RunResult, derive_mode, run
 from kmobile.projection import ProjectionWrapper
@@ -136,7 +137,6 @@ class TestUmsStep:
         m = MobileRun(p, "ums", sim, conf)
         for _ in range(3):
             m.step(r)
-        assert m._settled
         with pytest.raises(InputError):
             m.step(r)
 
@@ -150,7 +150,6 @@ class TestUmsStep:
         m = MobileRun(p, "ums", sim, conf)
         for _ in range(3):
             m.step(r)
-        assert m._settled
         with pytest.raises(InputError):
             m.step((1.0, 0.0))
 
@@ -457,8 +456,9 @@ class TestRecordWriter:
     def test_record_without_steps(self):
         p = params(k=2, mc=0.6)
         res = run(gen_local_walk(3, p, 1.0, seed=3).trace, p, algo="ums")
-        res = RunResult.from_dict(dict(record_dict(res), steps=[]))
+        res = dataclasses.replace(res, reports=[])
         assert res.to_json({}) == stdlib_record(res, {})
+        assert RunResult.from_dict(json.loads(res.to_json({}))).to_json({}) == res.to_json({})
 
     def test_reader_gives_back_every_report_field(self):
         for res in writer_matrix():
@@ -536,47 +536,30 @@ def reused_steps(reports):
     return count
 
 
-def measured_steps(step, attr):
-    """``step`` with the last step's outcome, held in ``attr``, forgotten first."""
-    def full_step(self, r):
-        setattr(self, attr, None)
-        return step(self, r)
-    return full_step
-
-
 def run_and_reference(make, **kw):
-    """A run, and the same run with every step measured in full.
+    """A run, and the same run with every step measured in full (``per_step``).
 
     ``make`` gives run's leading arguments (trace and parameters, maybe
     algorithm and simulator); it is called once per run, so that a
     simulator instance is never shared.
     """
     res = run(*make(), **kw)
-    with mock.patch.object(MobileRun, "step", measured_steps(MobileRun.step, "_settled")), \
-            mock.patch.object(ProjectionWrapper, "step",
-                              measured_steps(ProjectionWrapper.step, "_last")), \
-            mock.patch.object(DoubleCoverageLine, "step",
-                              measured_steps(DoubleCoverageLine.step, "_request")):
+    with per_step():
         ref = run(*make(), **kw)
     return res, ref
 
 
-def unshared_sim_steps():
-    """Patches under which double coverage and the projection return a new SimStep each step.
-
-    A run appends the last report again only for the very SimStep of the
-    last step, so under these patches no two steps share a report.
-    """
+def per_step():
+    """Patches under which no guidance takes repeats in bulk: each step runs."""
     stack = contextlib.ExitStack()
-    for cls in (DoubleCoverageLine, ProjectionWrapper):
-        step = cls.step
-        stack.enter_context(mock.patch.object(
-            cls, "step", lambda self, r, step=step: SimStep(*step(self, r))))
+    for cls in (GuidanceSimulator, GreedyServer, DoubleCoverageLine, PageMigrationCounter,
+                SplitServeLine, ProjectionWrapper):
+        stack.enter_context(mock.patch.object(cls, "repeat", lambda self, r, m: None))
     return stack
 
 
 def distinct(reports):
-    """How many report objects stand for the steps."""
+    """How many report objects stand for the steps: one matching each."""
     return len(set(map(id, reports)))
 
 
@@ -720,9 +703,7 @@ class TestReuse:
 
     @pytest.mark.parametrize("make,kw,repeats", fresh_copy_cases())
     def test_shared_reports_give_the_bytes_of_unshared_ones(self, make, kw, repeats):
-        res = run(*make(), **kw)
-        with unshared_sim_steps():
-            ref = run(*make(), **kw)
+        res, ref = run_and_reference(make, **kw)
         assert distinct(ref.reports) == len(ref.reports)
         assert res.to_json({}) == ref.to_json({}) and _steps_csv(res) == _steps_csv(ref)
         assert list(map(report_bits, res.reports)) == list(map(report_bits, ref.reports))
@@ -787,9 +768,11 @@ class TestReuse:
         trace = Trace(repeated([(0.0,), (1.0,), (2.0,)], 5), ((0.0,), (0.0,)))
         with mock.patch("kmobile.mobile.min_weight_matching", counted):
             res = run(trace, p, algo="ums", sim="dc-line")
-        # Each block's first repeat follows a move, so only the later ones reuse.
+        # Each block takes a full step, is given double coverage's repeat and takes
+        # one more step with it, which leaves each server the object it was: that
+        # report stands for the block's other three steps.
         assert reused_steps(res.reports) == 4 + 3 + 3
-        assert len(calls) == len(trace) - 10 + 1
+        assert len(calls) == distinct(res.reports) + 1 == len(trace) - 3 * 3 + 1
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_a_thm3_trace_read_from_a_file_runs_as_the_generated_one(self, tmp_path, k):
@@ -803,22 +786,26 @@ class TestReuse:
         (gen, gen_calls), (read, read_calls) = (counted_run(t, p, **kw)
                                                 for t in (inst.trace, trace))
         assert read.to_json({}) == gen.to_json({}) and _steps_csv(read) == _steps_csv(gen)
-        assert read_calls == gen_calls == len(trace) + 1 - reused_steps(gen.reports)
-        assert reused_steps(gen.reports) > len(trace) / 2
+        assert read_calls == gen_calls == distinct(gen.reports) + 1
+        assert distinct(gen.reports) < len(trace) / 2
 
     @pytest.mark.parametrize("project", ["on", "off"])
-    @pytest.mark.parametrize("sim,dim,k", [("greedy", 2, 3), ("wfa", 2, 2), ("split-serve", 1, 2)])
-    def test_repeated_walks_reuse_their_steps_under_k_server_guidance(self, sim, dim, k,
-                                                                      project):
-        # These simulators keep their positions tuple when the server they place
-        # on the request already is that request, so the run skips the matching.
+    @pytest.mark.parametrize("sim,dim,k,bulk", [("greedy", 2, 3, True), ("wfa", 2, 2, False),
+                                                ("split-serve", 1, 2, True)])
+    def test_repeated_walks_take_repeats_in_bulk_where_the_guidance_offers_them(
+            self, sim, dim, k, bulk, project):
+        # Greedy and split-serve offer a repeat once the server they place on the
+        # request is that request object; the work function offers none.
         p = params(k=k, ms=1.0, mc=1.0, delta=0.5, dim=dim)
         walk = gen_local_walk(12, p, 1.0, seed=3).trace.requests
         trace = Trace(repeated(walk, 4), (walk[0],) * k)
         res, calls = counted_run(trace, p, algo="ums", sim=sim, project=project)
-        reused = reused_steps(res.reports)
-        assert calls == len(trace) + 1 - reused
-        assert reused >= len(walk)
+        assert calls == distinct(res.reports) + 1
+        assert reused_steps(res.reports) >= len(walk)
+        if bulk:
+            assert len(res.reports) - distinct(res.reports) >= len(walk)
+        else:
+            assert distinct(res.reports) == len(trace)
 
 
 def counted_run(trace, p, **kw):
@@ -831,20 +818,6 @@ def counted_run(trace, p, **kw):
 
     with mock.patch("kmobile.mobile.min_weight_matching", counted):
         return run(trace, p, **kw), len(calls)
-
-
-def per_step():
-    """Patches under which no guidance takes repeats in bulk: each step runs."""
-    stack = contextlib.ExitStack()
-    for cls in (GuidanceSimulator, DoubleCoverageLine, ProjectionWrapper):
-        stack.enter_context(mock.patch.object(cls, "repeat", lambda self, r, m: None))
-    return stack
-
-
-def report_pattern(reports):
-    """Each report as the index of the first step that holds the same object."""
-    first = {}
-    return [first.setdefault(id(rep), i) for i, rep in enumerate(reports)]
 
 
 def bulk_cases():
@@ -866,9 +839,7 @@ def bulk_cases():
 class TestBulkRepeats:
     @pytest.mark.parametrize("make,kw", bulk_cases())
     def test_bulk_repeats_give_the_bytes_of_single_steps(self, make, kw):
-        res = run(*make(), **kw)
-        with per_step():
-            ref = run(*make(), **kw)
+        res, ref = run_and_reference(make, **kw)
         assert res.to_json({}) == ref.to_json({}) and _steps_csv(res) == _steps_csv(ref)
         assert list(map(report_bits, res.reports)) == list(map(report_bits, ref.reports))
         audits = res.projection_audit, ref.projection_audit
@@ -876,8 +847,7 @@ class TestBulkRepeats:
         if audits[0] is not None:
             assert bits(list(audits[0].values())) == bits(list(audits[1].values()))
             assert list(audits[0]) == list(audits[1])
-        assert report_pattern(res.reports) == report_pattern(ref.reports)
-        assert distinct(res.reports) < len(res.reports)
+        assert distinct(res.reports) < len(res.reports) == distinct(ref.reports)
 
     def test_double_coverage_steps_a_few_of_a_thm3_run(self):
         inst = gen_thm3(8, 32, seed=5)
@@ -892,23 +862,14 @@ class TestBulkRepeats:
         assert len(res.reports) == len(inst.trace)
         assert len(calls) < len(inst.trace) / 10
 
-    def test_a_repeat_other_than_the_last_sim_step_breaks_the_contract(self):
-        class FreshRepeat(DoubleCoverageLine):
-            def repeat(self, r, m):
-                return SimStep(*self._repeat)
-
-        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
-        trace = Trace(repeated([(0.0,), (1.0,)], 5), ((0.0,), (0.0,)))
-        with pytest.raises(ContractViolationError, match="other than its last"):
-            run(trace, p, algo="ums", sim=FreshRepeat(trace.start_config), project="off")
-
     def test_the_projection_changes_nothing_unless_it_repeats(self):
         p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
         r, other = (0.5,), tuple([0.5])  # equal, but not the last request object
         keys = ("raw_serving", "raw_movement", "proj_serving", "proj_movement",
                 "max_request_distance", "phase_ends", "positions")
-        for inner, request in ((GreedyServer(((0.0,), (3.0,))), r),
-                               (DoubleCoverageLine(((0.0,), (3.0,))), other)):
+        start = ((0.0,), (3.0,))
+        for inner, request in ((ScriptedSimulator(start, [((0.5,), (3.0,))] * 3), r),
+                               (DoubleCoverageLine(start), other)):
             wrapper = ProjectionWrapper(inner, p, weighted=False)
             for _ in range(3):
                 wrapper.step(r)
@@ -949,7 +910,7 @@ class TestBulkRepeats:
         single.step(r)
         last = bulk.repeat(r, m)
         assert last is bulk._last[2] and last.serving == 0.1
-        assert all(single.step(r) is single._last[2] for _ in range(m))
+        assert all(single.step(r) == last for _ in range(m))
         keys = ("raw_serving", "raw_movement", "proj_serving", "proj_movement")
         assert [bits(getattr(bulk, key)) for key in keys] == \
             [bits(getattr(single, key)) for key in keys]

@@ -2,7 +2,7 @@ import math
 import random
 
 from kmobile.core import ProblemParams, move_toward
-from kmobile.kserver import DoubleCoverageLine, GreedyServer, ScriptedSimulator
+from kmobile.kserver import DoubleCoverageLine, GreedyServer, ScriptedSimulator, SimStep
 from kmobile.projection import ProjectionWrapper, inner_radius, outer_radius
 
 
@@ -112,71 +112,53 @@ def test_reentering_server_snaps_back():
     assert wrap.step((0.0,)).positions == ((2.0,),)   # back inside: copied
 
 
+def projection_bits(value):
+    """Floats spelled by float.hex, through tuples."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(projection_bits, value))
+    return value
+
+
 def projection_state(wrap):
     """Everything a projection step leaves behind, floats spelled by float.hex."""
-    def bits(value):
-        if isinstance(value, float):
-            return value.hex()
-        if isinstance(value, tuple):
-            return tuple(map(bits, value))
-        return value
-
-    return bits((wrap.positions, wrap.anchor, wrap.raw_serving, wrap.raw_movement,
-                 wrap.proj_serving, wrap.proj_movement, wrap.max_request_distance,
-                 float(wrap.phase_ends)))
+    return projection_bits((wrap.positions, wrap.anchor, wrap.raw_serving, wrap.raw_movement,
+                            wrap.proj_serving, wrap.proj_movement, wrap.max_request_distance,
+                            float(wrap.phase_ends)))
 
 
-def test_repeated_steps_equal_measured_ones():
+class HeldScript(ScriptedSimulator):
+    """A script that repeats: it holds one configuration object through a block."""
+
+    def repeat(self, r, m):
+        self.t += m
+        return SimStep(self.positions, min(math.dist(p, r) for p in self.positions), 0.0)
+
+
+def test_repeats_equal_measured_steps():
     # Requests and guidance repeat in blocks, with servers inside and outside
     # the inner radius, phase ends, and zeros of both signs.
     rng = random.Random(5)
     pr = params(k=3, mc=1.0)  # inner radius 12
-    requests, script = [], []
+    blocks = []
     r = (0.0,)
-    for _ in range(30):
-        r = (0.0,) if rng.random() < 0.15 else (r[0] + rng.uniform(1.0, 8.0),)
-        offset, far = rng.choice((-0.0, 3.0, 60.0)), (rng.uniform(-80.0, 80.0),)
-        for _ in range(rng.randrange(1, 5)):
-            q = rng.choice(((-0.0,), (0.0,))) if r[0] == 0.0 else r
-            requests.append(q)
-            script.append([q, (q[0] + offset,), (far[0] * 1.0,)])
-    start = [(0.0,), (50.0,), (-50.0,)]
-    wrap = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
-    ref = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
-    reused = 0
-    for r in requests:
-        ref._last = None
-        reused += wrap._last is not None and r == wrap._last[0]
-        got, want = wrap.step(r), ref.step(r)
-        assert projection_state(wrap) == projection_state(ref)
-        assert (got.serving.hex(), got.movement.hex()) == (want.serving.hex(), want.movement.hex())
-    assert reused > len(requests) / 3
-    assert wrap.phase_ends > 0
-
-
-def test_recurring_guidance_objects_equal_measured_steps():
-    # Equal guidance configurations in distinct tuples, with zeros of both signs,
-    # recur as objects in any order, so a step may hand on its last positions
-    # only when its guidance is the very object of the step before.
-    rng = random.Random(3)
-    pr = params(k=3, mc=1.0)  # inner radius 12
-    far = (40.0,)
-    pool = [((0.0,), (-0.0,), far), ((-0.0,), (0.0,), far), ((0.0,), (0.0,), far)]
-    requests, script = [], []
     for _ in range(60):
-        r, conf = rng.choice(((0.0,), (-0.0,))), rng.choice(pool)
-        for _ in range(rng.randrange(1, 4)):
-            requests.append(r)
-            script.append(conf)
-    start = [(0.0,), (0.0,), (0.0,)]
-    wrap = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
+        r = (0.0,) if rng.random() < 0.15 else (r[0] + rng.uniform(1.0, 8.0),)
+        q = rng.choice(((-0.0,), (0.0,))) if r[0] == 0.0 else r
+        offset, far = rng.choice((-0.0, 3.0, 60.0)), rng.uniform(-80.0, 80.0)
+        blocks.append((q, (q, (q[0] + offset,), (far,)), rng.randrange(1, 5)))
+    script = [conf for _, conf, n in blocks for _ in range(n)]
+    start = [(0.0,), (50.0,), (-50.0,)]
+    wrap = ProjectionWrapper(HeldScript(start, script), pr, weighted=False)
     ref = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
-    handed_on = 0
-    for r, conf in zip(requests, script):
-        ref._last = None
-        before = wrap.positions
-        got, want = wrap.step(r), ref.step(r)
-        handed_on += got.positions is before
+    repeats = 0
+    for q, _, n in blocks:
+        assert projection_bits(wrap.step(q)) == projection_bits(ref.step(q))
+        if n > 1:
+            repeats += 1
+            got = wrap.repeat(q, n - 1)
+            assert all(projection_bits(got) == projection_bits(ref.step(q)) for _ in range(n - 1))
         assert projection_state(wrap) == projection_state(ref)
-        assert (got.serving.hex(), got.movement.hex()) == (want.serving.hex(), want.movement.hex())
-    assert handed_on > len(requests) / 4
+    assert repeats > len(blocks) / 2
+    assert wrap.phase_ends > 0

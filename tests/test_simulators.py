@@ -39,6 +39,13 @@ class TestGreedy:
         g = GreedyServer([(-1.0,), (1.0,)])
         assert g.step((0.0,)).positions == ((0.0,), (1.0,))
 
+    def test_repeats_only_once_its_nearest_server_is_the_request_object(self):
+        g = GreedyServer([(-0.0,), (5.0,)])
+        r = (0.0,)
+        assert g.repeat(r, 2) is None  # a step would place r's bits
+        g.step(r)
+        assert g.repeat(r, 2) == SimStep(g.positions, 0.0, 0.0)
+
 
 class TestDoubleCoverage:
     def test_inside_hull_both_flanks_move(self):
@@ -82,32 +89,58 @@ class TestDoubleCoverage:
         dc = DoubleCoverageLine([(0.0,), (10.0,)])
         r = (4.0,)
         first = dc.step(r)
-        again = dc.step(r)
-        assert again.positions is first.positions
+        again = dc.repeat(r, 3)
+        assert again.positions is first.positions is dc.positions
         assert (again.serving.hex(), again.movement.hex()) == ("0x0.0p+0", "0x0.0p+0")
-        # An equal request in a new tuple takes the full step, with the same values.
-        assert dc.step((4.0,)).positions == first.positions
+        # An equal request in a new tuple is not the last request object.
+        assert dc.repeat(tuple([4.0]), 3) is None
+        assert dc.step(tuple([4.0])).positions == first.positions
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_repeats_equal_full_steps_bit_for_bit(self, seed):
-        # Request objects recur, in runs and apart, with zeros of both signs,
-        # values at hull ends, inside with a zero gap and inside with rounding.
-        rng = random.Random(seed)
-        pool = [(0.0,), (-0.0,), (0.0,), (1.0,), (-1.0,), (0.1,), (0.3,), (0.7,),
-                (2.5,), (-2.5,), (1e-300,), (-1e-300,)]
-        start = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
-        dc, ref = DoubleCoverageLine(start), DoubleCoverageLine(start)
-        repeats = 0
-        for _ in range(300):
-            r = rng.choice(pool)
-            for _ in range(rng.randrange(1, 4)):
-                repeats += r is dc._request
-                ref._request = None
-                got, want = dc.step(r), ref.step(r)
-                assert [p[0].hex() for p in got.positions] == [p[0].hex() for p in want.positions]
-                assert (got.serving.hex(), got.movement.hex()) == (
-                    want.serving.hex(), want.movement.hex())
-        assert repeats > 100
+
+def repeat_cases():
+    """Guidance that offers repeats, each with a pool of line requests."""
+    zeros = [(0.0,), (-0.0,), (0.0,)]
+    pool = zeros + [(1.0,), (-1.0,), (0.1,), (0.3,), (0.7,), (2.5,), (-2.5,), (1e-300,),
+                    (-1e-300,)]
+    yield pytest.param(DoubleCoverageLine, pool, id="dc-line")
+    yield pytest.param(GreedyServer, pool, id="greedy")
+    yield pytest.param(lambda start: PageMigrationCounter(start, 1.5), pool, id="pm-counter")
+    # Split-serve needs two servers; a falling stream keeps it in its second phase.
+    yield pytest.param(lambda start: SplitServeLine(start + [(0.5,)]), pool, id="split-serve")
+
+
+def hex_bits(value):
+    """Floats spelled by float.hex, through tuples and lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(hex_bits, value))
+    return value
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("make,pool", repeat_cases())
+def test_repeats_equal_full_steps_bit_for_bit(make, pool, seed):
+    # Request objects recur, in blocks and apart, with zeros of both signs,
+    # values at hull ends, inside with a zero gap and inside with rounding.
+    rng = random.Random(seed)
+    start = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+    sim, ref = make(start), make(start)
+    offered = 0
+    for _ in range(300):
+        r, n = rng.choice(pool), rng.randrange(1, 4)
+        assert hex_bits(sim.step(r)) == hex_bits(ref.step(r))
+        got = sim.repeat(r, n)
+        wants = [ref.step(r) for _ in range(n)]
+        if got is None:
+            assert hex_bits([sim.step(r) for _ in range(n)]) == hex_bits(wants)
+        else:
+            offered += 1
+            assert got.positions is sim.positions
+            assert all(hex_bits(got) == hex_bits(want) for want in wants)
+        # Positions, credits, the last request and the phase, as the steps leave them.
+        assert hex_bits(list(vars(sim).items())) == hex_bits(list(vars(ref).items()))
+    assert offered > 50
 
 
 def brute_wfa_tables(start, requests):
@@ -380,6 +413,14 @@ class TestSplitServe:
         step = s.step((2.0,))  # no longer rising: second server takes over
         assert step.positions == ((3.0,), (2.0,))
         assert step.movement == 2.0
+
+    def test_repeats_only_in_its_second_phase(self):
+        s = SplitServeLine([(0.0,), (1.0,)])
+        r = s.positions[1]
+        s.step(r)  # the first phase: server 0 joins server 1 on r
+        assert s.positions == (r, r) and s.repeat(r, 2) is None  # a step ends the phase
+        s.step(r)
+        assert s.second_phase and s.repeat(r, 2) == SimStep(s.positions, 0.0, 0.0)
 
 
 def test_scripted_simulator_costs():

@@ -229,15 +229,17 @@ def test_read_trace_reads_a_line_only_by_its_exact_keys(tmp_path, capsys, lineno
 
 
 @pytest.mark.parametrize("lines,message", [
-    ([TRACE_HEADER], "no request lines"),
+    ([TRACE_HEADER], "{path}: no request lines"),
     ([TRACE_HEADER, {"t": 1, "r": [0.5]}, {"t": 2, "r": [0.5]}, {"t": 2, "o": [[0.5]]}],
-     "certificate steps are not contiguous 1..2"),
-], ids=["header-only", "certificate-gap"])
-def test_read_trace_names_a_trace_missing_steps(tmp_path, capsys, lines, message):
+     "{path}: certificate steps are not contiguous 1..2"),
+    # The run, not the reader, counts the start's servers against k.
+    ([dict(TRACE_HEADER, k=2), {"t": 1, "r": [0.5]}], "start config has 1 servers, expected 2"),
+], ids=["header-only", "certificate-gap", "start-short-of-k"])
+def test_read_trace_names_a_trace_missing_steps_or_servers(tmp_path, capsys, lines, message):
     path = tmp_path / "steps.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
     assert main(["simulate", "--trace", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"input error: {path}: {message}\n")
+    assert capsys.readouterr() == ("", f"input error: {message.format(path=path)}\n")
 
 
 def test_run_totals_are_step_sums():
