@@ -43,7 +43,7 @@ class GeneratedInstance:
 def _follow_certificate(start: Config, targets: Sequence[Point], ms: float,
                         n: int) -> list[Config]:
     """All offline servers head to their targets on the line simultaneously at speed ms
-    (checked nonnegative by the caller), by ``core.move_toward``'s steps.  The steps after
+    (checked positive by the caller), by ``core.move_toward``'s steps.  The steps after
     the last arrival hand on one configuration object."""
     paths = []
     for p, tgt in zip(start, targets):
@@ -71,8 +71,6 @@ def _jump(k: int, x: int, ms: float, mc: Optional[float], seed: Optional[int],
         raise InputError("z_choice enumeration is only defined for k=2")
     if z_choice is not None and not 0 <= z_choice < TWO_SERVER_CHOICES:
         raise InputError(f"z_choice must be in 0..{TWO_SERVER_CHOICES - 1}")
-    if ms < 0:
-        raise InputError("movement cap must be nonnegative")
     positive(ms, "ms")
     if mc is not None:
         positive(mc, "mc")

@@ -26,6 +26,7 @@ from kmobile.core import (
 )
 from kmobile.experiment import (
     PARAM_TYPES,
+    SETTING_TAGS,
     _READS,
     ExperimentSpec,
     build_instance,
@@ -34,8 +35,7 @@ from kmobile.experiment import (
     parse_spec_file,
     run_experiment,
 )
-from kmobile.kserver import SIM_TAGS
-from kmobile.mobile import ALGO_TAGS, RunResult, run as run_mobile
+from kmobile.mobile import ALGO_TAGS, PROJECT_MODES, RunResult, run as run_mobile
 from kmobile.offline import GridSpec, audit_helper, compute_helper, dp_optimum
 
 EXIT_OK = 0
@@ -73,10 +73,6 @@ def cmd_simulate(args) -> int:
     trace, params = read_trace(args.trace)
     params = dataclasses.replace(params, **{key: getattr(args, key) for key in OVERRIDES
                                             if getattr(args, key) is not None})
-    if trace.certificate is not None:  # the run checks the requests, not the certificate
-        violation = validate_trace(trace, params)
-        if violation is not None:
-            raise InputError(f"invalid trace: {violation}")
     result = run_mobile(trace, params, algo=args.algo, sim=args.sim,
                         project=args.project)
     speed = checks.audit_speed_caps(result)
@@ -126,6 +122,9 @@ def cmd_generate(args) -> int:
 
 def cmd_optimum(args) -> int:
     trace, params = read_trace(args.trace)
+    violation = validate_trace(trace, params)
+    if violation is not None:
+        raise InputError(f"invalid trace: {violation}")
     grid = GridSpec.from_resolution(trace, args.grid)
     cost, trajectory = dp_optimum(trace, params, grid)
     out = {
@@ -163,6 +162,9 @@ def cmd_verify(args) -> int:
     if args.trace:
         # Any record property given a trace checks that the record is a run of it.
         trace, params = read_trace(args.trace)
+        violation = validate_trace(trace, params)
+        if violation is not None:
+            raise InputError(f"invalid trace: {violation}")
         requests = [rep.request for rep in result.reports]
         if result.params.k != params.k:
             raise InputError(f"run record k={result.params.k} is not the trace's k={params.k}")
@@ -186,9 +188,6 @@ def cmd_verify(args) -> int:
                     "ratio": rep.ratio, "ok": rep.ok})
         return EXIT_OK if rep.ok else EXIT_VIOLATION
     if args.property in ("slow-potential", "helper-invariants"):
-        violation = validate_trace(trace, params)
-        if violation is not None:
-            raise InputError(f"invalid trace: {violation}")
         if trace.certificate is None:
             raise InputError("the trace carries no offline certificate")
         # validate_trace holds the certificate to one configuration per request.
@@ -217,7 +216,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = parse_spec_file(args.spec) if args.spec else ExperimentSpec()
-    for name in ("algo", "sim", "project"):
+    for name in SETTING_TAGS:
         value = getattr(args, name)
         if value is not None:
             setattr(spec, name, value)
@@ -246,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run an online algorithm over a trace file")
     p_sim.add_argument("--algo", choices=ALGO_TAGS, default="ums")
-    p_sim.add_argument("--sim", default="auto", choices=("auto",) + SIM_TAGS)
+    p_sim.add_argument("--sim", default="auto", choices=SETTING_TAGS["sim"])
     p_sim.add_argument("--trace", required=True)
     p_sim.add_argument("--out", help="write the full run record (JSON)")
     p_sim.add_argument("--csv", help="write a per-step CSV (t, serving, movement, psi)")
-    p_sim.add_argument("--project", choices=("auto", "on", "off"), default="auto")
+    p_sim.add_argument("--project", choices=PROJECT_MODES, default="auto")
     p_sim.add_argument("--seed", type=int, default=0)
     for key in OVERRIDES:
         p_sim.add_argument("--" + key, type=PARAM_TYPES[key])
@@ -289,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", help="flat key=value spec file")
     p_sweep.add_argument("--out", help="aggregate JSON output")
     p_sweep.add_argument("--ratio-csv", dest="ratio_csv")
-    p_sweep.add_argument("--algo", choices=ALGO_TAGS)
-    p_sweep.add_argument("--sim")
-    p_sweep.add_argument("--project", choices=("auto", "on", "off"))
+    for name, tags in SETTING_TAGS.items():
+        p_sweep.add_argument("--" + name, choices=tags)
     p_sweep.add_argument("--construction", choices=_READS)
     p_sweep.add_argument("--seeds")
     p_sweep.set_defaults(func=cmd_sweep)

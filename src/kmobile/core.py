@@ -480,6 +480,8 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
         if sorted(cert) != list(range(1, n + 1)):
             raise InputError(f"{path}: certificate steps are not contiguous 1..{n}")
         certificate = [cert[t] for t in range(1, n + 1)]
+    if len(start) != params.k:
+        raise InputError(f"{path}: start config has {len(start)} servers, expected {params.k}")
     trace = Trace(requests=req_list, start_config=start, certificate=certificate)
     for p in itertools.chain(req_list, start):
         if len(p) != params.dim:

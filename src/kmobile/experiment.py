@@ -28,9 +28,9 @@ from kmobile.core import (
     read_text,
     read_trace,
     total,
-    validate_trace,
 )
-from kmobile.mobile import run as run_mobile
+from kmobile.kserver import SIM_TAGS
+from kmobile.mobile import ALGO_TAGS, PROJECT_MODES, run as run_mobile
 from kmobile.offline import GridSpec, dp_optimum
 
 
@@ -79,9 +79,11 @@ class RunRecord:
     ok: bool
 
 
-# The construction parameters a sweep point may set, and their types.
+# The construction parameters a sweep point may set, and their types; the tags
+# each of a spec's settings may take.
 PARAM_TYPES = {"k": int, "x": int, "y": int, "n": int, "dim": int, "z_choice": int,
                "ms": float, "mc": float, "delta": float, "D": float, "step_scale": float}
+SETTING_TAGS = {"algo": ALGO_TAGS, "sim": ("auto", *SIM_TAGS), "project": PROJECT_MODES}
 
 # Per construction, and so the one list of construction names: the parameters its
 # generator reads, passed by name, the only ones a sweep point may set; a parameter
@@ -132,13 +134,17 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 spec.construction = value
             elif key == "trace":
                 spec.trace_path = value
-            elif key in ("algo", "sim", "project"):
+            elif key in SETTING_TAGS:
+                if value not in SETTING_TAGS[key]:
+                    raise InputError(f"{key} must be one of {SETTING_TAGS[key]}, got {value!r}")
                 setattr(spec, key, value)
             elif key == "seeds":
                 spec.seeds = parse_seeds(value)
             elif key.startswith("sweep."):
                 spec.sweep[name] = [_param_value(name, v) for v in value.split(",")
                                     if v.strip()]
+                if not spec.sweep[name]:
+                    raise InputError(f"sweep axis {name} has no values")
             else:
                 spec.base[key] = _param_value(key, value)
         except InputError as exc:
@@ -220,9 +226,6 @@ def run_point(spec: ExperimentSpec, point: dict, seed: int) -> RunRecord:
     """
     if spec.trace_path is not None:
         trace, params = read_trace(spec.trace_path)
-        violation = validate_trace(trace, params)  # certificate_cost reads the certificate
-        if violation is not None:
-            raise InputError(f"invalid trace: {violation}")
         runs = [(trace, params)]
         reference = certificate_cost(trace, params) if trace.certificate is not None else None
     else:

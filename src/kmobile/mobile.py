@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, compress, count, pairwise, repeat
 from operator import is_, is_not
 from typing import Optional, Sequence, Union
@@ -37,6 +37,7 @@ from kmobile.projection import AUDIT_KEYS, ProjectionWrapper
 
 ALGO_TAGS = ("ums", "wms", "simple")
 BRANCH_TAGS = ("matched", "greedy", "tentative", "fallback", "matching-only")
+PROJECT_MODES = ("auto", "on", "off")
 # The run-record writer spells NaN and the infinities by replacing "nan"
 # and "inf" in its text, so no tag may hold them.
 assert not any("nan" in tag or "inf" in tag for tag in BRANCH_TAGS)
@@ -335,27 +336,20 @@ class MobileRun:
         self.mode, self.epsilon = derive_mode(params, algo)
         self.reports: list[StepReport] = []
         self.psi0_matched_sum = min_weight_matching(start, sim.positions).weight
-        self.t = 0
         self.on_request_tol = REL_TOL * max(1.0, params.mc)
 
     def step(self, r: Point, sim_step: Optional[SimStep] = None) -> StepReport:
         """Guidance step, matching to it, then the algorithm's caps and targets.
 
-        ``sim_step``, when given, is the guidance's step for r, taken before.
-        The request and the guidance are checked against the dimension
-        here, unless they are the very objects of the last step, which
-        were; the step then measures them with ``math.dist``.
+        ``sim_step``, when given, is the guidance's step for r, taken before.  The request
+        (before the guidance sees it) and the guidance are checked against the dimension.
         """
-        self.t += 1
         dim, D = self.params.dim, self.params.D
-        last = self.reports[-1] if self.reports else None
-        if last is None or r is not last.request:
-            check_dims((r,), dim)
+        check_dims((r,), dim)
         if sim_step is None:
             sim_step = self.sim.step(r)
         c = sim_step.positions
-        if last is None or c is not last.sim_positions:
-            check_dims(c, dim)
+        check_dims(c, dim)
         perm = min_weight_matching(self.positions, c).perm
         matched = [c[j] for j in perm]
         branch, mover, caps, targets, moved = self._POLICIES[self.algo](self, r, c, perm, matched)
@@ -389,7 +383,6 @@ class MobileRun:
             rep = self.step(r, sim_step)
             if all(map(is_, rep.positions, before)):
                 self.reports += repeat(rep, left)
-                self.t += left
                 return
 
     def _apply(self, targets: Sequence[Point], caps: Sequence[float]) -> tuple[Config, list[float]]:
@@ -419,7 +412,7 @@ class MobileRun:
         on_r = [i for i, p in enumerate(c) if math.dist(p, r) <= self.on_request_tol]
         if not on_r:
             raise ContractViolationError(
-                f"guidance left no server on the request at step {self.t}")
+                f"guidance left no server on the request at step {len(self.reports) + 1}")
         j = perm.index(on_r[0])
         cap_full = params.online_speed
         caps = [cap_full] * params.k
@@ -465,16 +458,16 @@ class MobileRun:
 def run(trace: Trace, params: ProblemParams, algo: str = "ums",
         sim: Union[str, GuidanceSimulator] = "auto",
         project: str = "auto") -> RunResult:
-    """Run an online algorithm over a trace; its certificate is neither read nor checked.
+    """Run an online algorithm over a trace, checked whole first, its certificate included.
 
     ``sim`` is a simulator tag, "auto" for the default selection, or a
     ready-made simulator instance.  ``project`` is "auto" (wrap the
     guidance in the projection exactly in slow mode), "on" or "off".
     """
-    violation = validate_trace(replace(trace, certificate=None), params)
+    violation = validate_trace(trace, params)
     if violation is not None:
         raise InputError(f"invalid trace: {violation}")
-    if project not in ("auto", "on", "off"):
+    if project not in PROJECT_MODES:
         raise InputError(f"project must be auto/on/off, not {project!r}")
     if algo == "wms" and params.D < 2.0:
         warnings.warn("WMS is intended for D >= 2; for smaller D the unweighted "

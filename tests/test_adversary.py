@@ -20,6 +20,7 @@ from kmobile.core import (
     Trace,
     certificate_cost,
     move_toward,
+    positive,
     total,
     validate_trace,
 )
@@ -203,9 +204,10 @@ class TestCheckedOnce:
                 assert any(b is a for a, b in zip(cert, cert[1:]))
 
     def test_a_negative_speed_keeps_its_message(self):
+        message = r"^ms must be positive and finite, got -1\.0$"
         for gen in (lambda k: gen_thm3(k, 16, ms=-1.0), lambda k: gen_thm4(k, 16, -1.0, 2.0)):
             for k in (2, 4):
-                with pytest.raises(InputError, match="^movement cap must be nonnegative$"):
+                with pytest.raises(InputError, match=message):
                     gen(k)
 
     def test_jumps_and_certificate_costs_equal_the_checked_distance(self):
@@ -254,6 +256,7 @@ def reference_jump_setup(k, x, ms, seed, z_choice):
 def reference_thm3(k, x, D=1.0, ms=1.0, *, seed=None, z_choice=None, delta=0.5):
     """gen_thm3 as written on its own, with the reference certificate."""
     rng, origin, start, zs, choice = reference_jump_setup(k, x, ms, seed, z_choice)
+    positive(ms, "ms")
     if k == 2:
         z = zs[0]
         phase1 = x
@@ -290,6 +293,7 @@ def reference_thm4(k, x, ms, mc, D=1.0, *, seed=None, z_choice=None, delta=0.5):
     if mc < ms:
         raise InputError("needs mc >= ms")
     rng, origin, start, zs, choice = reference_jump_setup(k, x, ms, seed, z_choice)
+    positive(ms, "ms")
 
     def walk(frm, to):
         out = []
@@ -375,7 +379,7 @@ class TestOneConstruction:
         assert errors == {"InputError: " + message for message in (
             "construction needs k >= 2", "x must be a positive multiple of 8",
             "z_choice enumeration is only defined for k=2", "z_choice must be in 0..3",
-            "movement cap must be nonnegative", "needs mc >= ms")}
+            "ms must be positive and finite, got -1", "needs mc >= ms")}
 
     def test_thm3_without_its_certificate_is_the_same_instance(self):
         # thm4 too: at k>2 it builds the certificate for its bound, then leaves it off.

@@ -65,15 +65,17 @@ sweep.x=64,128
         # a base key and a sweep axis of one parameter: the aggregate's base would not be run
         ("construction=thm3\nk=2\nx=8\nsweep.x=16\n", 4),
         ("construction=thm3\nk=2\nsweep.x=16\nx=8\n", 4),
-        # an axis of no values is refused once the whole file is read, at no line
-        ("construction=thm3\nx=8\nsweep.k=\n", None),
+        ("construction=thm3\nx=8\nsweep.k=\n", 3),
+        # a setting outside its tags
+        ("construction=thm3\nx=8\nalgo=fast\n", 3),
+        ("construction=thm3\nx=8\nsim=dc\n", 3),
+        ("construction=thm3\nx=8\nproject=sideways\n", 3),
     ])
-    def test_a_value_set_twice_or_to_nothing_exits_2(self, tmp_path, capsys, text, line):
+    def test_a_bad_value_exits_2_at_its_line(self, tmp_path, capsys, text, line):
         path = write_spec(tmp_path, text)
         assert main(["sweep", "--spec", path]) == 2
         err = capsys.readouterr().err
-        where = "sweep axis k has no values\n" if line is None else f"{path}:{line}: "
-        assert err.startswith(f"input error: {where}") and err.count("\n") == 1, err
+        assert err.startswith(f"input error: {path}:{line}: ") and err.count("\n") == 1, err
 
     def test_validation(self):
         spec = ExperimentSpec()
@@ -474,17 +476,18 @@ class TestCli:
         (["thm3", "--k", "4", "--ms", "inf"], "ms must be positive and finite, got inf"),
         (["thm3", "--k", "4", "--ms", "0"], "ms must be positive and finite, got 0.0"),
         (["thm3", "--k", "4", "--ms", "1e308"], "a target Z is not finite: x * ms = 16 * 1e+308 "
-                                                 "is too large")])
-    def test_generate_refuses_jump_parameters_it_cannot_use(self, tmp_path, capsys, args,
-                                                            message):
-        assert main(["generate", "--out", str(tmp_path / "t.jsonl"), "--x", "16",
+                                                 "is too large"),
+        (["walk", "--n", "0", "--mc", "0.5"], "n must be positive")])
+    def test_generate_refuses_parameters_it_cannot_use(self, tmp_path, capsys, args, message):
+        x = [] if args[0] == "walk" else ["--x", "16"]  # a walk reads no x
+        assert main(["generate", "--out", str(tmp_path / "t.jsonl"), *x,
                      "--construction"] + args) == 2
         assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     @pytest.mark.parametrize("ms,mc,message", [
         ("1", "nan", "mc must be positive and finite, got nan"),
         ("nan", "1", "ms must be positive and finite, got nan"),
-        ("-1", "0", "movement cap must be nonnegative")])
+        ("-1", "0", "ms must be positive and finite, got -1.0")])
     def test_generate_refuses_a_walk_that_would_not_end(self, tmp_path, ms, mc, message):
         # These once looped forever; a separate process with a timeout fails instead.
         env = dict(os.environ, PYTHONPATH=str(Path(kmobile.__file__).resolve().parents[1]))
@@ -569,6 +572,7 @@ class TestCli:
         ("object-steps", "run record steps must be a list, got dict"),
         ("list-params", "parameters must be a JSON object, got [2]"),
         ("400-digit-cost", "malformed run record: int too large to convert to float"),
+        ("simple-algo", "no fast-mode potential is defined for algorithm 'simple'"),
     ])
     def test_verify_names_a_malformed_record_shape(self, valid_records, tmp_path, capsys,
                                                    shape, message):
@@ -577,7 +581,8 @@ class TestCli:
         steps[0]["cost"] = 10 ** 400
         record = {"array": [record], "null-steps": dict(record, steps=None),
                   "object-steps": dict(record, steps={}), "list-params": dict(record, params=[2]),
-                  "400-digit-cost": dict(record, steps=steps)}[shape]
+                  "400-digit-cost": dict(record, steps=steps),
+                  "simple-algo": dict(record, algo="simple")}[shape]
         run_path = tmp_path / "fast.run.json"
         run_path.write_text(json.dumps(record))
         assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
@@ -643,6 +648,46 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"input error: {path}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["simulate", "optimum", "verify", "sweep"])
+    @pytest.mark.parametrize("defect,message", [
+        ("start-short-of-k", "{path}: start config has 1 servers, expected 2"),
+        ("far-jump", "invalid trace: TraceViolation(kind='request-locality', index=1, "
+                     "measured=5.0, bound=0.5)")])
+    def test_each_command_checks_the_whole_trace_it_reads(self, valid_records, tmp_path, capsys,
+                                                          command, defect, message):
+        # The far jump's certificate lines list one server of two, which no check reaches
+        # before the jump.
+        header = {"dim": 1, "k": 2, "ms": 1.0, "mc": 0.5, "delta": 0.0, "D": 1.0,
+                  "start": [[0.0]] if defect == "start-short-of-k" else [[0.0], [0.0]]}
+        lines = [header, {"t": 1, "r": [0.0]}, {"t": 2, "r": [5.0]}]
+        if defect == "far-jump":
+            lines += [{"t": 1, "o": [[0.0]]}, {"t": 2, "o": [[0.0]]}]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(valid_records[0][1]))
+        argv = {"simulate": ["simulate", "--trace", str(path)],
+                "optimum": ["optimum", "--trace", str(path), "--grid", "1"],
+                "verify": ["verify", "--property", "fast-potential", "--run", str(run_path),
+                           "--trace", str(path)],
+                "sweep": ["sweep", "--spec", write_spec(tmp_path, f"trace={path}\n")]}[command]
+        if command == "sweep" and defect == "far-jump":
+            message = "certificate step 1 has 1 servers"  # certificate_cost reads it first
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"input error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("start,message", [
+        ([[0.0]], "split-serve needs at least two servers"),
+        ([[0.0, 0.0], [1.0, 0.0]], "split-serve requires dimension 1")])
+    def test_simulate_refuses_split_serve_off_a_line_of_two_servers(self, tmp_path, capsys,
+                                                                      start, message):
+        header = {"dim": len(start[0]), "k": len(start), "ms": 1.0, "mc": 1.0, "delta": 0.5,
+                  "D": 1.0, "start": start}
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps({"t": 1, "r": start[0]}) + "\n")
+        assert main(["simulate", "--trace", str(path), "--sim", "split-serve"]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
     def test_fast_potential_counts_a_nan_margin_as_a_violation(self, valid_records, tmp_path,
                                                               capsys):
         record = copy.deepcopy(valid_records[0][1])
@@ -691,7 +736,7 @@ class TestCli:
         assert math.isnan(out["negatives"][0][1])
 
     def test_a_wrong_dimension_request_after_settled_steps_exits_2(self, tmp_path, capsys):
-        # The first steps settle, so the later ones may skip their dimension checks.
+        # The first steps settle; the request after them is checked all the same.
         trace = tmp_path / "line.jsonl"
         header = {"dim": 1, "k": 2, "ms": 1.0, "mc": 1.0, "delta": 0.5, "D": 1.0,
                   "start": [[0.0], [0.0]]}

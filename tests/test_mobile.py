@@ -234,8 +234,8 @@ class TestRun:
             cap = (1 + p.delta) * p.ms
             assert audit_speed_caps(res).max_displacement <= cap + 1e-9
 
-    def test_a_run_validates_no_certificate(self, monkeypatch):
-        # A generated certificate is checked by its generator's tests; the run never reads it.
+    def test_a_run_checks_the_certificate_a_sweep_never_builds(self, monkeypatch):
+        # A sweep's generated instances carry no certificate, so no run of one measures it.
         validated = []
 
         def record_validate(trace, params):
@@ -250,13 +250,19 @@ class TestRun:
                 assert run_experiment(spec)[1]["all_ok"]
         assert len(validated) == runs.call_count == 10  # k=2 runs each of its four targets
         assert [trace.certificate for trace in validated] == [None] * 10
-        # So a certificate the trace's own ms forbids leaves the run's bytes as they were.
+        # A run given a certificate checks it: one the trace's own ms forbids is refused,
+        # and so is one of the wrong shape.
         inst = gen_thm3(2, 16, seed=0)
         cert = list(inst.trace.certificate)
         cert[4] = ((cert[4][0][0] + 500.0,), *cert[4][1:])
         far_move = dataclasses.replace(inst.trace, certificate=cert)
         assert validate_trace(far_move, inst.params).kind == "certificate-speed"
-        assert run(far_move, inst.params).to_json({}) == run(inst.trace, inst.params).to_json({})
+        with pytest.raises(InputError, match="^invalid trace: .*certificate-speed"):
+            run(far_move, inst.params)
+        one_server = dataclasses.replace(
+            inst.trace, certificate=[conf[:1] for conf in inst.trace.certificate])
+        with pytest.raises(InputError, match="^certificate step 1 has 1 servers$"):
+            run(one_server, inst.params)
 
     def test_deterministic_ledgers(self):
         p = params(k=2, mc=1.0, ms=0.6, delta=0.5)
@@ -505,8 +511,9 @@ class TestStepMove:
             out = policy(mrun, r, c, perm, matched)
             branch, _, caps, targets, moved = out
             if branch == "tentative":
-                assert bits(moved) == bits(mrun._apply(targets, caps)), mrun.t
-                moves[mrun.t] = moved[0]
+                t = len(mrun.reports) + 1
+                assert bits(moved) == bits(mrun._apply(targets, caps)), t
+                moves[t] = moved[0]
             return out
 
         p = params(k=3, mc=0.8, ms=1.0, delta=0.5, D=2.5, dim=2)
@@ -732,7 +739,7 @@ class TestReuse:
             _, fresh = run_experiment(spec())
         assert json.dumps(aggregate, sort_keys=True) == json.dumps(fresh, sort_keys=True)
 
-    def test_dimension_checks_follow_new_objects_not_steps(self):
+    def test_each_step_checks_its_request_and_guidance(self):
         inst = gen_thm3(8, 32, seed=3)
         calls = dict.fromkeys(("mobile", "projection", "kserver"), 0)
 
@@ -749,13 +756,12 @@ class TestReuse:
         reps = res.reports
         new_requests = 1 + sum(rep.request is not prev.request
                                for prev, rep in zip(reps, reps[1:]))
-        new_guidance = 1 + sum(rep.sim_positions is not prev.sim_positions
-                               for prev, rep in zip(reps, reps[1:]))
-        assert new_requests == 8 and new_guidance < len(reps) / 20
-        # The run checks each new request and guidance object once; the projection
-        # its start and each new request; double coverage reads its one coordinate.
-        assert calls == {"mobile": new_requests + new_guidance,
-                         "projection": 1 + new_requests, "kserver": 0}
+        assert new_requests == 8 and distinct(reps) < len(reps) / 10
+        # Each step the run takes checks its request and its guidance, and a repeat taken
+        # in bulk takes none; the projection checks its start and each new request;
+        # double coverage reads its one coordinate.
+        assert calls == {"mobile": 2 * distinct(reps), "projection": 1 + new_requests,
+                         "kserver": 0}
 
     def test_a_repeat_skips_the_matching(self):
         calls = []

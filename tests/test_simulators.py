@@ -9,7 +9,9 @@ from kmobile.core import (
     InputError,
     ProblemParams,
     ResourceBudgetError,
+    Trace,
     min_weight_matching,
+    total,
 )
 from kmobile.kserver import (
     DoubleCoverageLine,
@@ -22,6 +24,7 @@ from kmobile.kserver import (
     default_sim_tag,
     make_simulator,
 )
+from kmobile.mobile import run
 
 
 class TestGreedy:
@@ -95,6 +98,44 @@ class TestDoubleCoverage:
         # An equal request in a new tuple is not the last request object.
         assert dc.repeat(tuple([4.0]), 3) is None
         assert dc.step(tuple([4.0])).positions == first.positions
+
+
+    @staticmethod
+    def least_bound_margin(start, requests, sim):
+        """The least relative margin, over the prefixes of a run, of the guidance's cost
+        under double coverage's bound k * OPT_t + sum_{i<j} |s_i - s_j|.
+
+        Double coverage is k-competitive on the line (Chrobak, Karloff, Payne &
+        Vishwanathan 1991); the potential of Chrobak & Larmore (1991), k times the
+        matching to the offline servers plus the servers' pairwise distances, starts at
+        the sum over the start and gives the bound at every prefix.  OPT_t is the least
+        work-function value after t requests.
+        """
+        jump = max(map(math.dist, requests, requests[1:]), default=0.0)
+        params = ProblemParams(k=len(start), ms=1.0, mc=max(jump, 1.0), delta=0.5)
+        reports = run(Trace(requests, tuple(start)), params, sim=sim, project="off").reports
+        spread = total(math.dist(a, b) for a, b in itertools.combinations(start, 2))
+        wfa, cost, margins = WorkFunctionServer(start), 0.0, []
+        for rep, r in zip(reports, requests):
+            wfa.step(r)
+            cost += rep.sim_cost
+            bound = len(start) * min(wfa.values) + spread
+            margins.append((bound - cost) / bound)
+        return min(margins)
+
+    def test_holds_its_classic_bound_at_every_prefix(self):
+        start, alternating = [(0.0,), (10.0,)], [(4.0,), (6.0,)] * 15
+        assert self.least_bound_margin(start, alternating, "dc-line") > 0.0
+        # Greedy guidance breaks the bound there: it moves one server to and fro.
+        assert self.least_bound_margin(start, alternating, "greedy") < 0.0
+        for seed in range(40):
+            rng = random.Random(seed)
+            start = [(float(x),) for x in rng.sample(range(-10, 11), 2 + seed % 2)]
+            requests, x = [], 0.0
+            for _ in range(rng.randint(20, 40)):
+                x += rng.uniform(-3.0, 3.0)
+                requests += [(x,)] * rng.choice((1, 1, 2, 5))  # runs of one request object
+            assert self.least_bound_margin(start, requests, "dc-line") > 0.0, seed
 
 
 def repeat_cases():

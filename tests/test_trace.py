@@ -232,9 +232,10 @@ def test_read_trace_reads_a_line_only_by_its_exact_keys(tmp_path, capsys, lineno
     ([TRACE_HEADER], "{path}: no request lines"),
     ([TRACE_HEADER, {"t": 1, "r": [0.5]}, {"t": 2, "r": [0.5]}, {"t": 2, "o": [[0.5]]}],
      "{path}: certificate steps are not contiguous 1..2"),
-    # The run, not the reader, counts the start's servers against k.
-    ([dict(TRACE_HEADER, k=2), {"t": 1, "r": [0.5]}], "start config has 1 servers, expected 2"),
-], ids=["header-only", "certificate-gap", "start-short-of-k"])
+    ([dict(TRACE_HEADER, k=2), {"t": 1, "r": [0.5]}],
+     "{path}: start config has 1 servers, expected 2"),
+    ([dict(TRACE_HEADER, dim=0), {"t": 1, "r": [0.5]}], "{path}:1: dim must be a positive integer"),
+], ids=["header-only", "certificate-gap", "start-short-of-k", "dim-0"])
 def test_read_trace_names_a_trace_missing_steps_or_servers(tmp_path, capsys, lines, message):
     path = tmp_path / "steps.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
