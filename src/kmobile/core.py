@@ -416,7 +416,7 @@ def _put_step(steps: dict, t: int, value) -> None:
     steps[t] = value
 
 
-def _repeat(prev: Point, p: Point) -> Point:
+def _reuse(prev: Point, p: Point) -> Point:
     """prev when p is bit for bit prev (equal, and equal in repr, which tells 0.0
     from -0.0), as a generated repeat is that very object; else p."""
     return prev if p == prev and repr(p) == repr(prev) else p
@@ -472,12 +472,12 @@ def read_trace(path: str) -> tuple[Trace, ProblemParams]:
     if not requests:
         raise InputError(f"{path}: no request lines")
     n = max(requests)
-    if sorted(requests) != list(range(1, n + 1)):
+    if min(requests) != 1 or len(requests) != n:  # n distinct ints from 1 to n
         raise InputError(f"{path}: request steps are not contiguous 1..{n}")
-    req_list = list(itertools.accumulate(map(requests.__getitem__, range(1, n + 1)), _repeat))
+    req_list = list(itertools.accumulate(map(requests.__getitem__, range(1, n + 1)), _reuse))
     certificate = None
     if cert:
-        if sorted(cert) != list(range(1, n + 1)):
+        if cert.keys() != requests.keys():
             raise InputError(f"{path}: certificate steps are not contiguous 1..{n}")
         certificate = [cert[t] for t in range(1, n + 1)]
     if len(start) != params.k:

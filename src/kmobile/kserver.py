@@ -52,11 +52,10 @@ class GuidanceSimulator:
     def step(self, r: Point) -> SimStep:
         raise NotImplementedError
 
-    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
-        """Asked right after ``step(r)``: m more ``step(r)`` calls at once, having done what
-        they do, as one SimStep equal to the one each would return and holding the very
-        positions tuple; else None, doing nothing, as here.  It is a guidance's only repeat."""
-        return None
+    def settled(self, r: Point) -> bool:
+        """Asked right after ``step(r)``, changing nothing: whether every further ``step(r)``
+        would change nothing and return ``SimStep(self.positions, 0.0, 0.0)``.  No, here."""
+        return False
 
 
 class GreedyServer(GuidanceSimulator):
@@ -71,10 +70,9 @@ class GreedyServer(GuidanceSimulator):
         self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
         return SimStep(self.positions, 0.0, d)
 
-    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+    def settled(self, r: Point) -> bool:
         """Its nearest server the very request, each step puts r where it is."""
-        i, _ = nearest(self.positions, r)
-        return SimStep(self.positions, 0.0, 0.0) if self.positions[i] is r else None
+        return self.positions[nearest(self.positions, r)[0]] is r
 
 
 class DoubleCoverageLine(GuidanceSimulator):
@@ -92,12 +90,12 @@ class DoubleCoverageLine(GuidanceSimulator):
         self.positions = tuple(sorted(start))
         self._request: Optional[Point] = None
 
-    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+    def settled(self, r: Point) -> bool:
         """The very request of the last step moves nothing, bit for bit: that step left a
-        server equal to x (g <= 0 moved nothing, so its repeat is again a no-op).  Inside the
-        hull that server makes g a zero; at a hull end it is x itself or a nonzero float (a
-        float sum is zero only when exact), so it moves by +0.0 onto x's bits."""
-        return self._repeat if r is self._request else None
+        server equal to x (g <= 0 moved nothing, so a further step is again a no-op).  Inside
+        the hull that server makes g a zero; at a hull end it is x itself or a nonzero float
+        (a float sum is zero only when exact), so it moves by +0.0 onto x's bits."""
+        return r is self._request
 
     def step(self, r: Point) -> SimStep:
         if len(r) != 1:
@@ -123,7 +121,6 @@ class DoubleCoverageLine(GuidanceSimulator):
                 pos[i_right] = x if gap_r == g else pos[i_right] - g
                 moved = 2.0 * g
         self.positions = tuple((p,) for p in pos)
-        self._repeat = SimStep(self.positions, 0.0, 0.0)  # this request's repeats, one object
         return SimStep(self.positions, 0.0, moved)
 
 
@@ -310,9 +307,9 @@ class PageMigrationCounter(GuidanceSimulator):
             return SimStep(self.positions, 0.0, d)
         return SimStep(self.positions, d, 0.0)
 
-    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+    def settled(self, r: Point) -> bool:
         """A page on r serves each step for nothing, adds no credit and stays."""
-        return SimStep(self.positions, 0.0, 0.0) if nearest(self.positions, r)[1] == 0.0 else None
+        return nearest(self.positions, r)[1] == 0.0
 
 
 class SplitServeLine(GuidanceSimulator):
@@ -342,10 +339,9 @@ class SplitServeLine(GuidanceSimulator):
         self.prev_request = r
         return SimStep(self.positions, 0.0, moved)
 
-    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
+    def settled(self, r: Point) -> bool:
         """In the second phase server 1 is the last request; if it is r, each step stays."""
-        stays = self.second_phase and self.positions[1] is r
-        return SimStep(self.positions, 0.0, 0.0) if stays else None
+        return self.second_phase and self.positions[1] is r
 
 
 class ScriptedSimulator(GuidanceSimulator):

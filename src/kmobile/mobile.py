@@ -308,14 +308,15 @@ def _read_steps(steps: list, k: int, dim: int) -> list[StepReport]:
                                *zip(cost_keys, costs, repeat(1))):
         check(not any(map((0.0).__gt__, values)), values, width, (0.0).__gt__,
               f"{key} holds a negative {'entry' if key in ('caps', 'disp') else 'cost'}")
-    if not set(map(len, steps)) <= {len(STEP_FIELDS)}:  # each step holds every field
+    r, a, c = map(column, ("r", "a", "c"))
+    if not set(map(len, steps)) <= {len(STEP_FIELDS)}:  # every field is read: one is extra
         check(False, [sorted(set(s).difference(STEP_FIELDS)) for s in steps], 1, bool,
               f"a step may hold no field but {', '.join(STEP_FIELDS)}")
     return list(map(
-        StepReport, points(column("r"), 1, "r"), perm, branch, mover,
+        StepReport, points(r, 1, "r"), perm, branch, mover,
         map(list, _chunks(caps, k)), map(list, _chunks(disp, k)), *costs,
-        *(_chunks(points(items(column(key), k, 1, key), k, f"a point of {key}"), k)
-          for key in ("a", "c"))))
+        *(_chunks(points(items(values, k, 1, key), k, f"a point of {key}"), k)
+          for key, values in (("a", a), ("c", c)))))
 
 
 def _chunks(values, size: int) -> zip:
@@ -369,19 +370,18 @@ class MobileRun:
         return rep
 
     def steps(self, r: Point, m: int) -> None:
-        """m calls of ``step(r)``.  After each full step the guidance is asked for the rest
-        (``GuidanceSimulator.repeat``); once it gives their SimStep, the run steps with that,
-        asking no more.  A step is a function of the positions, request and guidance, so
-        once one leaves each server the object it was, its report stands for the rest."""
-        left, sim_step = m, None
-        while left and sim_step is None:
-            self.step(r)
-            left -= 1
-            sim_step = self.sim.repeat(r, left) if left else None
-        for left in range(left - 1, -1, -1):
+        """m calls of ``step(r)``.  After each full step with more to come, a settled guidance
+        (``GuidanceSimulator.settled``) gives the rest one free SimStep and is asked no more.  A
+        step is a function of the positions, request and guidance, so once one leaves each
+        server the object it was, its report stands for the rest."""
+        sim_step = None
+        for left in range(m - 1, -1, -1):
             before = self.positions
             rep = self.step(r, sim_step)
-            if all(map(is_, rep.positions, before)):
+            if sim_step is None:
+                if left and self.sim.settled(r):
+                    sim_step = SimStep(self.sim.positions, 0.0, 0.0)
+            elif all(map(is_, rep.positions, before)):
                 self.reports += repeat(rep, left)
                 return
 
@@ -486,10 +486,7 @@ def run(trace: Trace, params: ProblemParams, algo: str = "ums",
     requests = trace.requests
     starts = compress(count(), map(is_not, [None, *requests], requests))
     for i, end in pairwise(chain(starts, [len(requests)])):
-        if end - i > 1:
-            mrun.steps(requests[i], end - i)
-        else:
-            mrun.step(requests[i])
+        mrun.steps(requests[i], end - i)
     return RunResult(algo=algo, sim_tag=sim_tag, params=params, reports=mrun.reports,
                      psi0_matched_sum=mrun.psi0_matched_sum,
                      projection_audit=simulator.audit() if project_on else None)

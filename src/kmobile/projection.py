@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from kmobile.core import ContractViolationError, Point, ProblemParams, check_dims, move_toward, total
+from kmobile.core import Point, ProblemParams, check_dims, move_toward, total
 from kmobile.kserver import GuidanceSimulator, SimStep
 
 
@@ -57,8 +57,8 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_movement = 0.0
         self.max_request_distance = 0.0
         self.phase_ends = 0
-        # The last step's request, guidance and the SimStep of their repeats.
-        self._last: Optional[tuple] = None
+        # The last step's request when that step served it for nothing, else None.
+        self._free: Optional[Point] = None
 
     def step(self, r: Point) -> SimStep:
         raw = self.sim.step(r)
@@ -87,23 +87,14 @@ class ProjectionWrapper(GuidanceSimulator):
         self.proj_serving += serving
         self.proj_movement += movement
         self.max_request_distance = max(self.max_request_distance, max(dists))
-        self._last = (r, c, SimStep(self.positions, serving, 0.0))
+        self._free = r if serving == 0.0 else None
         return SimStep(self.positions, serving, movement)
 
-    def repeat(self, r: Point, m: int) -> Optional[SimStep]:
-        """m more steps with the last request, whose guidance repeats its last positions: the
-        anchor is that r or within inner of it, so no phase ends; the servers inside already
-        hold these guidance points, and nothing moves.  Each sum s becomes total([share] * m, s)."""
-        last = self._last
-        raw = None if last is None or r is not last[0] else self.sim.repeat(r, m)
-        if raw is None:
-            return None
-        if raw.positions is not last[1]:  # the guidance took steps this would not repeat
-            raise ContractViolationError("a guidance repeat holds positions other than its last")
-        self.raw_serving = total([raw.serving] * m, self.raw_serving)
-        self.raw_movement = total([raw.movement] * m, self.raw_movement)
-        self.proj_serving = total([last[2].serving] * m, self.proj_serving)
-        return last[2]
+    def settled(self, r: Point) -> bool:
+        """The last request, served for nothing, under settled guidance: the anchor is r or
+        within inner of it, so no phase ends; the servers inside already hold the guidance's
+        unchanged points, the others stay, and nothing moves or costs."""
+        return r is self._free and self.sim.settled(r)
 
     def audit(self) -> dict:
         """The run record's projection audit: each of AUDIT_KEYS with its number."""

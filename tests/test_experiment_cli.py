@@ -31,7 +31,7 @@ from kmobile.experiment import (
     run_experiment,
     run_point,
 )
-from kmobile.mobile import RunResult, run as run_mobile
+from kmobile.mobile import STEP_FIELDS, RunResult, run as run_mobile
 
 
 def write_spec(tmp_path, text):
@@ -630,6 +630,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith("input error: run record step 3: a step needs the field 't', got {")
+
+    @pytest.mark.parametrize("field", list(STEP_FIELDS))
+    def test_verify_names_any_field_a_golden_step_misses(self, tmp_path, capsys, field):
+        golden = Path(__file__).resolve().parent / "golden" / "walk-fast-ums.run.json"
+        record = json.loads(golden.read_text(encoding="utf-8"))
+        middle = len(record["steps"]) // 2
+        del record["steps"][middle][field]
+        run_path = tmp_path / "fast.run.json"
+        run_path.write_text(json.dumps(record))
+        assert main(["verify", "--property", "fast-potential", "--run", str(run_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"input error: run record step {middle + 1}: "
+                              f"a step needs the field {field!r}, got {{"), err
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "sweep", "optimum", "psi0-digits"])
     def test_input_json_cannot_read_exits_2(self, valid_records, tmp_path, capsys, command):

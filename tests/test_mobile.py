@@ -557,11 +557,11 @@ def run_and_reference(make, **kw):
 
 
 def per_step():
-    """Patches under which no guidance takes repeats in bulk: each step runs."""
+    """Patches under which no guidance is ever settled: each step runs in full."""
     stack = contextlib.ExitStack()
     for cls in (GuidanceSimulator, GreedyServer, DoubleCoverageLine, PageMigrationCounter,
                 SplitServeLine, ProjectionWrapper):
-        stack.enter_context(mock.patch.object(cls, "repeat", lambda self, r, m: None))
+        stack.enter_context(mock.patch.object(cls, "settled", lambda self, r: False))
     return stack
 
 
@@ -757,8 +757,8 @@ class TestReuse:
         new_requests = 1 + sum(rep.request is not prev.request
                                for prev, rep in zip(reps, reps[1:]))
         assert new_requests == 8 and distinct(reps) < len(reps) / 10
-        # Each step the run takes checks its request and its guidance, and a repeat taken
-        # in bulk takes none; the projection checks its start and each new request;
+        # Each step the run takes checks its request and its guidance, and a report appended
+        # again takes none; the projection checks its start and each new request;
         # double coverage reads its one coordinate.
         assert calls == {"mobile": 2 * distinct(reps), "projection": 1 + new_requests,
                          "kserver": 0}
@@ -774,8 +774,8 @@ class TestReuse:
         trace = Trace(repeated([(0.0,), (1.0,), (2.0,)], 5), ((0.0,), (0.0,)))
         with mock.patch("kmobile.mobile.min_weight_matching", counted):
             res = run(trace, p, algo="ums", sim="dc-line")
-        # Each block takes a full step, is given double coverage's repeat and takes
-        # one more step with it, which leaves each server the object it was: that
+        # Each block takes a full step, finds double coverage settled and takes one
+        # more step with its free SimStep, which leaves each server the object it was: that
         # report stands for the block's other three steps.
         assert reused_steps(res.reports) == 4 + 3 + 3
         assert len(calls) == distinct(res.reports) + 1 == len(trace) - 3 * 3 + 1
@@ -800,8 +800,8 @@ class TestReuse:
                                                 ("split-serve", 1, 2, True)])
     def test_repeated_walks_take_repeats_in_bulk_where_the_guidance_offers_them(
             self, sim, dim, k, bulk, project):
-        # Greedy and split-serve offer a repeat once the server they place on the
-        # request is that request object; the work function offers none.
+        # Greedy and split-serve are settled once the server they place on the
+        # request is that request object; the work function never is.
         p = params(k=k, ms=1.0, mc=1.0, delta=0.5, dim=dim)
         walk = gen_local_walk(12, p, 1.0, seed=3).trace.requests
         trace = Trace(repeated(walk, 4), (walk[0],) * k)
@@ -869,57 +869,28 @@ class TestBulkRepeats:
         assert len(calls) < len(inst.trace) / 10
 
     def test_the_projection_changes_nothing_unless_it_repeats(self):
-        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
+        # Asking changes nothing, and the answer is yes only for the last request object,
+        # served for nothing, under settled guidance.
+        class Still(ScriptedSimulator):
+            """Holds its start and calls itself settled throughout."""
+
+            def step(self, r):
+                return SimStep(self.positions, min(math.dist(p, r) for p in self.positions), 0.0)
+
+            def settled(self, r):
+                return True
+
+        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)  # inner radius 8
         r, other = (0.5,), tuple([0.5])  # equal, but not the last request object
-        keys = ("raw_serving", "raw_movement", "proj_serving", "proj_movement",
-                "max_request_distance", "phase_ends", "positions")
         start = ((0.0,), (3.0,))
-        for inner, request in ((ScriptedSimulator(start, [((0.5,), (3.0,))] * 3), r),
-                               (DoubleCoverageLine(start), other)):
+        for inner, request, want in ((ScriptedSimulator(start, [((0.5,), (3.0,))] * 3), r, False),
+                                     (DoubleCoverageLine(start), other, False),
+                                     (DoubleCoverageLine(start), r, True),
+                                     (Still(((20.0,), (30.0,)), []), r, False),  # serves at 8
+                                     (Still(((0.5,), (3.0,)), []), r, True)):
             wrapper = ProjectionWrapper(inner, p, weighted=False)
             for _ in range(3):
                 wrapper.step(r)
-            before = [bits(getattr(wrapper, key)) for key in keys], inner.positions
-            assert wrapper.repeat(request, 5) is None
-            assert ([bits(getattr(wrapper, key)) for key in keys], inner.positions) == before
-
-    def test_the_projection_refuses_a_repeat_that_moved_the_guidance(self):
-        class Moved(DoubleCoverageLine):
-            def repeat(self, r, m):
-                return SimStep(tuple(list(self.positions)), 0.0, 0.0)
-
-        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
-        wrapper = ProjectionWrapper(Moved(((0.0,), (3.0,))), p, weighted=False)
-        r = (0.5,)
-        wrapper.step(r)
-        with pytest.raises(ContractViolationError, match="positions other than its last"):
-            wrapper.repeat(r, 4)
-
-    def test_the_projection_sums_each_repeat_in_turn(self):
-        class Fixed(GuidanceSimulator):
-            """One SimStep, with costs, for every step and repeat."""
-
-            def __init__(self, start):
-                self._start(start)
-                self.sim_step = SimStep(self.positions, 0.2, 0.7)
-
-            def step(self, r):
-                return self.sim_step
-
-            def repeat(self, r, m):
-                return self.sim_step
-
-        p = params(k=2, ms=1.0, mc=1.0, delta=0.5)
-        r, m = (0.1,), 7
-        bulk, single = (ProjectionWrapper(Fixed(((0.0,), (3.0,))), p, False) for _ in range(2))
-        bulk.step(r)
-        single.step(r)
-        last = bulk.repeat(r, m)
-        assert last is bulk._last[2] and last.serving == 0.1
-        assert all(single.step(r) == last for _ in range(m))
-        keys = ("raw_serving", "raw_movement", "proj_serving", "proj_movement")
-        assert [bits(getattr(bulk, key)) for key in keys] == \
-            [bits(getattr(single, key)) for key in keys]
-        # m times the cost, added once, would round otherwise.
-        assert bulk.raw_serving != 0.2 + m * 0.2 and bulk.raw_movement != 0.7 + m * 0.7
-        assert bulk.proj_serving != 0.1 + m * 0.1
+            before = bits([*vars(wrapper).items(), *vars(inner).items()])
+            assert wrapper.settled(request) is want
+            assert bits([*vars(wrapper).items(), *vars(inner).items()]) == before

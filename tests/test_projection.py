@@ -129,36 +129,50 @@ def projection_state(wrap):
 
 
 class HeldScript(ScriptedSimulator):
-    """A script that repeats: it holds one configuration object through a block."""
+    """A script with one configuration for each block of one request object: a block's
+    first step takes the next one, and its other steps hold that object.  It is settled
+    once a server is on the block's request."""
 
-    def repeat(self, r, m):
-        self.t += m
-        return SimStep(self.positions, min(math.dist(p, r) for p in self.positions), 0.0)
+    request = None
+
+    def step(self, r):
+        if r is self.request:
+            return SimStep(self.positions, min(math.dist(p, r) for p in self.positions), 0.0)
+        self.request = r
+        return super().step(r)
+
+    def settled(self, r):
+        return r is self.request and r in self.positions
 
 
 def test_repeats_equal_measured_steps():
     # Requests and guidance repeat in blocks, with servers inside and outside
-    # the inner radius, phase ends, and zeros of both signs.
+    # the inner radius, on the request or beside it, phase ends, and zeros of both signs.
     rng = random.Random(5)
     pr = params(k=3, mc=1.0)  # inner radius 12
     blocks = []
     r = (0.0,)
     for _ in range(60):
         r = (0.0,) if rng.random() < 0.15 else (r[0] + rng.uniform(1.0, 8.0),)
-        q = rng.choice(((-0.0,), (0.0,))) if r[0] == 0.0 else r
+        q = (rng.choice((-0.0, 0.0)) if r[0] == 0.0 else r[0],)  # a new tuple each block
         offset, far = rng.choice((-0.0, 3.0, 60.0)), rng.uniform(-80.0, 80.0)
-        blocks.append((q, (q, (q[0] + offset,), (far,)), rng.randrange(1, 5)))
+        near = q if rng.random() < 0.8 else (q[0] + 0.5,)
+        blocks.append((q, (near, (q[0] + offset,), (far,)), rng.randrange(1, 5)))
     script = [conf for _, conf, n in blocks for _ in range(n)]
     start = [(0.0,), (50.0,), (-50.0,)]
-    wrap = ProjectionWrapper(HeldScript(start, script), pr, weighted=False)
+    wrap = ProjectionWrapper(HeldScript(start, [conf for _, conf, _ in blocks]), pr, False)
     ref = ProjectionWrapper(ScriptedSimulator(start, script), pr, weighted=False)
-    repeats = 0
+    settled = stepped = 0
     for q, _, n in blocks:
         assert projection_bits(wrap.step(q)) == projection_bits(ref.step(q))
-        if n > 1:
-            repeats += 1
-            got = wrap.repeat(q, n - 1)
-            assert all(projection_bits(got) == projection_bits(ref.step(q)) for _ in range(n - 1))
+        if n > 1 and wrap.settled(q):
+            settled += 1
+            free = projection_bits(SimStep(wrap.positions, 0.0, 0.0))
+            assert all(projection_bits(ref.step(q)) == free for _ in range(n - 1))
+        else:
+            stepped += n > 1
+            for _ in range(n - 1):
+                assert projection_bits(wrap.step(q)) == projection_bits(ref.step(q))
         assert projection_state(wrap) == projection_state(ref)
-    assert repeats > len(blocks) / 2
+    assert settled > len(blocks) / 2 and stepped > 0
     assert wrap.phase_ends > 0

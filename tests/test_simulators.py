@@ -11,6 +11,7 @@ from kmobile.core import (
     ResourceBudgetError,
     Trace,
     min_weight_matching,
+    nearest,
     total,
 )
 from kmobile.kserver import (
@@ -45,9 +46,9 @@ class TestGreedy:
     def test_repeats_only_once_its_nearest_server_is_the_request_object(self):
         g = GreedyServer([(-0.0,), (5.0,)])
         r = (0.0,)
-        assert g.repeat(r, 2) is None  # a step would place r's bits
+        assert not g.settled(r)  # a step would place r's bits
         g.step(r)
-        assert g.repeat(r, 2) == SimStep(g.positions, 0.0, 0.0)
+        assert g.settled(r) and g.step(r) == SimStep(g.positions, 0.0, 0.0)
 
 
 class TestDoubleCoverage:
@@ -92,18 +93,20 @@ class TestDoubleCoverage:
         dc = DoubleCoverageLine([(0.0,), (10.0,)])
         r = (4.0,)
         first = dc.step(r)
-        again = dc.repeat(r, 3)
-        assert again.positions is first.positions is dc.positions
+        assert dc.settled(r)
+        again = dc.step(r)
+        assert again.positions == first.positions
         assert (again.serving.hex(), again.movement.hex()) == ("0x0.0p+0", "0x0.0p+0")
         # An equal request in a new tuple is not the last request object.
-        assert dc.repeat(tuple([4.0]), 3) is None
+        assert not dc.settled(tuple([4.0]))
         assert dc.step(tuple([4.0])).positions == first.positions
 
 
     @staticmethod
     def least_bound_margin(start, requests, sim):
-        """The least relative margin, over the prefixes of a run, of the guidance's cost
-        under double coverage's bound k * OPT_t + sum_{i<j} |s_i - s_j|.
+        """The least relative margin, over the prefixes of a run under the guidance ``sim``
+        (a tag or a simulator), of its cost under double coverage's bound
+        k * OPT_t + sum_{i<j} |s_i - s_j|.
 
         Double coverage is k-competitive on the line (Chrobak, Karloff, Payne &
         Vishwanathan 1991); the potential of Chrobak & Larmore (1991), k times the
@@ -126,8 +129,10 @@ class TestDoubleCoverage:
     def test_holds_its_classic_bound_at_every_prefix(self):
         start, alternating = [(0.0,), (10.0,)], [(4.0,), (6.0,)] * 15
         assert self.least_bound_margin(start, alternating, "dc-line") > 0.0
-        # Greedy guidance breaks the bound there: it moves one server to and fro.
+        # Greedy guidance breaks the bound there: it moves one server to and fro.  So
+        # does double coverage with a planted fault.
         assert self.least_bound_margin(start, alternating, "greedy") < 0.0
+        assert self.least_bound_margin(start, alternating, NearerFlankOnly(start)) < 0.0
         for seed in range(40):
             rng = random.Random(seed)
             start = [(float(x),) for x in rng.sample(range(-10, 11), 2 + seed % 2)]
@@ -138,8 +143,22 @@ class TestDoubleCoverage:
             assert self.least_bound_margin(start, requests, "dc-line") > 0.0, seed
 
 
-def repeat_cases():
-    """Guidance that offers repeats, each with a pool of line requests."""
+class NearerFlankOnly(DoubleCoverageLine):
+    """Double coverage with a planted fault: inside the hull only the nearer flank moves,
+    onto the request."""
+
+    def step(self, r):
+        xs = [p[0] for p in self.positions]
+        if not xs[0] < r[0] < xs[-1]:
+            return super().step(r)
+        self._request = r
+        i, d = nearest(self.positions, r)
+        self.positions = self.positions[:i] + (r,) + self.positions[i + 1:]
+        return SimStep(self.positions, 0.0, d)
+
+
+def settled_cases():
+    """Guidance that can be settled, each with a pool of line requests."""
     zeros = [(0.0,), (-0.0,), (0.0,)]
     pool = zeros + [(1.0,), (-1.0,), (0.1,), (0.3,), (0.7,), (2.5,), (-2.5,), (1e-300,),
                     (-1e-300,)]
@@ -160,28 +179,35 @@ def hex_bits(value):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("make,pool", repeat_cases())
+@pytest.mark.parametrize("make,pool", settled_cases())
 def test_repeats_equal_full_steps_bit_for_bit(make, pool, seed):
     # Request objects recur, in blocks and apart, with zeros of both signs,
     # values at hull ends, inside with a zero gap and inside with rounding.
     rng = random.Random(seed)
     start = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
     sim, ref = make(start), make(start)
-    offered = 0
+
+    def state(s):
+        """Positions, credits, the last request and the phase, floats spelled by float.hex."""
+        return hex_bits(list(vars(s).items()))
+
+    settled = 0
     for _ in range(300):
         r, n = rng.choice(pool), rng.randrange(1, 4)
         assert hex_bits(sim.step(r)) == hex_bits(ref.step(r))
-        got = sim.repeat(r, n)
-        wants = [ref.step(r) for _ in range(n)]
-        if got is None:
-            assert hex_bits([sim.step(r) for _ in range(n)]) == hex_bits(wants)
+        before = state(sim)
+        answer = sim.settled(r)
+        assert state(sim) == before  # asking changes nothing
+        if answer:
+            # Each further step changes nothing and costs nothing.
+            settled += 1
+            free = hex_bits(SimStep(sim.positions, 0.0, 0.0))
+            assert all(hex_bits(ref.step(r)) == free for _ in range(n))
         else:
-            offered += 1
-            assert got.positions is sim.positions
-            assert all(hex_bits(got) == hex_bits(want) for want in wants)
-        # Positions, credits, the last request and the phase, as the steps leave them.
-        assert hex_bits(list(vars(sim).items())) == hex_bits(list(vars(ref).items()))
-    assert offered > 50
+            assert hex_bits([sim.step(r) for _ in range(n)]) == hex_bits(
+                [ref.step(r) for _ in range(n)])
+        assert state(sim) == state(ref)
+    assert settled > 50
 
 
 def brute_wfa_tables(start, requests):
@@ -459,9 +485,9 @@ class TestSplitServe:
         s = SplitServeLine([(0.0,), (1.0,)])
         r = s.positions[1]
         s.step(r)  # the first phase: server 0 joins server 1 on r
-        assert s.positions == (r, r) and s.repeat(r, 2) is None  # a step ends the phase
+        assert s.positions == (r, r) and not s.settled(r)  # a step ends the phase
         s.step(r)
-        assert s.second_phase and s.repeat(r, 2) == SimStep(s.positions, 0.0, 0.0)
+        assert s.second_phase and s.settled(r) and s.step(r) == SimStep(s.positions, 0.0, 0.0)
 
 
 def test_scripted_simulator_costs():
