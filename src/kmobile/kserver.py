@@ -134,14 +134,13 @@ class WorkFunctionServer(GuidanceSimulator):
 
     A configuration (a sorted tuple of point indices) and a base (k - 1
     of them) each get an id in creation order: ``ids``, ``base_ids``.
-    ``values[id]`` is a configuration's work-function value, and
-    ``_values`` its numpy twin, equal bit for bit after every step.
-    _intern grows, by one point, ``dmat[a][b] == math.dist(points[a], points[b])``,
-    ``neighbours[base][p]``, the id of base plus point p, their numpy
-    copies ``_dist`` and ``_nbr``, and per configuration and slot the
-    base left when the slot is emptied (``_slot_base``) and its point
-    (``_slot_point``).  numpy is imported by the methods that call it, so
-    runs under other guidance never load it.
+    ``values``, one float64 array, holds each configuration's
+    work-function value at its id.  _intern grows, by one point, the
+    distances ``_dist``, ``_nbr[base][p]``, the id of base plus point p,
+    and per configuration and slot the base left when the slot is
+    emptied (``_slot_base``) and its point (``_slot_point``).  numpy is
+    imported by the methods that call it, so runs under other guidance
+    never load it.
     """
 
     def __init__(self, start: Sequence[Point]):
@@ -154,17 +153,14 @@ class WorkFunctionServer(GuidanceSimulator):
         self.ids: dict[tuple[int, ...], int] = {}
         # With k = 1 the one base, (), holds no point.
         self.base_ids = {b: 0 for b in itertools.combinations_with_replacement((), self.k - 1)}
-        self.dmat: list[list[float]] = []
-        self.neighbours: list[list[int]] = [[] for _ in self.base_ids]
         self._dist = np.empty((0, 0))
         self._nbr = np.empty((len(self.base_ids), 0), dtype=np.intp)
         self._slot_base = self._slot_point = np.empty((0, self.k), dtype=np.intp)
         for p in dict.fromkeys(start):
             self._intern(p)
-        self.values: list[float] = [
+        self.values = np.array([
             min_weight_matching(start, tuple(self.points[i] for i in conf)).weight
-            for conf in self.ids]
-        self._values = np.array(self.values)
+            for conf in self.ids])
 
     def _intern(self, p: Point) -> None:
         """Add point p: its distances, and the configurations and bases holding it."""
@@ -177,80 +173,55 @@ class WorkFunctionServer(GuidanceSimulator):
                                       f"configurations (budget {self.max_configs})")
         self.index[p] = q
         self.points.append(p)
-        # math.dist(a, b) == math.dist(b, a) bit for bit: it measures |a_i - b_i|.
-        dist = [math.dist(p, b) for b in self.points]
-        for row, d in zip(self.dmat, dist):
-            row.append(d)
-        self.dmat.append(dist)
         grown = np.empty((n, n))
         grown[:q, :q] = self._dist
-        grown[q] = grown[:, q] = dist
+        # math.dist(a, b) == math.dist(b, a) bit for bit: it measures |a_i - b_i|.
+        grown[q] = grown[:, q] = [math.dist(p, b) for b in self.points]
         self._dist = grown
         # The configurations and bases holding q end in q, which sorts last.
         ids, base_ids, k = self.ids, self.base_ids, self.k
         new = [base + (q,) for base in itertools.combinations_with_replacement(range(n), k - 1)]
+        lo = len(ids)
         for conf in new:
             ids[conf] = len(ids)
-        old = len(base_ids)
-        for base, keys in zip(base_ids, self.neighbours):
-            keys.append(ids[base + (q,)])
         for base in [conf[:-1] for conf in new if q in conf[:-1]]:
             base_ids[base] = len(base_ids)
-            self.neighbours.append([ids[tuple(sorted(base + (x,)))] for x in range(n)])
+        # combinations(conf, k - 1) leaves the slots out from last to first.
+        slot_base = np.array([base_ids[base] for conf in new
+                              for base in itertools.combinations(conf, k - 1)],
+                             dtype=np.intp).reshape(-1, k)[:, ::-1]
+        slot_point = np.array(new, dtype=np.intp)
+        # Every _nbr entry holding q is a new configuration, filed under
+        # itself less one slot at that slot's point.
         grown = np.empty((len(base_ids), n), dtype=np.intp)
-        grown[:old, :q] = self._nbr
-        grown[:old, q] = [keys[q] for keys in self.neighbours[:old]]
-        grown[old:] = np.reshape(self.neighbours[old:], (-1, n))
+        grown[:len(self._nbr), :q] = self._nbr
+        grown[slot_base, slot_point] = np.arange(lo, len(ids))[:, None]
         self._nbr = grown
-        slot_base = [[base_ids[conf[:s] + conf[s + 1:]] for s in range(k)] for conf in new]
         self._slot_base = np.concatenate([self._slot_base, slot_base])
-        self._slot_point = np.concatenate([self._slot_point, new])
+        self._slot_point = np.concatenate([self._slot_point, slot_point])
 
     def _extend_table(self) -> None:
-        """Give values to the configurations _intern just added.
+        """Give values to the configurations _intern just added, those holding
+        its point q.
 
-        Values come from single-server relocation relaxed to a fixed
-        point, which realizes the optimal matching distance from the
-        previously known configurations.  Each pass relaxes every new
-        configuration, in creation order, from conf - x + p over its
-        distinct slots x and then every point p, in that order, with a
-        strict 1e-15 margin and updates applied in place.
-
-        A pass changes no value until some candidate beats its
-        configuration's value at the start of the pass, so one numpy test
-        of every candidate against those values tells whether the next
-        pass would change anything; the relaxation stops where it would not.
-        Old values never change here, so the test reads them from
-        ``_values`` and converts only the new ones.
-        The first pass reads only points p before x: neighbour ids rise
-        with p to conf's own at p = x, and ids from there on read inf.
+        A work function is 1-Lipschitz in the matching distance
+        (Koutsoupias and Papadimitriou 1995), and an optimal schedule
+        ends on the points it served, which q is not among yet.  So a
+        configuration C holding m copies of q is worth the least over old
+        points p of value(C - q + p) + d(p, q), and C - q + p holds m - 1
+        copies.  For m = 1..k one numpy gather, add and row minimum closes
+        every configuration with m copies; there is no fixed point to seek.
         """
         import numpy as np
-        values = self.values
-        lo = len(values)
-        confs, bases = self._slot_point[lo:], self._slot_base[lo:]
-        values.extend([math.inf] * len(confs))
-        plan = [(cid, [(self.neighbours[base], self.dmat[x], x)
-                       for s, (base, x) in enumerate(zip(bs, conf)) if s == 0 or conf[s - 1] != x])
-                for cid, conf, bs in zip(range(lo, len(values)), confs.tolist(), bases.tolist())]
-        others, dists = self._nbr[bases], self._dist[confs]
-        first = True
-        while True:
-            for cid, slots in plan:
-                best = values[cid]
-                bar = best - 1e-15
-                for keys, row, x in slots:
-                    for other, d in zip(keys[:x] if first else keys, row):
-                        cand = values[other] + d
-                        if cand < bar:
-                            best = cand
-                            bar = cand - 1e-15
-                values[cid] = best
-            now = np.concatenate((self._values, values[lo:]))
-            if not (now[others] + dists < (now[lo:] - 1e-15)[:, None, None]).any():
-                self._values = now
-                return
-            first = False
+        lo, q = len(self.values), len(self.points) - 1
+        values = np.concatenate((self.values, np.empty(len(self.ids) - lo)))
+        bases = self._slot_base[lo:, -1]
+        copies = (self._slot_point[lo:] == q).sum(axis=1)
+        for m in range(1, self.k + 1):
+            rows = np.flatnonzero(copies == m)
+            via = values[self._nbr[bases[rows], :q]]
+            values[lo + rows] = (via + self._dist[q, :q]).min(axis=1)
+        self.values = values
 
     def step(self, r: Point) -> SimStep:
         check_dims((r,), self.dim)
@@ -262,9 +233,8 @@ class WorkFunctionServer(GuidanceSimulator):
         # over its slots x of value(conf - x + r) + d(x, r).  The numpy
         # minimum is exact: a repeated slot repeats its sum, and no sum is
         # NaN or -0.0.
-        via = self._values[self._nbr[:, ri]]
-        self._values = (via[self._slot_base] + self._dist[ri][self._slot_point]).min(axis=1)
-        self.values = self._values.tolist()
+        via = self.values[self._nbr[:, ri]]
+        self.values = (via[self._slot_base] + self._dist[ri][self._slot_point]).min(axis=1)
         # Move rule: relocate onto r the server that minimizes work-function
         # value plus movement, then the resulting configuration, then its index.
         cur = self.positions

@@ -7,6 +7,7 @@ from operator import is_
 import pytest
 
 from kmobile.adversary import (
+    TWO_SERVER_CHOICES,
     GeneratedInstance,
     gen_local_walk,
     gen_simple_counterexample,
@@ -24,6 +25,7 @@ from kmobile.core import (
     total,
     validate_trace,
 )
+from test_simulators import kserver_lower_bound
 
 
 class TestThm3:
@@ -116,6 +118,26 @@ class TestThm4:
         for g, z in enumerate(inst.choices["Z"]):
             idx = z / seg - 0.5
             assert idx in (5 * g + 1, 5 * g + 3)
+
+
+class TestKServerLowerBound:
+    """A certificate is a mobile schedule, so it costs at least half the
+    k-server optimum of its trace (kserver_lower_bound)."""
+
+    @pytest.mark.parametrize("x", [8, 16, 24, 32])
+    def test_two_server_certificates(self, x):
+        for z in range(TWO_SERVER_CHOICES):
+            for inst in (gen_thm3(2, x, z_choice=z), gen_thm3(2, x, 2.5, 0.5, z_choice=z),
+                         gen_thm4(2, x, 1.0, 1.0, z_choice=z),
+                         gen_thm4(2, x, 0.5, 2.0, 2.5, z_choice=z)):
+                assert kserver_lower_bound(inst.trace) <= certificate_cost(inst.trace, inst.params)
+
+    def test_three_server_certificates(self):
+        # Larger x, or thm4 walks in shorter steps, pass the work-function budget.
+        for seed in range(4):
+            for inst in (gen_thm3(3, 8, seed=seed), gen_thm3(3, 8, 2.5, 0.5, seed=seed),
+                         gen_thm4(3, 8, 1.0, 2.0, seed=seed)):
+                assert kserver_lower_bound(inst.trace) <= certificate_cost(inst.trace, inst.params)
 
 
 class TestSimpleCounterexample:

@@ -256,6 +256,22 @@ class TestCli:
         assert header == "t,serving,movement,psi"
         assert main(["verify", "--property", "fast-potential", "--run", run_path]) == 0
 
+    def test_a_wms_walk_reaches_its_fallback_branch(self, tmp_path):
+        # A fast-mode pm-counter run whose tentative move is overtaken once;
+        # then every server's cap is ms.
+        trace, run_path = str(tmp_path / "t.jsonl"), tmp_path / "run.json"
+        assert main(["generate", "--construction", "walk", "--k", "2", "--n", "60",
+                     "--ms", "1", "--mc", "0.2", "--delta", "0.9", "--D", "4",
+                     "--step-scale", "0.5", "--seed", "18", "--out", trace]) == 0
+        assert main(["simulate", "--algo", "wms", "--trace", trace, "--out", str(run_path)]) == 0
+        record = json.loads(run_path.read_text())
+        assert (record["mode"], record["sim"]) == ("fast", "pm-counter")
+        steps = record["steps"]
+        assert [s["branch"] for s in steps].count("tentative") == 59
+        fallbacks = [s for s in steps if s["branch"] == "fallback"]
+        assert len(fallbacks) == 1
+        assert all(s["caps"] == [record["params"]["ms"]] * 2 for s in fallbacks)
+
     def test_verify_detects_corruption(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
         main(["generate", "--construction", "walk", "--k", "1", "--n", "20",

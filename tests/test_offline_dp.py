@@ -15,6 +15,7 @@ from kmobile.offline import (
     dp_optimum,
 )
 from kmobile.core import ResourceBudgetError
+from test_simulators import kserver_lower_bound
 
 
 def snap_trace(trace, grid):
@@ -26,6 +27,14 @@ def snap_trace(trace, grid):
     return Trace([snap(r) for r in trace.requests], tuple(map(snap, trace.start_config)))
 
 
+def bounded_dp_optimum(trace, p, grid):
+    """dp_optimum, held to the k-server lower bound: its cost is a mobile
+    schedule's, so it is at least half the k-server optimum of the trace."""
+    cost, traj = dp_optimum(trace, p, grid)
+    assert kserver_lower_bound(trace) <= cost
+    return cost, traj
+
+
 def params(**kw):
     base = dict(k=1, ms=1.0, mc=10.0, delta=0.0, D=1.0, dim=1)
     base.update(kw)
@@ -35,7 +44,7 @@ def params(**kw):
 def test_stationary_trace_costs_nothing():
     p = params(k=2)
     trace = Trace(requests=[(0.0,)] * 6, start_config=((0.0,), (0.0,)))
-    cost, traj = dp_optimum(trace, p, GridSpec(0.0, 1.0, 3))
+    cost, traj = bounded_dp_optimum(trace, p, GridSpec(0.0, 1.0, 3))
     assert cost == 0.0
     assert all(conf == ((0.0,), (0.0,)) for conf in traj)
 
@@ -43,14 +52,14 @@ def test_stationary_trace_costs_nothing():
 def test_single_request_serve_vs_move_indifference():
     p = params(k=1, ms=1.0)
     trace = Trace(requests=[(5.0,)], start_config=((0.0,),))
-    cost, _ = dp_optimum(trace, p, GridSpec(0.0, 5.0, 6))
+    cost, _ = bounded_dp_optimum(trace, p, GridSpec(0.0, 5.0, 6))
     assert cost == 5.0
 
 
 def test_expensive_movement_prefers_serving():
     p = params(k=1, ms=10.0, D=5.0)
     trace = Trace(requests=[(4.0,)], start_config=((0.0,),))
-    cost, traj = dp_optimum(trace, p, GridSpec(0.0, 4.0, 5))
+    cost, traj = bounded_dp_optimum(trace, p, GridSpec(0.0, 4.0, 5))
     assert cost == 4.0  # moving would cost 5 per unit; serving once costs 4
     assert traj[0] == ((0.0,),)
 
@@ -58,7 +67,7 @@ def test_expensive_movement_prefers_serving():
 def test_repeated_request_amortizes_movement():
     p = params(k=1, ms=10.0, D=2.0)
     trace = Trace(requests=[(4.0,)] * 10, start_config=((0.0,),))
-    cost, traj = dp_optimum(trace, p, GridSpec(0.0, 4.0, 5))
+    cost, traj = bounded_dp_optimum(trace, p, GridSpec(0.0, 4.0, 5))
     assert cost == 8.0  # move once for D*4, serve the rest for free
     assert traj[-1] == ((4.0,),)
 
@@ -71,7 +80,7 @@ def test_refining_grid_never_increases_value():
         trace = Trace(requests=reqs, start_config=((0.0,), (4.0,)))
         values = []
         for n in (5, 9, 17):  # nested grids on [0, 4]
-            cost, _ = dp_optimum(trace, p, GridSpec(0.0, 4.0, n))
+            cost, _ = bounded_dp_optimum(trace, p, GridSpec(0.0, 4.0, n))
             values.append(cost)
         assert values[1] <= values[0] + 1e-9
         assert values[2] <= values[1] + 1e-9
@@ -82,7 +91,7 @@ def test_trajectory_is_feasible_certificate():
     p = params(k=2, ms=1.5, D=1.0)
     reqs = [(rng.uniform(0.0, 6.0),) for _ in range(10)]
     trace = Trace(requests=reqs, start_config=((0.0,), (6.0,)))
-    cost, traj = dp_optimum(trace, p, GridSpec(0.0, 6.0, 13))
+    cost, traj = bounded_dp_optimum(trace, p, GridSpec(0.0, 6.0, 13))
     checked = Trace(requests=reqs, start_config=trace.start_config, certificate=traj)
     assert validate_trace(checked, p) is None
     from kmobile.core import certificate_cost
@@ -100,7 +109,7 @@ def test_dominates_online_algorithms():
         snapped = snap_trace(inst.trace, grid)
         # snapping can stretch consecutive requests by up to h
         p = params(k=k, ms=30.0, mc=1.0 + grid.h, D=d_weight)
-        cost, _ = dp_optimum(snapped, p, grid)
+        cost, _ = bounded_dp_optimum(snapped, p, grid)
         slack = grid.h * len(snapped.requests) * (p.D + 1.0) * p.k
         for algo in ("ums", "simple"):
             res = run(snapped, p, algo=algo, sim="greedy", project="off")
@@ -203,7 +212,7 @@ def test_matches_dense_reference_bit_for_bit():
             with pytest.raises(InputError):
                 dp_optimum(trace, p, grid)
             continue
-        assert dp_optimum(trace, p, grid) == want, trial
+        assert bounded_dp_optimum(trace, p, grid) == want, trial
 
 
 @pytest.mark.parametrize("window", [3, DP_MAX_POINTS])
@@ -231,7 +240,7 @@ def test_filter_slack_keeps_the_dense_choice_bit_for_bit(lo, h, D, k, window):
         # starts on grid points, both servers at one end in the first trial
         start = tuple((coords[0] if trial == 0 else rng.choice(coords),) for _ in range(k))
         trace = Trace(requests=[(draw(),) for _ in range(8)], start_config=start)
-        assert dp_optimum(trace, p, grid) == dense_dp_optimum(trace, p, grid), trial
+        assert bounded_dp_optimum(trace, p, grid) == dense_dp_optimum(trace, p, grid), trial
 
 
 @pytest.mark.parametrize("lo, h, n, window, requests, start", [
@@ -246,7 +255,7 @@ def test_a_tie_above_the_least_filter_sum_keeps_the_dense_choice(lo, h, n, windo
     p = params(k=2, ms=1.5 * grid.h if window == 3 else grid.hi - grid.lo, D=1.0)
     trace = Trace(requests=[(coords[i],) for i in requests],
                   start_config=tuple((coords[i],) for i in start))
-    assert dp_optimum(trace, p, grid) == dense_dp_optimum(trace, p, grid)
+    assert bounded_dp_optimum(trace, p, grid) == dense_dp_optimum(trace, p, grid)
 
 
 def test_window_edges_match_dense_reference_bit_for_bit():
@@ -277,7 +286,7 @@ def test_window_edges_match_dense_reference_bit_for_bit():
         # near an end and the other inside, or both on one point
         start = ((coords[trial % 4],), (rng.choice(coords[8:]),)) if trial % 3 else ((coords[20],),) * k
         trace = Trace(requests=[(draw(),) for _ in range(6)], start_config=start)
-        assert dp_optimum(trace, p, grid) == dense_dp_optimum(trace, p, grid), trial
+        assert bounded_dp_optimum(trace, p, grid) == dense_dp_optimum(trace, p, grid), trial
 
 
 @pytest.mark.parametrize("ms, steps", [(2.0, DP_MAX_STEPS), (20.0, 10)],

@@ -306,6 +306,22 @@ class FixedPointWFA:
         return SimStep(self.positions, 0.0, moved)
 
 
+class CopyCountWFA(FixedPointWFA):
+    """Reference for WorkFunctionServer's table, in plain Python over the same
+    dict: a configuration holding m copies of the new point q is closed, in
+    order of m, as the least over old points p of the value with one copy of
+    q moved to p, plus d(q, p)."""
+
+    def _extend_table(self, q):
+        new = [conf for conf in itertools.combinations_with_replacement(range(q + 1), self.k)
+               if q in conf]
+        for conf in sorted(new, key=lambda conf: conf.count(q)):
+            rest = conf[:-1]  # q sorts last
+            self.values[conf] = min(self.values[tuple(sorted(rest + (p,)))]
+                                    + math.dist(self.points[q], self.points[p])
+                                    for p in range(q))
+
+
 def hex_table(wfa):
     """Every configuration's value as float.hex, keyed by sorted configuration."""
     if isinstance(wfa, FixedPointWFA):
@@ -314,17 +330,34 @@ def hex_table(wfa):
 
 
 def assert_same_walk(start, requests, trial):
-    """WorkFunctionServer and the reference agree on every step and, bit
-    for bit, on every configuration's value after every step; the numpy
-    twin of the values equals them bit for bit, whether or not the step
-    added a point."""
-    fast, ref = WorkFunctionServer(list(start)), FixedPointWFA(list(start))
-    assert hex_table(fast) == hex_table(ref), trial
+    """WorkFunctionServer takes every step the fixed-point reference takes,
+    and after every step each configuration's value is within 8 ulps of
+    that reference's and, bit for bit, the copy-count reference's.  The
+    values are one float64 array, whether or not the step added a point."""
+    fast, ref, same = (make(list(start)) for make in (WorkFunctionServer, FixedPointWFA,
+                                                       CopyCountWFA))
+    assert hex_table(fast) == hex_table(ref) == hex_table(same), trial
     for r in requests:
-        assert fast.step(r) == ref.step(r), trial
-        assert hex_table(fast) == hex_table(ref), trial
-        assert fast._values.dtype == np.float64, trial
-        assert [v.hex() for v in fast._values.tolist()] == [v.hex() for v in fast.values], trial
+        assert fast.step(r) == ref.step(r) == same.step(r), trial
+        assert hex_table(fast) == hex_table(same), trial
+        for conf, val in ref.values.items():
+            got = fast.values[fast.ids[conf]]
+            assert abs(got - val) <= 8 * math.ulp(max(got, val)), (trial, conf)
+        assert type(fast.values) is np.ndarray, trial
+        assert fast.values.dtype == np.float64 and fast.values.shape == (len(fast.ids),), trial
+
+
+def kserver_lower_bound(trace):
+    """Half the k-server optimum of the trace: a lower bound on any mobile
+    schedule's cost when D >= 1/2, in any dimension.  Let a mobile
+    schedule's serving server visit each request and come back: that is a
+    k-server schedule of cost movement + 2 serving <= 2 (serving + D movement).
+    The k-server optimum is the least work-function value after the last
+    request."""
+    wfa = WorkFunctionServer(trace.start_config)
+    for r in trace.requests:
+        wfa.step(r)
+    return float(wfa.values.min()) / 2.0
 
 
 def planar_walk(rng, n, mc):
@@ -359,9 +392,11 @@ class TestWorkFunction:
             assert w.step(r) == g.step(r)
 
     def test_tables_match_brute_force(self):
+        # Only k >= 3 closes configurations holding three or more copies of a
+        # new point.
         rng = random.Random(42)
-        for _ in range(10):
-            k = rng.choice([1, 2])
+        for trial in range(50):
+            k = rng.choice([1, 2]) if trial < 10 else 3 + trial % 2
             start = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(k)]
             pool = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
             requests = [pool[rng.randrange(3)] for _ in range(6)]
@@ -375,7 +410,7 @@ class TestWorkFunction:
                     if not all(p in seen for p in conf_pts):
                         continue
                     key = tuple(sorted(wfa.index[p] for p in conf_pts))
-                    assert abs(wfa.values[wfa.ids[key]] - val) < 1e-9
+                    assert abs(wfa.values[wfa.ids[key]] - val) < 1e-9, trial
 
     def test_matches_fixed_point_reference_bit_for_bit(self):
         rng = random.Random(17)
@@ -400,10 +435,9 @@ class TestWorkFunction:
             start = [requests[0]] * k if trial % 2 == 0 else requests[:k]
             assert_same_walk(start, requests, trial)
 
-    def test_neighbour_ids_rise_with_the_point(self):
-        # The first relaxation pass reads, for a slot holding point x, only
-        # the neighbours before x; that is exact only if the ids rise, so
-        # that those are the ones created before the configuration.
+    def test_neighbour_and_slot_ids_index_the_table(self):
+        # A new configuration is closed from the base its last slot leaves and
+        # that base's neighbours, and the serve update reads every slot's.
         rng = random.Random(31)
         for trial in range(12):
             k, dim = 1 + trial % 3, 1 + trial // 3 % 2
@@ -412,8 +446,15 @@ class TestWorkFunction:
             wfa = WorkFunctionServer(start)
             for _ in range(12 - 2 * k):
                 wfa.step(draw())
-                for keys in wfa.neighbours:
-                    assert all(a < b for a, b in zip(keys, keys[1:])), trial
+                n = len(wfa.points)
+                assert wfa._nbr.shape == (len(wfa.base_ids), n), trial
+                for base, b in wfa.base_ids.items():
+                    assert [wfa.ids[tuple(sorted(base + (p,)))] for p in range(n)] == \
+                        wfa._nbr[b].tolist(), trial
+                for conf, c in wfa.ids.items():
+                    assert wfa._slot_point[c].tolist() == list(conf), trial
+                    assert wfa._slot_base[c].tolist() == [
+                        wfa.base_ids[conf[:s] + conf[s + 1:]] for s in range(k)], trial
 
     def test_values_monotone_in_time(self):
         rng = random.Random(9)
